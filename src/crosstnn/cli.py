@@ -32,7 +32,7 @@ from .elimination import (
     verdict_to_doc,
 )
 from .exact import format_scalar
-from .matrix import brute_force_tnn, matrix_from_payload, matrix_to_text
+from .matrix import brute_force_tnn, matrix_from_doc, matrix_from_payload, matrix_to_text
 from .network import export_dot, network_from_factorization, network_to_doc
 from .verdicts import Inapplicable, NotTnn, TotallyNonnegative, verdict_label
 
@@ -60,12 +60,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a matrix file")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("--amazing", nargs=2, type=int, metavar=("N", "B"))
     gen.add_argument("--random", nargs=3, metavar=("SEED", "N", "ATOMS"))
     gen.add_argument("--scaled", action="store_true", help="multiply entries by b^n")
     gen.add_argument("-o", "--output", metavar="PATH")
 
     check = sub.add_parser("check", help="test a matrix file for total nonnegativity")
+    check.set_defaults(run=_cmd_check)
     check.add_argument("path")
     check.add_argument(
         "--method", choices=("cross", "neville", "minors"), default="cross"
@@ -74,6 +76,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--ray", type=int, help="ray start for symbolic matrices")
 
     factor = sub.add_parser("factor", help="emit the atom factorization certificate")
+    factor.set_defaults(run=_cmd_factor)
     factor.add_argument("path")
     factor.add_argument("--out", metavar="CERT")
     factor.add_argument(
@@ -82,12 +85,14 @@ def _build_parser() -> _Parser:
     factor.add_argument("--ray", type=int)
 
     network = sub.add_parser("network", help="render a matrix or certificate as a planar network")
+    network.set_defaults(run=_cmd_network)
     network.add_argument("input", help="matrix file or factorization certificate")
     network.add_argument("--format", choices=("dot", "doc"), default="dot")
     network.add_argument("-o", "--output", metavar="OUT")
     network.add_argument("--ray", type=int)
 
     verify = sub.add_parser("verify-amazing", help="certify the carries matrix for all bases")
+    verify.set_defaults(run=_cmd_verify_amazing)
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--escalation-cap", type=int, default=3)
     verify.add_argument("-o", "--output", metavar="REPORT")
@@ -133,12 +138,6 @@ def _print_witness(witness) -> None:
         print(f"value: {format_scalar(witness.value)}")
 
 
-def _print_steps(steps) -> None:
-    for k, step in enumerate(steps, start=1):
-        kind = "center" if step.is_center else "bridge"
-        print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({kind})")
-
-
 def _cmd_gen(args) -> int:
     if (args.amazing is None) == (args.random is None):
         raise _UsageError("gen needs exactly one of --amazing or --random")
@@ -158,21 +157,37 @@ def _cmd_gen(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _cmd_check(args) -> int:
-    matrix = matrix_from_payload(_read(args.path))
-    if matrix.is_symbolic and args.ray is None:
+def _load_matrix(payload, ray):
+    """Parse a matrix file's text, or its already-decoded JSON document."""
+    if isinstance(payload, dict):
+        matrix = matrix_from_doc(payload)
+    else:
+        matrix = matrix_from_payload(payload)
+    if matrix.is_symbolic and ray is None:
         raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
+    return matrix
+
+
+def _certify(payload, ray):
+    """Load a matrix and eliminate it; returns (matrix, verdict).
+
+    A verdict that is not certified is reported on stderr.
+    """
+    matrix = _load_matrix(payload, ray)
+    verdict = eliminate_detailed(matrix, ray=ray).verdict
+    if isinstance(verdict, NotTnn):
+        print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
+    elif isinstance(verdict, Inapplicable):
+        print(f"inapplicable: {verdict.reason}", file=sys.stderr)
+    return matrix, verdict
+
+
+def _cmd_check(args) -> int:
+    matrix = _load_matrix(_read(args.path), args.ray)
     print(f"method: {args.method}")
-    if args.method == "minors":
-        verdict = brute_force_tnn(matrix, ray=args.ray)
-        print(f"verdict: {verdict_label(verdict)}")
-        if isinstance(verdict, NotTnn):
-            _print_witness(verdict.witness)
-        elif isinstance(verdict, Inapplicable):
-            print(f"reason: {verdict.reason}")
-        return _verdict_exit(verdict)
-    if args.method == "neville":
-        verdict = neville_tnn_test(matrix, ray=args.ray)
+    if args.method != "cross":
+        oracle = brute_force_tnn if args.method == "minors" else neville_tnn_test
+        verdict = oracle(matrix, ray=args.ray)
         print(f"verdict: {verdict_label(verdict)}")
         if isinstance(verdict, NotTnn):
             _print_witness(verdict.witness)
@@ -186,30 +201,23 @@ def _cmd_check(args) -> int:
         fact = verdict.factorization
         print(f"atoms: {len(fact.atoms)}")
         print(f"diagonal: {' '.join(format_scalar(d) for d in fact.diagonal)}")
-        if args.trace:
-            _print_steps(run.steps)
     elif isinstance(verdict, NotTnn):
         _print_witness(verdict.witness)
-        if args.trace:
-            _print_steps(verdict.witness.trace)
     else:
         print(f"reason: {verdict.reason}")
         if verdict.bound is not None:
             print(f"bound: {verdict.bound}")
+    if args.trace and not isinstance(verdict, Inapplicable):
+        for k, step in enumerate(run.steps, start=1):
+            kind = "center" if step.is_center else "bridge"
+            print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({kind})")
     return _verdict_exit(verdict)
 
 
 def _cmd_factor(args) -> int:
-    matrix = matrix_from_payload(_read(args.path))
-    if matrix.is_symbolic and args.ray is None:
-        raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
-    verdict = eliminate_detailed(matrix, ray=args.ray).verdict
-    if isinstance(verdict, NotTnn):
-        print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
-        return EXIT_REFUTED
-    if isinstance(verdict, Inapplicable):
-        print(f"inapplicable: {verdict.reason}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    matrix, verdict = _certify(_read(args.path), args.ray)
+    if not isinstance(verdict, TotallyNonnegative):
+        return _verdict_exit(verdict)
     fact = verdict.factorization
     if args.verify and factorization_product(fact) != matrix:
         raise AssertionError("certificate does not re-multiply to the input")
@@ -217,32 +225,17 @@ def _cmd_factor(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _load_network_input(args):
+def _cmd_network(args) -> int:
     text = _read(args.input)
     stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(stripped)
-        if "atoms" in doc:
-            return factorization_from_doc(doc), EXIT_CERTIFIED
-        matrix = matrix_from_payload(text)
+    doc = json.loads(stripped) if stripped.startswith("{") else None
+    if doc is not None and "atoms" in doc:
+        fact = factorization_from_doc(doc)
     else:
-        matrix = matrix_from_payload(text)
-    if matrix.is_symbolic and args.ray is None:
-        raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
-    verdict = eliminate_detailed(matrix, ray=args.ray).verdict
-    if isinstance(verdict, NotTnn):
-        print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
-        return None, EXIT_REFUTED
-    if isinstance(verdict, Inapplicable):
-        print(f"inapplicable: {verdict.reason}", file=sys.stderr)
-        return None, EXIT_INAPPLICABLE
-    return verdict.factorization, EXIT_CERTIFIED
-
-
-def _cmd_network(args) -> int:
-    fact, code = _load_network_input(args)
-    if fact is None:
-        return code
+        _, verdict = _certify(text if doc is None else doc, args.ray)
+        if not isinstance(verdict, TotallyNonnegative):
+            return _verdict_exit(verdict)
+        fact = verdict.factorization
     net = network_from_factorization(fact)
     if args.format == "dot":
         _emit(export_dot(net), args.output)
@@ -265,15 +258,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "factor":
-            return _cmd_factor(args)
-        if args.command == "network":
-            return _cmd_network(args)
-        return _cmd_verify_amazing(args)
+        if getattr(args, "ray", None) is not None and args.ray < 1:
+            raise _UsageError("--ray must be >= 1")
+        if getattr(args, "escalation_cap", 0) < 0:
+            raise _UsageError("--escalation-cap must be >= 0")
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

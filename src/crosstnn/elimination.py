@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    Poly,
-    RatFunc,
     SignUndecidedOnRay,
     format_scalar,
+    parse_int,
     parse_scalar,
     scalar_sign,
 )
@@ -140,11 +139,23 @@ class Factorization:
 
 @dataclass(frozen=True)
 class EliminationRun:
-    """Full record of one elimination: verdict, steps taken, all intermediates."""
+    """One elimination: its verdict, the steps taken, and the input matrix.
+
+    Intermediate matrices are not stored; :attr:`intermediates` replays
+    ``steps`` on ``matrix`` with dense products when asked.
+    """
 
     verdict: Verdict
     steps: tuple
-    intermediates: tuple
+    matrix: Matrix
+
+    @property
+    def intermediates(self) -> tuple:
+        """The input, then the matrix after each step (F_k * ... * F_1 * A)."""
+        out = [self.matrix]
+        for step in self.steps:
+            out.append(materialize_elementary(step, self.matrix.n) * out[-1])
+        return tuple(out)
 
 
 def materialize_elementary(step: ElementaryStep, n: int) -> Matrix:
@@ -167,19 +178,15 @@ def materialize_elementary(step: ElementaryStep, n: int) -> Matrix:
 
 
 def materialize_atom(atom: Atom) -> Matrix:
-    n = atom.n
+    n, s, c = atom.n, atom.s, atom.c
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     if atom.kind == "bridge":
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        s = atom.s
-        rows[s][s - 1] = rows[s][s - 1] + atom.c
+        rows[s][s - 1] = rows[s][s - 1] + c
         r2, c2 = w0(s + 1, n), w0(s, n)
-        rows[r2 - 1][c2 - 1] = rows[r2 - 1][c2 - 1] + atom.c
+        rows[r2 - 1][c2 - 1] = rows[r2 - 1][c2 - 1] + c
         return Matrix(rows)
-    s = atom.s
-    c = atom.c
     diag_value = 1 / (1 - c * c)
     off_value = c * diag_value
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rows[s - 1][s - 1] = diag_value
     rows[s][s] = diag_value
     rows[s - 1][s] = off_value
@@ -187,42 +194,15 @@ def materialize_atom(atom: Atom) -> Matrix:
     return Matrix(rows)
 
 
-def _first_nonzero_below(M: Matrix) -> tuple | None:
-    # Scan order: up the first column from the bottom, then up the
-    # second column, and so on.  Zero tests are exact (identically zero
-    # for symbolic entries).
-    n = M.n
-    for t in range(1, n):
-        for i in range(n, t, -1):
-            if M.entry(i, t) != 0:
-                return (i, t)
-    return None
-
-
-def _apply_step(M: Matrix, s: int, c) -> Matrix:
-    n = M.n
-    old = M.rows
-    rows = [list(r) for r in old]
-    r1, src1 = s + 1, s
-    r2, src2 = w0(s + 1, n), w0(s, n)
-    if r1 == r2:
-        # Odd n with s+1 the middle row: both operations hit that row.
-        rows[r1 - 1] = [
-            old[r1 - 1][j] - c * old[src1 - 1][j] - c * old[src2 - 1][j] for j in range(n)
-        ]
-    else:
-        rows[r1 - 1] = [old[r1 - 1][j] - c * old[src1 - 1][j] for j in range(n)]
-        rows[r2 - 1] = [old[r2 - 1][j] - c * old[src2 - 1][j] for j in range(n)]
-    return Matrix(rows)
-
-
 def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
-    """Run the symmetry-preserving elimination, keeping every intermediate.
+    """Run the symmetry-preserving elimination, recording every step.
 
-    The scan restarts from the head of the position list after each step;
-    the step just taken only rewrites its two paired rows, so the cleared
-    prefix is re-verified cheaply.  Failure conditions, each of which
-    certifies a negative minor in the original matrix:
+    One sweep over a mutable copy of the rows clears the columns left to
+    right, each bottom-up, skipping zero entries.  A step at (s+1, t)
+    rewrites only row s+1 and its mirror row w0(s+1); every position the
+    sweep has already cleared stays zero, so no position is visited twice.
+    Failure conditions, each of which certifies a negative minor in the
+    original matrix:
 
     * the first nonzero below-diagonal entry is negative,
     * the pivot directly above it is zero (an invertible totally
@@ -233,95 +213,106 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
       a(s+1, t) < a(s, t) strictly),
     * a nonpositive entry on the final diagonal.
 
+    Singularity is decided only when the sweep does not certify: a bridge
+    step has determinant 1 and a center step 1 - c^2 with 0 < c < 1, so a
+    certified sweep proves det A = prod(diagonal) / prod(1 - c^2) != 0.
+    Every other exit computes det A; a singular matrix is inapplicable,
+    with no steps.
+
     For symbolic matrices, signs are decided on [ray, inf); an
     undecidable query yields an inapplicable verdict carrying the bound
-    beyond which that query becomes definite.
+    beyond which that query becomes definite.  With ``ray=None`` the
+    first sign query raises ``ValueError``, singular matrices included.
     """
     n = A.n
     steps: list = []
-    intermediates = [A]
 
     def finish(verdict: Verdict) -> EliminationRun:
-        return EliminationRun(verdict, tuple(steps), tuple(intermediates))
+        # Not certified: only now is singularity worth deciding.
+        if determinant(A) == 0:
+            return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
+        return EliminationRun(verdict, tuple(steps), A)
 
     if not is_cross_symmetric(A):
-        return finish(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC))
-    if determinant(A) == 0:
-        return finish(Inapplicable(INAPPLICABLE_SINGULAR))
+        return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
 
-    current = A
+    rows = [list(r) for r in A.rows]
     try:
-        while True:
-            pos = _first_nonzero_below(current)
-            if pos is None:
-                break
-            i, t = pos
-            s = i - 1
-            below = current.entry(i, t)
-            if scalar_sign(below, ray) < 0:
-                return finish(
-                    NotTnn(
-                        Witness(
-                            REASON_NEGATIVE_MULTIPLIER,
-                            s=s,
-                            t=t,
-                            value=below,
-                            trace=tuple(steps),
+        for t in range(1, n):
+            for i in range(n, t, -1):
+                below = rows[i - 1][t - 1]
+                if below == 0:
+                    continue
+                s = i - 1
+                if scalar_sign(below, ray) < 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_NEGATIVE_MULTIPLIER,
+                                s=s,
+                                t=t,
+                                value=below,
+                                trace=tuple(steps),
+                            )
                         )
                     )
-                )
-            pivot = current.entry(s, t)
-            if pivot == 0:
-                return finish(
-                    NotTnn(
-                        Witness(
-                            REASON_ZERO_PIVOT_NONZERO_BELOW,
-                            s=s,
-                            t=t,
-                            value=below,
-                            trace=tuple(steps),
+                pivot = rows[s - 1][t - 1]
+                if pivot == 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_ZERO_PIVOT_NONZERO_BELOW,
+                                s=s,
+                                t=t,
+                                value=below,
+                                trace=tuple(steps),
+                            )
                         )
                     )
-                )
-            if scalar_sign(pivot, ray) < 0:
-                return finish(
-                    NotTnn(
-                        Witness(
-                            REASON_NONPOSITIVE_PIVOT,
-                            s=s,
-                            t=t,
-                            value=pivot,
-                            trace=tuple(steps),
+                if scalar_sign(pivot, ray) < 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_NONPOSITIVE_PIVOT,
+                                s=s,
+                                t=t,
+                                value=pivot,
+                                trace=tuple(steps),
+                            )
                         )
                     )
-                )
-            c = below / pivot
-            is_center = n == 2 * s
-            if is_center and scalar_sign(pivot - below, ray) <= 0:
-                return finish(
-                    NotTnn(
-                        Witness(
-                            REASON_CENTER_NOT_LESS_THAN_ONE,
-                            s=s,
-                            t=t,
-                            value=c,
-                            trace=tuple(steps),
+                c = below / pivot
+                is_center = n == 2 * s
+                if is_center and scalar_sign(pivot - below, ray) <= 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_CENTER_NOT_LESS_THAN_ONE,
+                                s=s,
+                                t=t,
+                                value=c,
+                                trace=tuple(steps),
+                            )
                         )
                     )
-                )
-            steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
-            current = _apply_step(current, s, c)
-            intermediates.append(current)
+                steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
+                # Rows s+1 and w0(s+1) lose c times rows s and w0(s).  Both
+                # sources are read before either target is written: for
+                # n = 2s each row of the pair is the other's source, and for
+                # odd n with s+1 the middle row both updates land in one row.
+                sources = rows[s - 1], rows[n - s]
+                for target, source in zip((s, n - s - 1), sources):
+                    rows[target] = [x - c * y if y else x for x, y in zip(rows[target], source)]
 
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and current.entry(i, j) != 0:
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] != 0:
                     raise AssertionError(
-                        f"off-diagonal residue at ({i},{j}) after elimination"
+                        f"off-diagonal residue at ({i + 1},{j + 1}) after elimination"
                     )
-        diag = tuple(current.entry(i, i) for i in range(1, n + 1))
+        diag = tuple(rows[i][i] for i in range(n))
         for index, d in enumerate(diag, start=1):
             if scalar_sign(d, ray) <= 0:
                 return finish(
@@ -349,7 +340,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
         for step in steps
     )
     fact = Factorization(n=n, atoms=atoms, diagonal=diag)
-    return finish(TotallyNonnegative(factorization=fact))
+    return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
 
 
 def cross_symmetric_eliminate(A: Matrix, ray: int | None = None) -> Verdict:
@@ -467,9 +458,13 @@ def factorization_to_doc(f: Factorization) -> dict:
 
 
 def factorization_from_doc(doc: dict) -> Factorization:
-    n = int(doc["n"])
+    n = parse_int(doc["n"])
+    if not isinstance(doc["atoms"], list) or not all(isinstance(a, dict) for a in doc["atoms"]):
+        raise ValueError("atoms must be a list of objects")
+    if not isinstance(doc["diagonal"], list):
+        raise ValueError("diagonal must be a list")
     atoms = tuple(
-        Atom(kind=a["kind"], n=n, s=int(a["s"]), c=parse_scalar(str(a["c"])))
+        Atom(kind=a["kind"], n=n, s=parse_int(a["s"]), c=parse_scalar(str(a["c"])))
         for a in doc["atoms"]
     )
     diagonal = tuple(parse_scalar(str(d)) for d in doc["diagonal"])

@@ -38,6 +38,7 @@ __all__ = [
     "scalar_sign",
     "format_scalar",
     "parse_scalar",
+    "parse_int",
     "split_scalar_tokens",
 ]
 
@@ -672,7 +673,9 @@ def parse_scalar(text: str) -> Scalar:
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
-    if t.startswith("["):
+    try:
+        if not t.startswith("["):
+            return Fraction(t)
         depth = 0
         split_at = None
         for pos, ch in enumerate(t):
@@ -686,7 +689,16 @@ def parse_scalar(text: str) -> Scalar:
         if split_at is None:
             return _parse_poly(t)
         return RatFunc(_parse_poly(t[:split_at]), _parse_poly(t[split_at + 1 :]))
-    return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {t!r}") from None
+
+
+def parse_int(value) -> int:
+    """An integer field of a decoded JSON document; ValueError on any other shape."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"not an integer: {value!r}") from None
 
 
 def split_scalar_tokens(line: str) -> list:

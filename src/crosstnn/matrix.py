@@ -20,6 +20,7 @@ from .exact import (
     SignUndecidedOnRay,
     as_ratfunc,
     format_scalar,
+    parse_int,
     parse_scalar,
     scalar_sign,
     split_scalar_tokens,
@@ -336,9 +337,11 @@ def matrix_to_doc(A: Matrix) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> Matrix:
-    n = int(doc["n"])
+    n = parse_int(doc["n"])
     entries = doc["entries"]
-    if len(entries) != n or any(len(r) != n for r in entries):
+    if not isinstance(entries, list) or len(entries) != n or any(
+        not isinstance(r, list) or len(r) != n for r in entries
+    ):
         raise ValueError("entries do not form an n x n array")
     return Matrix(
         [[parse_scalar(str(x)) for x in row] for row in entries]

@@ -204,3 +204,33 @@ class TestErrorPaths:
     def test_malformed_content(self, tmp_path, capsys):
         path = _write(tmp_path / "bad.txt", "2\n1 2\n")
         assert main(["check", path]) == 65
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("check", "2\n1 [1]/[0]\n[1]/[0] 1\n", id="ratfunc-zero-denominator"),
+            pytest.param("check", "2\n1 1/0\n1/0 1\n", id="rational-zero-denominator"),
+            pytest.param("check", '{"n": 2, "entries": 5}', id="entries-not-a-list"),
+            pytest.param("check", '{"n": 2, "entries": [5, 6]}', id="rows-not-lists"),
+            pytest.param("check", '{"n": null, "entries": [[1]]}', id="n-not-an-integer"),
+            pytest.param("network", '{"n": 2, "atoms": 5, "diagonal": [1, 1]}', id="atoms-not-a-list"),
+            pytest.param("network", '{"n": 1, "atoms": [], "diagonal": 5}', id="diagonal-not-a-list"),
+            pytest.param(
+                "network",
+                '{"n": 3, "atoms": [{"kind": "bridge", "s": [1], "c": 1}], "diagonal": [1, 1, 1]}',
+                id="atom-row-not-an-integer",
+            ),
+        ],
+    )
+    def test_malformed_content_exits_65(self, tmp_path, capsys, command, text):
+        path = _write(tmp_path / "bad.txt", text)
+        assert main([command, path]) == 65
+        assert capsys.readouterr().err.startswith("malformed input: ")
+
+    def test_ray_below_one_is_a_usage_error(self, a33_path, capsys):
+        for command in ("check", "factor", "network"):
+            assert main([command, a33_path, "--ray", "0"]) == 64
+
+    def test_negative_escalation_cap_is_a_usage_error(self, capsys):
+        assert main(["verify-amazing", "--n", "3", "--escalation-cap", "-1"]) == 64
+        assert main(["verify-amazing", "--n", "3", "--escalation-cap", "0"]) == 0

@@ -27,6 +27,7 @@ from crosstnn import (
     materialize_elementary,
     neville_tnn_test,
     random_certified_tnn,
+    verify_amazing,
 )
 
 B = Poly.variable()
@@ -204,6 +205,44 @@ class TestEliminate:
         assert isinstance(verdict, Inapplicable)
         assert verdict.reason == "symbolic-indefinite"
         assert verdict.bound == 3
+
+
+
+class TestSingularity:
+    """Singularity is decided only when the sweep does not certify."""
+
+    def test_certified_runs_compute_no_determinant(self, monkeypatch):
+        import crosstnn.elimination as elimination
+
+        calls = []
+        real = elimination.determinant
+        monkeypatch.setattr(elimination, "determinant", lambda A: calls.append(A) or real(A))
+        assert verify_amazing(5).overall == "certified"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "A, ray",
+        [
+            pytest.param(Matrix([[1, 1], [1, 1]]), None, id="ones-2x2"),
+            pytest.param(
+                Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]),
+                None,
+                id="rank-2-4x4",
+            ),
+            pytest.param(Matrix([[B, B], [B, B]]), 1, id="symbolic-ray-1"),
+            pytest.param(Matrix([[B, B], [B, B]]), 2, id="symbolic-ray-2"),
+        ],
+    )
+    def test_singular_is_inapplicable_without_steps(self, A, ray):
+        run = eliminate_detailed(A, ray=ray)
+        assert isinstance(run.verdict, Inapplicable)
+        assert run.verdict.reason == "singular"
+        assert run.steps == ()
+
+    def test_singular_symbolic_needs_a_ray(self):
+        # Like a nonsingular symbolic matrix: the first sign query needs a ray.
+        with pytest.raises(ValueError, match="ray"):
+            eliminate_detailed(Matrix([[B, B], [B, B]]))
 
 
 class TestNeville:
