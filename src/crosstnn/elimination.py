@@ -125,6 +125,8 @@ class Factorization:
     diagonal: tuple
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if len(self.diagonal) != self.n:
             raise ValueError("diagonal length must equal n")
         for atom in self.atoms:
@@ -363,9 +365,21 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     it must agree with :func:`cross_symmetric_eliminate`; singular input
     is inapplicable.  No factorization is produced.  Witness positions
     for the second pass refer to the transposed matrix.
+
+    Singularity is decided only when the test does not certify: the first
+    pass applies unit lower-triangular row operations and reaches an upper
+    triangular matrix with a positive diagonal, so a certified run proves
+    det A > 0.  Every other exit computes det A.  A symbolic matrix needs
+    a ray: with ``ray=None`` the first sign query raises ``ValueError``,
+    singular matrices included.
     """
-    if determinant(A) == 0:
-        return Inapplicable(INAPPLICABLE_SINGULAR)
+    verdict = _neville_passes(A, ray)
+    if isinstance(verdict, TotallyNonnegative) or determinant(A) != 0:
+        return verdict
+    return Inapplicable(INAPPLICABLE_SINGULAR)
+
+
+def _neville_passes(A: Matrix, ray: int | None) -> Verdict:
     n = A.n
     try:
         for M in (A, A.transpose()):

@@ -694,7 +694,13 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def parse_int(value) -> int:
-    """An integer field of a decoded JSON document; ValueError on any other shape."""
+    """An integer field of a decoded JSON document; ValueError on any other shape.
+
+    Integers, integral floats and decimal strings are accepted; booleans
+    and fractional numbers are rejected rather than truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
     try:
         return int(value)
     except (TypeError, OverflowError):

@@ -154,80 +154,44 @@ def is_cross_symmetric(A: Matrix) -> bool:
     )
 
 
-def _det_2x2(m) -> object:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _det_3x3(m) -> object:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _det_bareiss(rows) -> Fraction:
-    # Fraction-free elimination; divisions are exact, which keeps
-    # integer matrices integral throughout.
-    m = [list(r) for r in rows]
+def _det_rows(rows):
+    # The routine behind determinant and minor; see determinant.
+    if isinstance(rows[0][0], (Poly, RatFunc)):
+        m = [[as_ratfunc(x) for x in r] for r in rows]
+        det = RatFunc(Poly((1,)))
+    else:
+        m = [list(r) for r in rows]
+        det = Fraction(1)
     n = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return m[-1][-1] if sign > 0 else -m[-1][-1]
-
-
-def _det_gauss_symbolic(rows) -> RatFunc:
-    # Field arithmetic over rational functions is exact anyway.
-    m = [[as_ratfunc(x) for x in r] for r in rows]
-    n = len(m)
-    det = RatFunc(Poly((1,)))
-    negate = False
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
         if pivot_row is None:
-            return RatFunc(Poly())
+            return m[k][k]  # a zero of the entries' kind
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            negate = not negate
-        pivot = m[k][k]
-        det = det * pivot
-        for i in range(k + 1, n):
-            if m[i][k].is_zero:
-                continue
-            factor = m[i][k] / pivot
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-            m[i][k] = RatFunc(Poly())
-    return -det if negate else det
-
-
-def _det_rows(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return _det_2x2(rows)
-    if n == 3:
-        return _det_3x3(rows)
-    if any(isinstance(x, (Poly, RatFunc)) for r in rows for x in r):
-        return _det_gauss_symbolic(rows)
-    return _det_bareiss(rows)
+            det = -det
+        top = m[k]
+        det = det * top[k]
+        for row in m[k + 1 :]:
+            if row[k]:
+                factor = row[k] / top[k]
+                row[k + 1 :] = [
+                    x - factor * y if y else x for x, y in zip(row[k + 1 :], top[k + 1 :])
+                ]
+    return det
 
 
 def determinant(A: Matrix):
-    """Exact determinant; zero iff singular (identically zero for symbolic entries)."""
+    """Exact determinant; zero iff singular (identically zero for symbolic entries).
+
+    One Gaussian elimination over the field of the entries: ``Fraction``
+    for numeric matrices, ``RatFunc`` for symbolic ones (``Poly`` entries
+    are lifted first).  Each column pivots on its first nonzero entry, a
+    row swap negates the result, and the result is the signed product of
+    the pivots.  Numeric matrices give a ``Fraction``; symbolic ones
+    always give a reduced ``RatFunc``, whose denominator is 1 whenever
+    the entries are polynomials.  :func:`minor` uses the same routine.
+    """
     return _det_rows(A.rows)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elimination import Factorization
-from .exact import format_scalar, parse_scalar
+from .exact import format_scalar, parse_int, parse_scalar
 from .matrix import Matrix, w0
 
 __all__ = [
@@ -200,12 +200,12 @@ def network_to_doc(net: PlanarNetwork) -> dict:
 
 
 def network_from_doc(doc: dict) -> PlanarNetwork:
-    n = int(doc["n"])
+    n = parse_int(doc["n"])
     chips = tuple(
         Chip(
             tuple(parse_scalar(str(h)) for h in chip["horizontals"]),
             tuple(
-                Slant(int(s["from"]), int(s["to"]), parse_scalar(str(s["weight"])))
+                Slant(parse_int(s["from"]), parse_int(s["to"]), parse_scalar(str(s["weight"])))
                 for s in chip["slants"]
             ),
         )

@@ -220,12 +220,22 @@ class TestErrorPaths:
                 '{"n": 3, "atoms": [{"kind": "bridge", "s": [1], "c": 1}], "diagonal": [1, 1, 1]}',
                 id="atom-row-not-an-integer",
             ),
+            pytest.param(
+                "network", '{"n": 0, "atoms": [], "diagonal": []}', id="empty-certificate"
+            ),
+            pytest.param("check", '{"n": 2.5, "entries": [[1, 0], [0, 1]]}', id="n-fractional"),
+            pytest.param("check", '{"n": true, "entries": [[1]]}', id="n-boolean"),
         ],
     )
     def test_malformed_content_exits_65(self, tmp_path, capsys, command, text):
         path = _write(tmp_path / "bad.txt", text)
         assert main([command, path]) == 65
         assert capsys.readouterr().err.startswith("malformed input: ")
+
+    @pytest.mark.parametrize("n", ["2", "2.0", '"2"'])
+    def test_integral_n_shapes_are_accepted(self, tmp_path, capsys, n):
+        path = _write(tmp_path / "id.json", '{"n": %s, "entries": [[1, 0], [0, 1]]}' % n)
+        assert main(["check", path]) == 0
 
     def test_ray_below_one_is_a_usage_error(self, a33_path, capsys):
         for command in ("check", "factor", "network"):

@@ -16,6 +16,7 @@ from crosstnn import (
     RatFunc,
     TotallyNonnegative,
     amazing_matrix,
+    amazing_matrix_symbolic,
     brute_force_tnn,
     cross_symmetric_eliminate,
     eliminate_detailed,
@@ -208,6 +209,18 @@ class TestEliminate:
 
 
 
+SINGULAR = [
+    pytest.param(Matrix([[1, 1], [1, 1]]), None, id="ones-2x2"),
+    pytest.param(
+        Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]),
+        None,
+        id="rank-2-4x4",
+    ),
+    pytest.param(Matrix([[B, B], [B, B]]), 1, id="symbolic-ray-1"),
+    pytest.param(Matrix([[B, B], [B, B]]), 2, id="symbolic-ray-2"),
+]
+
+
 class TestSingularity:
     """Singularity is decided only when the sweep does not certify."""
 
@@ -220,29 +233,41 @@ class TestSingularity:
         assert verify_amazing(5).overall == "certified"
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "A, ray",
-        [
-            pytest.param(Matrix([[1, 1], [1, 1]]), None, id="ones-2x2"),
-            pytest.param(
-                Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]),
-                None,
-                id="rank-2-4x4",
-            ),
-            pytest.param(Matrix([[B, B], [B, B]]), 1, id="symbolic-ray-1"),
-            pytest.param(Matrix([[B, B], [B, B]]), 2, id="symbolic-ray-2"),
-        ],
-    )
+    def test_certified_neville_runs_compute_no_determinant(self, monkeypatch):
+        import crosstnn.elimination as elimination
+
+        calls = []
+        real = elimination.determinant
+        monkeypatch.setattr(elimination, "determinant", lambda A: calls.append(A) or real(A))
+        cases = [(amazing_matrix_symbolic(4), 4)]
+        for n in range(1, 6):
+            cases.append((amazing_matrix(n, 3, scaled=True), None))
+            cases.append((random_certified_tnn(n, seed=n, atom_count=4)[0], None))
+        for A, ray in cases:
+            assert isinstance(neville_tnn_test(A, ray=ray), TotallyNonnegative)
+        assert calls == []
+
+    @pytest.mark.parametrize("A, ray", SINGULAR)
     def test_singular_is_inapplicable_without_steps(self, A, ray):
         run = eliminate_detailed(A, ray=ray)
         assert isinstance(run.verdict, Inapplicable)
         assert run.verdict.reason == "singular"
         assert run.steps == ()
 
+    @pytest.mark.parametrize("A, ray", SINGULAR)
+    def test_singular_is_inapplicable_to_neville(self, A, ray):
+        verdict = neville_tnn_test(A, ray=ray)
+        assert isinstance(verdict, Inapplicable)
+        assert verdict.reason == "singular"
+
     def test_singular_symbolic_needs_a_ray(self):
         # Like a nonsingular symbolic matrix: the first sign query needs a ray.
         with pytest.raises(ValueError, match="ray"):
             eliminate_detailed(Matrix([[B, B], [B, B]]))
+
+    def test_singular_symbolic_needs_a_ray_in_neville(self):
+        with pytest.raises(ValueError, match="ray"):
+            neville_tnn_test(Matrix([[B, B], [B, B]]))
 
 
 class TestNeville:

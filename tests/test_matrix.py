@@ -10,8 +10,10 @@ from crosstnn import (
     Matrix,
     NotTnn,
     Poly,
+    RatFunc,
     TotallyNonnegative,
     amazing_matrix,
+    amazing_matrix_symbolic,
     brute_force_tnn,
     determinant,
     exchange_matrix,
@@ -170,6 +172,32 @@ class TestDeterminant:
         A = Matrix([[B + 1, 1], [1, B + 1]])
         assert determinant(A) == B * B + 2 * B
         assert determinant(Matrix([[B, B], [B, B]])) == 0
+
+    def test_matches_cofactor_oracle_symbolic(self):
+        rng = random.Random("det-oracle-symbolic")
+        polys = [Poly(()), Poly((1,)), B, B + 1, 2 - B, B * B - 3, Poly((0, 0, 0, 1))]
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            A = Matrix([[rng.choice(polys) for _ in range(n)] for _ in range(n)])
+            assert determinant(A) == _cofactor_det([list(r) for r in A.rows])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symbolic_specializes_to_numeric(self, n):
+        det = determinant(amazing_matrix_symbolic(n))
+        assert isinstance(det, RatFunc) and det.den == 1
+        # The numeric generator needs b >= 2; the symbolic one b >= n.
+        for b in {n, n + 1, n + 7} - {1}:
+            assert det.eval(b) == determinant(amazing_matrix(n, b, scaled=True))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_row_swaps_flip_the_sign(self, n):
+        assert determinant(exchange_matrix(n)) == (-1) ** (n * (n - 1) // 2)
+
+    def test_symbolic_zero_leading_entry(self):
+        # Each of the first two columns pivots on its last row: two swaps.
+        A = Matrix([[0, 1, B], [0, 0, 1], [B + 1, 0, B]])
+        assert determinant(A) == B + 1
+        assert minor(A, (1, 3), (1, 2)) == -(B + 1)
 
 
 class TestBruteForce:
