@@ -7,7 +7,8 @@ a network IS a certificate.  Each bridge atom becomes one chip with two
 slant edges of weight c; each center atom becomes three chips via
 [[a,e],[e,a]] = (I + cE(s+1,s)) diag(a,1) (I + cE(s,s+1)); the final
 diagonal becomes terminal edge weights.  The path matrix is computed by
-multiplying chip transfer matrices, never by enumerating paths.
+applying each chip to the running product as a few column updates,
+never by enumerating paths.
 
 Pipe the DOT output into graphviz to draw it:
 

@@ -23,6 +23,7 @@ import sys
 
 from .amazing import amazing_matrix, report_to_doc, verify_amazing
 from .elimination import (
+    check_factorization_signs,
     eliminate_detailed,
     factorization_from_doc,
     factorization_to_doc,
@@ -231,6 +232,9 @@ def _cmd_network(args) -> int:
     doc = json.loads(stripped) if stripped.startswith("{") else None
     if doc is not None and "atoms" in doc:
         fact = factorization_from_doc(doc)
+        if fact.is_symbolic and args.ray is None:
+            raise _UsageError("symbolic certificate: pass --ray to fix the sign ray")
+        check_factorization_signs(fact, args.ray)
     else:
         _, verdict = _certify(text if doc is None else doc, args.ray)
         if not isinstance(verdict, TotallyNonnegative):
@@ -269,7 +273,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except (ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, json.JSONDecodeError, KeyError, RecursionError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_DATA
 

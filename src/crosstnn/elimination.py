@@ -22,13 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    Poly,
+    RatFunc,
     SignUndecidedOnRay,
     format_scalar,
     parse_int,
+    parse_list,
     parse_scalar,
     scalar_sign,
 )
 from .matrix import Matrix, determinant, is_cross_symmetric, w0
+from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
     INAPPLICABLE_SINGULAR,
@@ -49,6 +53,7 @@ __all__ = [
     "ElementaryStep",
     "Atom",
     "Factorization",
+    "check_factorization_signs",
     "EliminationRun",
     "materialize_elementary",
     "materialize_atom",
@@ -91,7 +96,8 @@ class Atom:
     2x2 block [[1/(1-c^2), c/(1-c^2)], [c/(1-c^2), 1/(1-c^2)]] with
     0 < c < 1.  Both are cross-symmetric and totally nonnegative.
     Symbolic coefficients skip the numeric range checks here; their signs
-    are certified on a ray by the elimination that produced them.
+    are certified on a ray by the elimination that produced them, or by
+    :func:`check_factorization_signs` for a loaded certificate.
     """
 
     kind: str
@@ -138,6 +144,30 @@ class Factorization:
             if d != self.diagonal[self.n - 1 - i]:
                 raise ValueError("diagonal must be palindromic")
 
+    @property
+    def is_symbolic(self) -> bool:
+        scalars = (*self.diagonal, *(atom.c for atom in self.atoms))
+        return any(isinstance(x, (Poly, RatFunc)) for x in scalars)
+
+
+def check_factorization_signs(f: Factorization, ray: int | None) -> None:
+    """Re-derive the signs a certificate rests on, symbolic entries on [ray, inf).
+
+    Every atom needs c > 0, every center atom also 1 - c > 0, and every
+    diagonal entry d > 0; :class:`Atom` and :class:`Factorization` check
+    these only for numeric entries.  A sign that fails, or that cannot be
+    decided on the ray, raises ``ValueError``.
+    """
+    claims = [(atom.c, "atom coefficient") for atom in f.atoms]
+    claims += [(1 - atom.c, "1 - c of a center atom") for atom in f.atoms if atom.kind == "center"]
+    claims += [(d, "diagonal entry") for d in f.diagonal]
+    try:
+        for value, what in claims:
+            if scalar_sign(value, ray) <= 0:
+                raise ValueError(f"{what} {format_scalar(value)} is not positive on the ray")
+    except SignUndecidedOnRay as exc:
+        raise ValueError(f"certificate sign: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class EliminationRun:
@@ -180,6 +210,7 @@ def materialize_elementary(step: ElementaryStep, n: int) -> Matrix:
 
 
 def materialize_atom(atom: Atom) -> Matrix:
+    """The dense atom matrix; the oracle the planar-network chips are tested against."""
     n, s, c = atom.n, atom.s, atom.c
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     if atom.kind == "bridge":
@@ -420,11 +451,8 @@ def _neville_passes(A: Matrix, ray: int | None) -> Verdict:
 
 
 def factorization_product(f: Factorization) -> Matrix:
-    """Multiply the certificate back out, exactly."""
-    M = Matrix.identity(f.n)
-    for atom in f.atoms:
-        M = M * materialize_atom(atom)
-    return M * Matrix.diagonal(f.diagonal)
+    """Multiply the certificate back out, exactly, through its planar network."""
+    return path_matrix(network_from_factorization(f))
 
 
 def random_certified_tnn(n: int, seed, atom_count: int = 3):
@@ -473,15 +501,13 @@ def factorization_to_doc(f: Factorization) -> dict:
 
 def factorization_from_doc(doc: dict) -> Factorization:
     n = parse_int(doc["n"])
-    if not isinstance(doc["atoms"], list) or not all(isinstance(a, dict) for a in doc["atoms"]):
-        raise ValueError("atoms must be a list of objects")
-    if not isinstance(doc["diagonal"], list):
-        raise ValueError("diagonal must be a list")
+    atom_docs = parse_list(doc["atoms"], "atoms", dict)
+    diagonal_docs = parse_list(doc["diagonal"], "diagonal")
     atoms = tuple(
         Atom(kind=a["kind"], n=n, s=parse_int(a["s"]), c=parse_scalar(str(a["c"])))
-        for a in doc["atoms"]
+        for a in atom_docs
     )
-    diagonal = tuple(parse_scalar(str(d)) for d in doc["diagonal"])
+    diagonal = tuple(parse_scalar(str(d)) for d in diagonal_docs)
     return Factorization(n=n, atoms=atoms, diagonal=diagonal)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
     "parse_int",
+    "parse_list",
     "split_scalar_tokens",
 ]
 
@@ -705,6 +706,13 @@ def parse_int(value) -> int:
         return int(value)
     except (TypeError, OverflowError):
         raise ValueError(f"not an integer: {value!r}") from None
+
+
+def parse_list(value, name: str, item=object) -> list:
+    """A list field of a decoded JSON document, of ``item`` instances; ValueError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+        raise ValueError(f"{name} must be a list" + (" of objects" if item is dict else ""))
+    return value
 
 
 def split_scalar_tokens(line: str) -> list:

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elimination import Factorization
-from .exact import format_scalar, parse_int, parse_scalar
+from .exact import format_scalar, parse_int, parse_list, parse_scalar
 from .matrix import Matrix, w0
 
 __all__ = [
@@ -73,8 +72,9 @@ class PlanarNetwork:
                     raise ValueError("slants must join adjacent wires")
                 if not (1 <= slant.src <= self.n and 1 <= slant.dst <= self.n):
                     raise ValueError("slant wire outside 1..n")
-                if isinstance(slant.weight, (int, Fraction)) and Fraction(slant.weight) <= 0:
-                    raise ValueError("slant weights must be positive")
+            for weight in (*chip.horizontals, *(slant.weight for slant in chip.slants)):
+                if isinstance(weight, (int, Fraction)) and weight <= 0:
+                    raise ValueError("edge weights must be positive")
             # Two slants cross iff their left and right endpoints are
             # oppositely ordered; sharing an endpoint is planar.
             for a in chip.slants:
@@ -100,7 +100,7 @@ def _center_chips(n: int, s: int, c) -> tuple:
     )
 
 
-def network_from_factorization(f: Factorization) -> PlanarNetwork:
+def network_from_factorization(f) -> PlanarNetwork:
     """One chip per bridge atom, three per center atom, one for the diagonal."""
     chips = []
     for atom in f.atoms:
@@ -112,19 +112,20 @@ def network_from_factorization(f: Factorization) -> PlanarNetwork:
     return PlanarNetwork(n=f.n, chips=tuple(chips))
 
 
-def _transfer_matrix(n: int, chip: Chip) -> Matrix:
-    rows = [[chip.horizontals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for slant in chip.slants:
-        rows[slant.src - 1][slant.dst - 1] = slant.weight
-    return Matrix(rows)
-
-
 def path_matrix(net: PlanarNetwork) -> Matrix:
-    """Exact path-weight sums source-to-sink, by chip-wise transfer products."""
-    M = Matrix.identity(net.n)
+    """Exact path-weight sums source-to-sink, by chip-wise column updates."""
+    # Right-multiplying by a chip rescales column q by the horizontal weight
+    # on wire q and adds w times the old column p for each slant p -> q.
+    cols = [[Fraction(int(i == j)) for i in range(net.n)] for j in range(net.n)]
     for chip in net.chips:
-        M = M * _transfer_matrix(net.n, chip)
-    return M
+        sources = [cols[slant.src - 1] for slant in chip.slants]  # before any rewrite
+        for q, h in enumerate(chip.horizontals):
+            if h != 1:
+                cols[q] = [h * x for x in cols[q]]
+        for slant, source in zip(chip.slants, sources):
+            q, w = slant.dst - 1, slant.weight
+            cols[q] = [x + w * y if y else x for x, y in zip(cols[q], source)]
+    return Matrix(list(zip(*cols)))
 
 
 def reflect(net: PlanarNetwork) -> PlanarNetwork:
@@ -203,12 +204,12 @@ def network_from_doc(doc: dict) -> PlanarNetwork:
     n = parse_int(doc["n"])
     chips = tuple(
         Chip(
-            tuple(parse_scalar(str(h)) for h in chip["horizontals"]),
+            tuple(parse_scalar(str(h)) for h in parse_list(chip["horizontals"], "horizontals")),
             tuple(
                 Slant(parse_int(s["from"]), parse_int(s["to"]), parse_scalar(str(s["weight"])))
-                for s in chip["slants"]
+                for s in parse_list(chip["slants"], "slants", dict)
             ),
         )
-        for chip in doc["chips"]
+        for chip in parse_list(doc["chips"], "chips", dict)
     )
     return PlanarNetwork(n=n, chips=chips)

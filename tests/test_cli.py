@@ -7,6 +7,7 @@ import pytest
 from crosstnn import (
     Matrix,
     amazing_matrix,
+    amazing_matrix_symbolic,
     factorization_from_doc,
     factorization_product,
     matrix_from_text,
@@ -15,6 +16,8 @@ from crosstnn import (
     path_matrix,
 )
 from crosstnn.cli import main
+
+DEEPLY_NESTED = '{"n": ' + "[" * 100000 + "]" * 100000 + "}"
 
 
 def _write(path, text):
@@ -175,6 +178,38 @@ class TestNetwork:
         path = _write(tmp_path / "p.txt", "2\n0 1\n1 0\n")
         assert main(["network", path]) == 1
 
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            pytest.param(
+                '{"n": 3, "atoms": [{"kind": "bridge", "s": 1, "c": "[0,-1]"}],'
+                ' "diagonal": ["[0,-1]", "[1]", "[0,-1]"]}',
+                id="negative-coefficient-and-diagonal",
+            ),
+            pytest.param(
+                '{"n": 2, "atoms": [{"kind": "center", "s": 1, "c": "[1]"}],'
+                ' "diagonal": ["[1]", "[1]"]}',
+                id="center-coefficient-one",
+            ),
+            pytest.param(
+                '{"n": 3, "atoms": [{"kind": "bridge", "s": 1, "c": "[-3,1]"}],'
+                ' "diagonal": ["[1]", "[1]", "[1]"]}',
+                id="coefficient-sign-undecided-on-ray",
+            ),
+        ],
+    )
+    def test_symbolic_certificate_signs_are_checked(self, tmp_path, capsys, cert):
+        path = _write(tmp_path / "cert.json", cert)
+        assert main(["network", path]) == 64
+        assert main(["network", path, "--ray", "1"]) == 65
+        assert capsys.readouterr().err.splitlines()[-1].startswith("malformed input: ")
+
+    def test_symbolic_certificate_from_factor(self, tmp_path, capsys):
+        path = _write(tmp_path / "s5.txt", matrix_to_text(amazing_matrix_symbolic(5)))
+        cert = str(tmp_path / "s5.cert.json")
+        assert main(["factor", path, "--ray", "5", "--out", cert]) == 0
+        assert main(["network", cert, "--ray", "5"]) == 0
+
 
 class TestVerifyAmazing:
     def test_n3_certified(self, capsys):
@@ -225,6 +260,8 @@ class TestErrorPaths:
             ),
             pytest.param("check", '{"n": 2.5, "entries": [[1, 0], [0, 1]]}', id="n-fractional"),
             pytest.param("check", '{"n": true, "entries": [[1]]}', id="n-boolean"),
+            pytest.param("check", DEEPLY_NESTED, id="check-deeply-nested"),
+            pytest.param("network", DEEPLY_NESTED, id="network-deeply-nested"),
         ],
     )
     def test_malformed_content_exits_65(self, tmp_path, capsys, command, text):

@@ -14,9 +14,11 @@ from crosstnn import (
     PlanarNetwork,
     Slant,
     amazing_matrix,
+    amazing_matrix_symbolic,
     cross_symmetric_eliminate,
     export_dot,
     factorization_product,
+    materialize_atom,
     network_from_doc,
     network_from_factorization,
     network_to_doc,
@@ -30,6 +32,46 @@ from crosstnn import (
 def _worked_3x3_certificate() -> Factorization:
     A = amazing_matrix(3, 3, scaled=True)
     return cross_symmetric_eliminate(A).factorization
+
+
+def _dense_atom_product(fact: Factorization) -> Matrix:
+    M = Matrix.identity(fact.n)
+    for atom in fact.atoms:
+        M = M * materialize_atom(atom)
+    return M * Matrix.diagonal(fact.diagonal)
+
+
+def _dense_transfer_product(net: PlanarNetwork) -> Matrix:
+    M = Matrix.identity(net.n)
+    for chip in net.chips:
+        rows = [[h if i == j else 0 for j in range(net.n)] for i, h in enumerate(chip.horizontals)]
+        for slant in chip.slants:
+            rows[slant.src - 1][slant.dst - 1] = slant.weight
+        M = M * Matrix(rows)
+    return M
+
+
+def _random_network(rng, n: int, chips: int) -> PlanarNetwork:
+    """Random positive weights (some 1) and non-crossing slants per chip.
+
+    Chips may chain slants (p -> q and q -> r), where a correct path
+    matrix must not let one path take both edges of a chip.
+    """
+    out = []
+    for _ in range(chips):
+        horizontals = tuple(
+            Fraction(rng.choice([1, 1, 2, 5]), rng.randint(1, 3)) for _ in range(n)
+        )
+        slants = []
+        for _ in range(rng.randint(0, n - 1)):
+            p = rng.randint(1, n - 1)
+            src, dst = (p, p + 1) if rng.random() < 0.5 else (p + 1, p)
+            taken = {(e.src, e.dst) for e in slants}
+            if (src, dst) in taken or any((src - e.src) * (dst - e.dst) < 0 for e in slants):
+                continue
+            slants.append(Slant(src, dst, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+        out.append(Chip(horizontals, tuple(slants)))
+    return PlanarNetwork(n, tuple(out))
 
 
 class TestConstruction:
@@ -132,6 +174,52 @@ class TestPathMatrix:
         assert path_matrix(net) == materialize_atom(atom)
 
 
+class TestSingleProductPath:
+    """Certificate products and path matrices share one sparse routine;
+    these pin it against dense products built here."""
+
+    def test_product_equals_dense_atom_oracle_on_random_certificates(self):
+        kinds = set()
+        for n in range(1, 9):
+            for trial in range(25):
+                _, fact = random_certified_tnn(n, f"dense-{n}-{trial}", atom_count=trial % 7)
+                kinds.update(atom.kind for atom in fact.atoms)
+                assert factorization_product(fact) == _dense_atom_product(fact)
+        assert kinds == {"bridge", "center"}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_product_equals_dense_atom_oracle_on_symbolic_certificates(self, n):
+        S = amazing_matrix_symbolic(n)
+        fact = cross_symmetric_eliminate(S, ray=n).factorization
+        assert factorization_product(fact) == _dense_atom_product(fact) == S
+
+    def test_path_matrix_equals_dense_transfer_product(self):
+        rng = random.Random("dense-transfer")
+        for trial in range(150):
+            n = rng.randint(1, 7)
+            if trial % 2:
+                net = _random_network(rng, n, rng.randint(0, 6))
+            else:
+                _, fact = random_certified_tnn(n, f"transfer-{trial}", rng.randint(0, 5))
+                net = network_from_factorization(fact)
+            assert path_matrix(net) == _dense_transfer_product(net)
+
+    def test_products_multiply_no_dense_matrices(self, monkeypatch):
+        calls = []
+        dense_mul = Matrix.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return dense_mul(self, other)
+
+        A = amazing_matrix(16, 10, scaled=True)
+        fact = cross_symmetric_eliminate(A).factorization
+        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+        assert factorization_product(fact) == A
+        assert path_matrix(network_from_factorization(fact)) == A
+        assert calls == []
+
+
 class TestMirrorSymmetry:
     def test_reflection_rotates_path_matrix(self):
         rng = random.Random("network-mirror")
@@ -183,6 +271,21 @@ class TestDocFormat:
         doc = network_to_doc(net)
         assert network_from_doc(doc) == net
         assert path_matrix(network_from_doc(doc)) == A
+
+    @pytest.mark.parametrize(
+        "chips",
+        [
+            pytest.param([{"horizontals": ["0", "-3"], "slants": []}], id="nonpositive-horizontal"),
+            pytest.param(5, id="chips-not-a-list"),
+            pytest.param([5], id="chip-not-an-object"),
+            pytest.param([{"horizontals": 5, "slants": []}], id="horizontals-not-a-list"),
+            pytest.param([{"horizontals": ["1", "1"], "slants": 5}], id="slants-not-a-list"),
+            pytest.param([{"horizontals": ["1", "1"], "slants": [5]}], id="slant-not-an-object"),
+        ],
+    )
+    def test_malformed_doc_is_rejected(self, chips):
+        with pytest.raises(ValueError):
+            network_from_doc({"n": 2, "chips": chips})
 
     def test_doc_shape(self):
         fact = Factorization(n=2, atoms=(), diagonal=(Fraction(3, 2), Fraction(3, 2)))
