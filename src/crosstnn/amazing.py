@@ -104,13 +104,16 @@ def amazing_matrix_symbolic(n: int) -> Matrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    # Entry (i, j) uses the binomials with tops n-1-i + k*b for k = 1..j+1;
+    # the n^2 distinct ones are built once per call.
+    binomials = {(a, k): binomial_poly(a, k, n) for a in range(n) for k in range(1, n + 1)}
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             entry = Poly()
             for r in range(j + 1):
-                term = binomial_poly(n - 1 - i, j + 1 - r, n) * math.comb(n + 1, r)
+                term = binomials[n - 1 - i, j + 1 - r] * math.comb(n + 1, r)
                 entry = entry + (term if r % 2 == 0 else -term)
             row.append(entry)
         rows.append(row)

@@ -139,16 +139,30 @@ def _print_witness(witness) -> None:
         print(f"value: {format_scalar(witness.value)}")
 
 
+def _int_at_least(text, least: int, name: str) -> int:
+    """A flag value as an integer of at least ``least``; a usage error otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError(f"{name} must be an integer") from None
+    if value < least:
+        raise _UsageError(f"{name} must be >= {least}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     if (args.amazing is None) == (args.random is None):
         raise _UsageError("gen needs exactly one of --amazing or --random")
     if args.amazing is not None:
         n, b = args.amazing
+        _int_at_least(n, 1, "--amazing N")
+        _int_at_least(b, 2, "--amazing B")
         matrix = amazing_matrix(n, b, scaled=args.scaled)
         _emit(matrix_to_text(matrix), args.output)
         return EXIT_CERTIFIED
     seed, n_text, atoms_text = args.random
-    n, atom_count = int(n_text), int(atoms_text)
+    n = _int_at_least(n_text, 1, "--random N")
+    atom_count = _int_at_least(atoms_text, 0, "--random ATOMS")
     if args.output is None:
         raise _UsageError("gen --random needs -o (certificate is written alongside)")
     matrix, fact = random_certified_tnn(n, seed, atom_count)
@@ -249,6 +263,7 @@ def _cmd_network(args) -> int:
 
 
 def _cmd_verify_amazing(args) -> int:
+    _int_at_least(args.n, 1, "--n")
     report = verify_amazing(args.n, escalation_cap=args.escalation_cap)
     _emit(_json_text(report_to_doc(report)), args.output)
     if report.overall == "certified":

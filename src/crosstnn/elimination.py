@@ -466,6 +466,8 @@ def random_certified_tnn(n: int, seed, atom_count: int = 3):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if atom_count < 0:
+        raise ValueError("atom_count must be >= 0")
     rng = random.Random(seed)
     atoms = []
     if n >= 2:

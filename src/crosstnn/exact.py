@@ -137,13 +137,17 @@ class Poly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, c in enumerate(o.coeffs):
-                out[i + j] += a * c
-        return Poly(out)
+        # Convolve integer numerators over each operand's common denominator,
+        # then reduce each output coefficient once.
+        a, da = _over_common_denominator(self.coeffs)
+        c, dc = _over_common_denominator(o.coeffs)
+        width = len(c)
+        out = [0] * (len(a) + width - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + width] = [v + x * y for v, y in zip(out[i : i + width], c)]
+        den = da * dc
+        return Poly([Fraction(v, den) for v in out])
 
     __rmul__ = __mul__
 
@@ -234,16 +238,7 @@ class Poly:
 
     def primitive_int_coeffs(self) -> list:
         """Integer coefficient list with content 1, sign preserved."""
-        if self.is_zero:
-            return []
-        lcm_den = 1
-        for c in self.coeffs:
-            lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-        ints = [int(c * lcm_den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        return [v // g for v in ints]
+        return _int_primitive(_over_common_denominator(self.coeffs)[0])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Canonical gcd: primitive integer coefficients, positive leading one."""
@@ -302,19 +297,32 @@ class Poly:
         return f"Poly('{' + '.join(terms)}')"
 
 
+def _over_common_denominator(coeffs) -> tuple:
+    """(ints, d) with coeffs[k] == ints[k] / d, d the lcm of the denominators."""
+    d = 1
+    for c in coeffs:
+        d = math.lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def _int_strip(coeffs: list) -> list:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
+def _int_content(coeffs: list) -> int:
+    g = 0
+    for v in coeffs:
+        g = math.gcd(g, v)
+    return g
+
+
 def _int_primitive(coeffs: list) -> list:
     coeffs = _int_strip(list(coeffs))
     if not coeffs:
         return []
-    g = 0
-    for v in coeffs:
-        g = math.gcd(g, v)
+    g = _int_content(coeffs)
     return [v // g for v in coeffs]
 
 
@@ -333,6 +341,28 @@ def _int_pseudo_rem(a: list, b: list) -> list:
                 r[k + i] -= coef * b[i]
         del r[k + db]
     return _int_strip(r)
+
+
+def _int_exact_div(a: list, b: list) -> list:
+    """Quotient of a by b in Z[x]; ValueError unless b divides a there.
+
+    For primitive a and b with b dividing a over the rationals the
+    quotient has integer coefficients (Gauss's lemma).
+    """
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        coef, r = divmod(rem[k + db], lead)
+        if r:
+            raise ValueError(f"inexact integer polynomial division of {a} by {b}")
+        quo[k] = coef
+        if coef:
+            for i, v in enumerate(b):
+                rem[k + i] -= coef * v
+    if any(rem[:db]):
+        raise ValueError(f"inexact integer polynomial division of {a} by {b}")
+    return quo
 
 
 def _int_poly_gcd(a: list, b: list) -> list:
@@ -364,17 +394,22 @@ class RatFunc:
             self.num = Poly()
             self.den = Poly((1,))
             return
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
-        ints = den.primitive_int_coeffs()
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        canonical_den = Poly(ints)
-        scale = canonical_den.leading / den.leading
-        self.num = num * scale
-        self.den = canonical_den
+        # num = (cp / dp) * p and den = (cq / dq) * q with p, q primitive in Z[b].
+        p, dp = _over_common_denominator(num.coeffs)
+        q, dq = _over_common_denominator(den.coeffs)
+        cp, cq = _int_content(p), _int_content(q)
+        p = [v // cp for v in p]
+        q = [v // cq for v in q]
+        g = _int_poly_gcd(p, q)
+        if len(g) > 1:
+            p = _int_exact_div(p, g)
+            q = _int_exact_div(q, g)
+        if q[-1] < 0:
+            q = [-v for v in q]
+            cq = -cq
+        scale = Fraction(cp * dq, dp * cq)
+        self.num = Poly([scale * v for v in p])
+        self.den = Poly(q)
 
     @property
     def is_zero(self) -> bool:

@@ -83,16 +83,15 @@ class PlanarNetwork:
                         raise ValueError(f"crossing slants {a} and {b} in one chip")
 
 
-def _bridge_chip(n: int, s: int, c) -> Chip:
-    ones = tuple(Fraction(1) for _ in range(n))
+def _bridge_chip(ones: tuple, s: int, c) -> Chip:
+    n = len(ones)
     slants = (Slant(s + 1, s, c), Slant(w0(s + 1, n), w0(s, n), c))
     return Chip(ones, tuple(sorted(slants, key=lambda e: (e.src, e.dst))))
 
 
-def _center_chips(n: int, s: int, c) -> tuple:
-    ones = tuple(Fraction(1) for _ in range(n))
+def _center_chips(ones: tuple, s: int, c) -> tuple:
     a = 1 / (1 - c * c)
-    middle = tuple(a if wire == s else Fraction(1) for wire in range(1, n + 1))
+    middle = ones[: s - 1] + (a,) + ones[s:]
     return (
         Chip(ones, (Slant(s + 1, s, c),)),
         Chip(middle, ()),
@@ -102,12 +101,13 @@ def _center_chips(n: int, s: int, c) -> tuple:
 
 def network_from_factorization(f) -> PlanarNetwork:
     """One chip per bridge atom, three per center atom, one for the diagonal."""
+    ones = (Fraction(1),) * f.n  # unit horizontals, shared by every atom chip
     chips = []
     for atom in f.atoms:
         if atom.kind == "bridge":
-            chips.append(_bridge_chip(f.n, atom.s, atom.c))
+            chips.append(_bridge_chip(ones, atom.s, atom.c))
         else:
-            chips.extend(_center_chips(f.n, atom.s, atom.c))
+            chips.extend(_center_chips(ones, atom.s, atom.c))
     chips.append(Chip(tuple(f.diagonal), ()))
     return PlanarNetwork(n=f.n, chips=tuple(chips))
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from crosstnn import (
+    Atom,
+    Factorization,
     Inapplicable,
     Matrix,
     Poly,
@@ -17,6 +19,7 @@ from crosstnn import (
     binomial_poly,
     brute_force_tnn,
     cross_symmetric_eliminate,
+    factorization_product,
     is_cross_symmetric,
     neville_tnn_test,
     report_to_doc,
@@ -142,6 +145,23 @@ class TestSymbolic:
     def test_symbolic_cross_symmetric(self):
         for n in range(1, 7):
             assert is_cross_symmetric(amazing_matrix_symbolic(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_certificate_specializes_to_numeric_certificates(self, n):
+        verdict = cross_symmetric_eliminate(amazing_matrix_symbolic(n), ray=n)
+        assert isinstance(verdict, TotallyNonnegative)
+        fact = verdict.factorization
+        for b in (n, n + 1, n + 7):
+            if b < 2:  # the numeric generator needs b >= 2
+                continue
+            atoms = tuple(Atom(a.kind, n, a.s, a.c.eval(b)) for a in fact.atoms)
+            diagonal = tuple(d.eval(b) for d in fact.diagonal)
+            for atom in atoms:
+                assert atom.c > 0
+                assert atom.kind == "bridge" or atom.c < 1
+            assert all(d > 0 for d in diagonal)
+            specialized = Factorization(n=n, atoms=atoms, diagonal=diagonal)
+            assert factorization_product(specialized) == amazing_matrix(n, b, scaled=True)
 
 
 class TestVerify:

@@ -220,6 +220,11 @@ class TestVerifyAmazing:
     def test_n1_certified(self, capsys):
         assert main(["verify-amazing", "--n", "1"]) == 0
 
+    def test_n12_certified(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify-amazing", "--n", "12", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["overall"] == "certified"
+
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify-amazing", "--n", "2", "-o", str(out)]) == 0
@@ -277,6 +282,24 @@ class TestErrorPaths:
     def test_ray_below_one_is_a_usage_error(self, a33_path, capsys):
         for command in ("check", "factor", "network"):
             assert main([command, a33_path, "--ray", "0"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify-amazing", "--n", "0"], id="verify-n-zero"),
+            pytest.param(["gen", "--amazing", "0", "5"], id="amazing-n-zero"),
+            pytest.param(["gen", "--amazing", "3", "1"], id="amazing-base-one"),
+            pytest.param(["gen", "--random", "1", "abc", "2"], id="random-n-not-an-integer"),
+            pytest.param(["gen", "--random", "1", "0", "2"], id="random-n-zero"),
+            pytest.param(["gen", "--random", "1", "3", "-2"], id="random-atoms-negative"),
+            pytest.param(["gen", "--random", "1", "3", "x"], id="random-atoms-not-an-integer"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "X.txt"
+        assert main([*argv, "-o", str(out)]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_negative_escalation_cap_is_a_usage_error(self, capsys):
         assert main(["verify-amazing", "--n", "3", "--escalation-cap", "-1"]) == 64

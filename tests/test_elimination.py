@@ -337,6 +337,10 @@ class TestRandomCertified:
         assert fact.atoms == ()
         assert matrix == Matrix.diagonal(fact.diagonal)
 
+    def test_negative_atom_count_rejected(self):
+        with pytest.raises(ValueError):
+            random_certified_tnn(3, "seed", atom_count=-1)
+
     def test_deterministic_per_seed(self):
         a1, f1 = random_certified_tnn(4, "s0", 3)
         a2, f2 = random_certified_tnn(4, "s0", 3)

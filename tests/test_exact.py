@@ -1,5 +1,6 @@
 """Exact scalars: rationals, polynomials, rational functions, ray signs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,11 +22,56 @@ from crosstnn import (
     scalar_sign,
     sign_on_ray,
 )
-from crosstnn.exact import split_scalar_tokens
+from crosstnn.exact import _int_exact_div, split_scalar_tokens
 
 B = Poly.variable()
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+# Small and large coefficients alike; empty lists give the zero polynomial.
+coefficients = st.one_of(rationals, st.fractions(max_denominator=10**12))
+polys = st.lists(coefficients, max_size=5).map(Poly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+def reference_mul(p, q):
+    """Schoolbook product over the rationals, one Fraction per term."""
+    if p.is_zero or q.is_zero:
+        return Poly()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, c in enumerate(q.coeffs):
+            out[i + j] += a * c
+    return Poly(out)
+
+
+def reference_primitive_ints(p):
+    lcm_den = 1
+    for c in p.coeffs:
+        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
+    ints = [int(c * lcm_den) for c in p.coeffs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return [v // g for v in ints]
+
+
+def reference_ratfunc(num, den):
+    """(num, den) of num/den normalised through a gcd, divide_exact and a Fraction scale."""
+    if num.is_zero:
+        return Poly(), Poly((1,))
+    g = num.gcd(den)
+    if g.degree >= 1:
+        num = num.divide_exact(g)
+        den = den.divide_exact(g)
+    ints = reference_primitive_ints(den)
+    if ints[-1] < 0:
+        ints = [-v for v in ints]
+    canonical_den = Poly(ints)
+    return reference_mul(num, Poly((canonical_den.leading / den.leading,))), canonical_den
+
+
+def assert_matches_reference(f, num, den):
+    assert (f.num.coeffs, f.den.coeffs) == tuple(p.coeffs for p in reference_ratfunc(num, den))
 
 
 class TestRationals:
@@ -103,6 +149,49 @@ class TestPoly:
         assert p + q == q + p
         assert p * q == q * p
         assert (p + q) - q == p
+
+
+class TestIntegerKernels:
+    """The integer-coefficient Poly and RatFunc kernels against the Fraction references."""
+
+    @given(polys, polys)
+    def test_mul_equals_schoolbook(self, p, q):
+        assert (p * q).coeffs == reference_mul(p, q).coeffs
+
+    @given(polys, nonzero_polys, nonzero_polys)
+    def test_normalisation_equals_reference(self, p, q, common):
+        num, den = reference_mul(p, common), reference_mul(q, common)
+        assert_matches_reference(RatFunc(num, den), num, den)
+        assert_matches_reference(RatFunc(p, q), p, q)
+        assert_matches_reference(RatFunc(-p, -q), -p, -q)
+
+    @given(polys, nonzero_polys, polys, nonzero_polys)
+    def test_field_operations_equal_reference(self, a, b, c, d):
+        f, g = RatFunc(a, b), RatFunc(c, d)
+        fn, fd, gn, gd = f.num, f.den, g.num, g.den
+        cross, other, dens = reference_mul(fn, gd), reference_mul(gn, fd), reference_mul(fd, gd)
+        assert_matches_reference(f + g, cross + other, dens)
+        assert_matches_reference(f - g, cross - other, dens)
+        assert_matches_reference(f * g, reference_mul(fn, gn), dens)
+        if not g.is_zero:
+            assert_matches_reference(f / g, reference_mul(fn, gd), reference_mul(fd, gn))
+
+    def test_exact_division_in_integer_polynomials(self):
+        assert _int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
+        assert _int_exact_div([6, 5, 1], [3, 1]) == [2, 1]
+        assert _int_exact_div([-2, 0, 2], [-1, 1]) == [2, 2]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            pytest.param([1, 0, 1], [-1, 1], id="nonzero-remainder"),
+            pytest.param([0, 1], [0, 2], id="non-integer-quotient"),
+            pytest.param([1, 1], [1, 0, 1], id="divisor-of-higher-degree"),
+        ],
+    )
+    def test_exact_division_rejects_non_divisor(self, a, b):
+        with pytest.raises(ValueError):
+            _int_exact_div(a, b)
 
 
 class TestRatFunc:
