@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elimination import cross_symmetric_eliminate
-from .exact import Poly
+from .exact import Poly, _int_mul
 from .matrix import Matrix
 from .verdicts import (
     INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -55,10 +55,15 @@ def binomial_poly(alpha, beta, k: int) -> Poly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = Poly((1,))
+    return Poly(_falling_product(Fraction(alpha), Fraction(beta), k)) / math.factorial(k)
+
+
+def _falling_product(alpha, beta, k: int) -> list:
+    """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m)."""
+    out = [1]
     for m in range(k):
-        out = out * Poly((Fraction(alpha) - m, Fraction(beta)))
-    return out / math.factorial(k)
+        out = _int_mul(out, [alpha - m, beta])
+    return out
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> Fraction:
@@ -104,18 +109,24 @@ def amazing_matrix_symbolic(n: int) -> Matrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # Entry (i, j) uses the binomials with tops n-1-i + k*b for k = 1..j+1;
-    # the n^2 distinct ones are built once per call.
-    binomials = {(a, k): binomial_poly(a, k, n) for a in range(n) for k in range(1, n + 1)}
+    # Entry (i, j) uses the binomials with tops n-1-i + k*b for k = 1..j+1,
+    # all over the common denominator n!.  The n^2 distinct integer
+    # numerators are built once per call, each entry's sum is taken over
+    # the integers, and one Poly is built per entry.
+    numerators = {
+        (a, k): _falling_product(a, k, n) for a in range(n) for k in range(1, n + 1)
+    }
+    denominator = math.factorial(n)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            entry = Poly()
+            entry = [0] * (n + 1)
             for r in range(j + 1):
-                term = binomials[n - 1 - i, j + 1 - r] * math.comb(n + 1, r)
-                entry = entry + (term if r % 2 == 0 else -term)
-            row.append(entry)
+                weight = (-1) ** r * math.comb(n + 1, r)
+                term = numerators[n - 1 - i, j + 1 - r]
+                entry = [v + weight * x for v, x in zip(entry, term)]
+            row.append(Poly([Fraction(v, denominator) for v in entry]))
         rows.append(row)
     return Matrix(rows)
 

@@ -17,6 +17,9 @@ Two independent oracles accompany it: the classical Neville test
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +28,13 @@ from .exact import (
     Poly,
     RatFunc,
     SignUndecidedOnRay,
+    _int_add,
+    _int_content,
+    _int_exact_div,
+    _int_mul,
+    _int_poly_gcd,
+    _int_sub,
+    _over_common_denominator,
     format_scalar,
     parse_int,
     parse_list,
@@ -246,11 +256,19 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
       a(s+1, t) < a(s, t) strictly),
     * a nonpositive entry on the final diagonal.
 
+    Each row is held as integer numerators over one row denominator (see
+    :class:`_RowKernel`); reduced scalars are built only for the values
+    that are sign-queried or recorded.  Every intermediate matrix is
+    cross-symmetric, so row w0(s+1) is row s+1 reversed and only row s+1
+    is computed.
+
     Singularity is decided only when the sweep does not certify: a bridge
     step has determinant 1 and a center step 1 - c^2 with 0 < c < 1, so a
     certified sweep proves det A = prod(diagonal) / prod(1 - c^2) != 0.
-    Every other exit computes det A; a singular matrix is inapplicable,
-    with no steps.
+    On every other exit the swept rows are A times such steps, each row
+    then scaled by a nonzero factor, so they are singular exactly when A
+    is; they are tested instead of A, and a singular matrix is
+    inapplicable, with no steps.
 
     For symbolic matrices, signs are decided on [ray, inf); an
     undecidable query yields an inapplicable verdict carrying the bound
@@ -262,118 +280,202 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
 
     def finish(verdict: Verdict) -> EliminationRun:
         # Not certified: only now is singularity worth deciding.
-        if determinant(A) == 0:
+        if kernel.singular(rows, dens, swept):
             return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
         return EliminationRun(verdict, tuple(steps), A)
+
+    def refute(reason: str, **where) -> EliminationRun:
+        return finish(NotTnn(Witness(reason, trace=tuple(steps), **where)))
 
     if not is_cross_symmetric(A):
         return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
 
-    rows = [list(r) for r in A.rows]
+    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    scalar = kernel.scalar
+    rows, dens = map(list, zip(*map(kernel.start, A.rows)))
+    swept = 0  # columns 1..swept are cleared below the diagonal
     try:
         for t in range(1, n):
+            swept = t - 1
             for i in range(n, t, -1):
-                below = rows[i - 1][t - 1]
-                if below == 0:
-                    continue
                 s = i - 1
+                B = rows[s][t - 1]
+                if not B:
+                    continue
+                below = scalar(B, dens[s])
                 if scalar_sign(below, ray) < 0:
-                    return finish(
-                        NotTnn(
-                            Witness(
-                                REASON_NEGATIVE_MULTIPLIER,
-                                s=s,
-                                t=t,
-                                value=below,
-                                trace=tuple(steps),
-                            )
-                        )
-                    )
-                pivot = rows[s - 1][t - 1]
-                if pivot == 0:
-                    return finish(
-                        NotTnn(
-                            Witness(
-                                REASON_ZERO_PIVOT_NONZERO_BELOW,
-                                s=s,
-                                t=t,
-                                value=below,
-                                trace=tuple(steps),
-                            )
-                        )
-                    )
+                    return refute(REASON_NEGATIVE_MULTIPLIER, s=s, t=t, value=below)
+                P = rows[s - 1][t - 1]
+                if not P:
+                    return refute(REASON_ZERO_PIVOT_NONZERO_BELOW, s=s, t=t, value=below)
+                pivot = scalar(P, dens[s - 1])
                 if scalar_sign(pivot, ray) < 0:
-                    return finish(
-                        NotTnn(
-                            Witness(
-                                REASON_NONPOSITIVE_PIVOT,
-                                s=s,
-                                t=t,
-                                value=pivot,
-                                trace=tuple(steps),
-                            )
-                        )
-                    )
+                    return refute(REASON_NONPOSITIVE_PIVOT, s=s, t=t, value=pivot)
                 c = below / pivot
                 is_center = n == 2 * s
                 if is_center and scalar_sign(pivot - below, ray) <= 0:
-                    return finish(
-                        NotTnn(
-                            Witness(
-                                REASON_CENTER_NOT_LESS_THAN_ONE,
-                                s=s,
-                                t=t,
-                                value=c,
-                                trace=tuple(steps),
-                            )
-                        )
-                    )
+                    return refute(REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=c)
                 steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
-                # Rows s+1 and w0(s+1) lose c times rows s and w0(s).  Both
-                # sources are read before either target is written: for
-                # n = 2s each row of the pair is the other's source, and for
-                # odd n with s+1 the middle row both updates land in one row.
-                sources = rows[s - 1], rows[n - s]
-                for target, source in zip((s, n - s - 1), sources):
-                    rows[target] = [x - c * y if y else x for x, y in zip(rows[target], source)]
+                # Row s+1 loses c times row s, and row w0(s+1) c times row
+                # w0(s).  Cross-symmetry makes the second update the first
+                # one reversed, so row s+1 is computed and its reverse stored
+                # as row w0(s+1); for n = 2s that overwrites the source only
+                # after it was read.  For odd n with s+1 the middle row, both
+                # updates land in that row, whose source is row s plus row
+                # w0(s) = row s reversed.
+                source = rows[s - 1]
+                if 2 * s + 1 == n:
+                    source = [kernel.add(x, y) for x, y in zip(source, reversed(source))]
+                rows[s], dens[s] = kernel.combine(P, rows[s], dens[s], B, source)
+                rows[n - 1 - s], dens[n - 1 - s] = rows[s][::-1], dens[s]
 
+        swept = n - 1
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
         for i in range(n):
             for j in range(n):
-                if i != j and rows[i][j] != 0:
+                if i != j and rows[i][j]:
                     raise AssertionError(
                         f"off-diagonal residue at ({i + 1},{j + 1}) after elimination"
                     )
-        diag = tuple(rows[i][i] for i in range(n))
+        diag = tuple(scalar(rows[i][i], dens[i]) for i in range(n))
         for index, d in enumerate(diag, start=1):
             if scalar_sign(d, ray) <= 0:
-                return finish(
-                    NotTnn(
-                        Witness(
-                            REASON_NONPOSITIVE_DIAGONAL,
-                            index=index,
-                            value=d,
-                            trace=tuple(steps),
-                        )
-                    )
-                )
+                return refute(REASON_NONPOSITIVE_DIAGONAL, index=index, value=d)
     except SignUndecidedOnRay as exc:
         return finish(
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
         )
 
     atoms = tuple(
-        Atom(
-            kind="center" if step.is_center else "bridge",
-            n=n,
-            s=step.s,
-            c=step.c,
-        )
+        Atom(kind="center" if step.is_center else "bridge", n=n, s=step.s, c=step.c)
         for step in steps
     )
     fact = Factorization(n=n, atoms=atoms, diagonal=diag)
     return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
+
+
+# -- the row kernel ----------------------------------------------------
+#
+# A numeric row is a list of ints over a positive int.  A symbolic row is
+# a list of integer coefficient lists (ascending by degree, [] for zero)
+# over one such list.  Both kinds share the update formula and the
+# singularity test; only the ring operations and the common-factor
+# removal differ.
+
+
+class _RowKernel:
+    """The ring operations of one row kind, and the row routines built on them.
+
+    ``start`` turns a row of matrix entries into (numerators, denominator),
+    ``reduce`` removes the common factor of numerators and denominator,
+    and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
+    numerator over a denominator.
+    """
+
+    __slots__ = ("mul", "add", "sub", "start", "reduce", "scalar")
+
+    def __init__(self, mul, add, sub, start, reduce, scalar):
+        self.mul, self.add, self.sub = mul, add, sub
+        self.start, self.reduce, self.scalar = start, reduce, scalar
+
+    def combine(self, P, T: list, dT, B, S: list) -> tuple:
+        """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
+
+        With P and B the numerators in one column of S and of T, this
+        clears that column of T whatever the denominator of S.
+        """
+        mul, sub = self.mul, self.sub
+        return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
+
+    def singular(self, rows: list, dens: list, swept: int) -> bool:
+        """Whether the rows are linearly dependent.
+
+        Columns 1..swept are zero below the diagonal, so the rows are
+        singular iff a diagonal entry there is zero or the block past
+        ``swept`` is singular; the block is eliminated with :meth:`combine`.
+        """
+        if not all(rows[k][k] for k in range(swept)):
+            return True
+        block = [(row[swept:], den) for row, den in zip(rows[swept:], dens[swept:])]
+        while block:
+            k = next((k for k, (row, _) in enumerate(block) if row[0]), None)
+            if k is None:
+                return True
+            S, _ = block.pop(k)
+            block = [
+                self.combine(S[0], T[1:], dT, T[0], S[1:]) if T[0] else (T[1:], dT)
+                for T, dT in block
+            ]
+        return False
+
+
+def _numeric_reduce(nums: list, den: int) -> tuple:
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _symbolic_start(entries) -> tuple:
+    # Entry k is p_k / (d * q_k): p_k integer numerators over the row's
+    # common coefficient denominator d, q_k the entry's denominator.  The
+    # row starts over d times the product of the q_k.
+    parts = [
+        (e.coeffs, [1]) if isinstance(e, Poly) else (e.num.coeffs, [int(v) for v in e.den.coeffs])
+        for e in entries
+    ]
+    flat, d = _over_common_denominator([v for coeffs, _ in parts for v in coeffs])
+    nums, q_product, pos = [], [1], 0
+    for coeffs, q in parts:
+        p = flat[pos : pos + len(coeffs)]
+        pos += len(coeffs)
+        if q != [1]:
+            nums = [_int_mul(v, q) for v in nums]
+        nums.append(_int_mul(p, q_product))
+        q_product = _int_mul(q_product, q)
+    return _symbolic_reduce(nums, [d * v for v in q_product])
+
+
+def _symbolic_reduce(nums: list, den: list) -> tuple:
+    # The polynomial gcd first, stopping once it reaches degree 0; then
+    # the integer content, taken so that den has a positive leading term.
+    g = den
+    for v in nums:
+        if len(g) <= 1:
+            break
+        if v:
+            g = _int_poly_gcd(g, v)
+    if len(g) > 1:
+        nums = [_int_exact_div(v, g) if v else v for v in nums]
+        den = _int_exact_div(den, g)
+    content = _int_content(itertools.chain(den, *nums))
+    if den[-1] < 0:
+        content = -content
+    if content == 1:
+        return nums, den
+    return [[x // content for x in v] for v in nums], [x // content for x in den]
+
+
+_NUMERIC = _RowKernel(
+    mul=operator.mul,
+    add=operator.add,
+    sub=operator.sub,
+    start=_over_common_denominator,
+    reduce=_numeric_reduce,
+    scalar=Fraction,
+)
+
+_SYMBOLIC = _RowKernel(
+    mul=_int_mul,
+    add=_int_add,
+    sub=_int_sub,
+    start=_symbolic_start,
+    reduce=_symbolic_reduce,
+    scalar=lambda num, den: RatFunc(Poly(num), Poly(den)),
+)
 
 
 def cross_symmetric_eliminate(A: Matrix, ray: int | None = None) -> Verdict:

@@ -18,6 +18,7 @@ points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,19 +136,12 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly()
         # Convolve integer numerators over each operand's common denominator,
         # then reduce each output coefficient once.
         a, da = _over_common_denominator(self.coeffs)
         c, dc = _over_common_denominator(o.coeffs)
-        width = len(c)
-        out = [0] * (len(a) + width - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + width] = [v + x * y for v, y in zip(out[i : i + width], c)]
         den = da * dc
-        return Poly([Fraction(v, den) for v in out])
+        return Poly([Fraction(v, den) for v in _int_mul(a, c)])
 
     __rmul__ = __mul__
 
@@ -226,12 +220,21 @@ class Poly:
     __call__ = eval
 
     def shift(self, offset) -> "Poly":
-        """Return q with q(u) = p(u + offset)."""
-        lin = Poly((Fraction(offset), Fraction(1)))
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        """Return q with q(u) = p(u + offset), by a Taylor shift over the integers.
+
+        With offset = r/s and p of degree m, s^m * p(w/s) has integer
+        coefficients; shifting those by r in place and dividing
+        coefficient k by s^(m-k) gives q.
+        """
+        offset = Fraction(offset)
+        r, s = offset.numerator, offset.denominator
+        a, d = _over_common_denominator(self.coeffs)
+        m = len(a) - 1
+        a = [v * s ** (m - k) for k, v in enumerate(a)]
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                a[j] += r * a[j + 1]
+        return Poly([Fraction(v, d * s ** (m - k)) for k, v in enumerate(a)])
 
     def derivative(self) -> "Poly":
         return Poly(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs) if i))
@@ -311,11 +314,28 @@ def _int_strip(coeffs: list) -> list:
     return coeffs
 
 
-def _int_content(coeffs: list) -> int:
-    g = 0
-    for v in coeffs:
-        g = math.gcd(g, v)
-    return g
+def _int_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists, ascending by degree; [] if either is empty."""
+    if not a or not b:
+        return []
+    width = len(b)
+    out = [0] * (len(a) + width - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + width] = [v + x * y for v, y in zip(out[i : i + width], b)]
+    return out
+
+
+def _int_add(a: list, b: list) -> list:
+    return _int_strip([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _int_sub(a: list, b: list) -> list:
+    return _int_strip([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _int_content(coeffs) -> int:
+    return math.gcd(*coeffs)
 
 
 def _int_primitive(coeffs: list) -> list:
@@ -752,6 +772,8 @@ def parse_list(value, name: str, item=object) -> list:
 
 def split_scalar_tokens(line: str) -> list:
     """Split a line on whitespace, keeping bracketed groups intact."""
+    if "[" not in line and "]" not in line:
+        return line.split()
     tokens = []
     current = []
     depth = 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_cross_symmetric
 
 from crosstnn import (
     Atom,
@@ -29,6 +30,21 @@ from crosstnn import (
     neville_tnn_test,
     random_certified_tnn,
     verify_amazing,
+)
+from crosstnn.elimination import EliminationRun, verdict_to_doc
+from crosstnn.exact import SignUndecidedOnRay, scalar_sign
+from crosstnn.matrix import determinant
+from crosstnn.verdicts import (
+    INAPPLICABLE_NOT_CROSS_SYMMETRIC,
+    INAPPLICABLE_SINGULAR,
+    INAPPLICABLE_SYMBOLIC_INDEFINITE,
+    REASON_CENTER_NOT_LESS_THAN_ONE,
+    REASON_NEGATIVE_MULTIPLIER,
+    REASON_NONPOSITIVE_DIAGONAL,
+    REASON_NONPOSITIVE_PIVOT,
+    REASON_ZERO_PIVOT_NONZERO_BELOW,
+    Verdict,
+    Witness,
 )
 
 B = Poly.variable()
@@ -390,3 +406,254 @@ class TestSerialization:
             diagonal=(RatFunc(2 * B * B, B + 1), RatFunc(2 * B * B, B + 1)),
         )
         assert factorization_from_doc(factorization_to_doc(fact)) == fact
+
+
+# -- the reference sweep -------------------------------------------------
+
+
+def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
+    """The elimination over Fraction/RatFunc rows, with det A on every other exit.
+
+    Both target rows of a step are updated entry by entry, and singularity
+    is decided by a determinant of the input; eliminate_detailed must give
+    the same verdicts and steps.
+    """
+    n = A.n
+    steps: list = []
+
+    def finish(verdict: Verdict) -> EliminationRun:
+        # Not certified: only now is singularity worth deciding.
+        if determinant(A) == 0:
+            return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
+        return EliminationRun(verdict, tuple(steps), A)
+
+    if not is_cross_symmetric(A):
+        return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
+
+    rows = [list(r) for r in A.rows]
+    try:
+        for t in range(1, n):
+            for i in range(n, t, -1):
+                below = rows[i - 1][t - 1]
+                if below == 0:
+                    continue
+                s = i - 1
+                if scalar_sign(below, ray) < 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_NEGATIVE_MULTIPLIER,
+                                s=s,
+                                t=t,
+                                value=below,
+                                trace=tuple(steps),
+                            )
+                        )
+                    )
+                pivot = rows[s - 1][t - 1]
+                if pivot == 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_ZERO_PIVOT_NONZERO_BELOW,
+                                s=s,
+                                t=t,
+                                value=below,
+                                trace=tuple(steps),
+                            )
+                        )
+                    )
+                if scalar_sign(pivot, ray) < 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_NONPOSITIVE_PIVOT,
+                                s=s,
+                                t=t,
+                                value=pivot,
+                                trace=tuple(steps),
+                            )
+                        )
+                    )
+                c = below / pivot
+                is_center = n == 2 * s
+                if is_center and scalar_sign(pivot - below, ray) <= 0:
+                    return finish(
+                        NotTnn(
+                            Witness(
+                                REASON_CENTER_NOT_LESS_THAN_ONE,
+                                s=s,
+                                t=t,
+                                value=c,
+                                trace=tuple(steps),
+                            )
+                        )
+                    )
+                steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
+                # Rows s+1 and w0(s+1) lose c times rows s and w0(s).  Both
+                # sources are read before either target is written: for
+                # n = 2s each row of the pair is the other's source, and for
+                # odd n with s+1 the middle row both updates land in one row.
+                sources = rows[s - 1], rows[n - s]
+                for target, source in zip((s, n - s - 1), sources):
+                    rows[target] = [x - c * y if y else x for x, y in zip(rows[target], source)]
+
+        # Cross-symmetry of the final matrix forces the upper triangle to
+        # be zero once the lower one is; assert rather than assume.
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] != 0:
+                    raise AssertionError(
+                        f"off-diagonal residue at ({i + 1},{j + 1}) after elimination"
+                    )
+        diag = tuple(rows[i][i] for i in range(n))
+        for index, d in enumerate(diag, start=1):
+            if scalar_sign(d, ray) <= 0:
+                return finish(
+                    NotTnn(
+                        Witness(
+                            REASON_NONPOSITIVE_DIAGONAL,
+                            index=index,
+                            value=d,
+                            trace=tuple(steps),
+                        )
+                    )
+                )
+    except SignUndecidedOnRay as exc:
+        return finish(
+            Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
+        )
+
+    atoms = tuple(
+        Atom(
+            kind="center" if step.is_center else "bridge",
+            n=n,
+            s=step.s,
+            c=step.c,
+        )
+        for step in steps
+    )
+    fact = Factorization(n=n, atoms=atoms, diagonal=diag)
+    return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
+
+
+def _atom_product(rng, n):
+    """Random atoms times a palindromic diagonal that may hold zeros or negatives."""
+    M = Matrix.identity(n)
+    for _ in range(rng.randint(0, 6) if n > 1 else 0):
+        s = rng.randint(1, n - 1)
+        if n == 2 * s:
+            den = rng.randint(2, 9)
+            M = M * materialize_atom(Atom("center", n, s, Fraction(rng.randint(1, den - 1), den)))
+        else:
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            M = M * materialize_atom(Atom("bridge", n, s, c))
+    half = [Fraction(rng.choice([-1, 0, 1, 2, 3, 5]), rng.randint(1, 3)) for _ in range((n + 1) // 2)]
+    if rng.random() < 0.7:
+        half = [abs(d) or Fraction(1) for d in half]
+    return M * Matrix.diagonal(half + half[: n // 2][::-1])
+
+
+def _negate_mirrored(A: Matrix, i: int, j: int) -> Matrix:
+    n = A.n
+    rows = [list(r) for r in A.rows]
+    rows[i][j] = -rows[i][j]
+    if (n - 1 - i, n - 1 - j) != (i, j):
+        rows[n - 1 - i][n - 1 - j] = -rows[n - 1 - i][n - 1 - j]
+    return Matrix(rows)
+
+
+def _random_numeric_inputs():
+    rng = random.Random(6)
+    inputs = [Matrix([[1, 2], [3, 4]])]
+    for n in range(1, 10):
+        for _ in range(40):
+            inputs.append(random_cross_symmetric(rng, n))
+            inputs.append(random_cross_symmetric(rng, n, lo=0, hi=3, max_den=1))
+            A = _atom_product(rng, n)
+            inputs.append(A)
+            if rng.random() < 0.5:
+                inputs.append(_negate_mirrored(A, rng.randrange(n), rng.randrange(n)))
+    return inputs
+
+
+def _symbolic_rational_matrix():
+    """The n = 4 symbolic carries matrix with rows scaled by palindromic RatFuncs."""
+    S = amazing_matrix_symbolic(4)
+    f = [RatFunc(B + 1, B + 2), RatFunc(B * B + 1, 2 * B + 3)]
+    f = f + f[::-1]
+    return Matrix([[f[i] * x for x in row] for i, row in enumerate(S.rows)])
+
+
+class TestAgainstReference:
+    """The integer row kernel gives the reference sweep's verdicts and steps."""
+
+    @staticmethod
+    def assert_same(A, ray=None):
+        run, ref = eliminate_detailed(A, ray=ray), reference_eliminate(A, ray=ray)
+        assert verdict_to_doc(run.verdict) == verdict_to_doc(ref.verdict)
+        assert run.steps == ref.steps
+        return ref
+
+    def test_random_numeric_matrices(self):
+        seen = set()
+        center = odd_middle = False
+        for A in _random_numeric_inputs():
+            ref = self.assert_same(A)
+            verdict = ref.verdict
+            seen.add(verdict.witness.reason if isinstance(verdict, NotTnn) else getattr(verdict, "reason", None))
+            center |= any(step.is_center for step in ref.steps)
+            odd_middle |= any(2 * step.s + 1 == A.n for step in ref.steps)
+        assert seen >= {
+            REASON_NEGATIVE_MULTIPLIER,
+            REASON_ZERO_PIVOT_NONZERO_BELOW,
+            REASON_NONPOSITIVE_PIVOT,
+            REASON_CENTER_NOT_LESS_THAN_ONE,
+            REASON_NONPOSITIVE_DIAGONAL,
+            INAPPLICABLE_SINGULAR,
+            INAPPLICABLE_NOT_CROSS_SYMMETRIC,
+            None,
+        }
+        assert center and odd_middle
+
+    def test_certified_products_and_flipped_copies(self):
+        rng = random.Random(7)
+        for trial in range(120):
+            n = trial % 7 + 1
+            A, _ = random_certified_tnn(n, f"diff-{trial}", atom_count=trial % 8)
+            self.assert_same(A)
+            i, j = rng.randrange(n), rng.randrange(n)
+            if A.rows[i][j]:
+                self.assert_same(_negate_mirrored(A, i, j))
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_carries_matrices(self, b):
+        for n in range(1, 13):
+            for scaled in (False, True):
+                ref = self.assert_same(amazing_matrix(n, b, scaled=scaled))
+                assert isinstance(ref.verdict, TotallyNonnegative)
+
+    def test_symbolic_carries_matrices(self):
+        bounds = []
+        for n in range(1, 8):
+            A = amazing_matrix_symbolic(n)
+            for ray in sorted({1, 2, n}):
+                ref = self.assert_same(A, ray=ray)
+                bounds.append(getattr(ref.verdict, "bound", None))
+        assert any(bound is not None for bound in bounds)
+
+    @pytest.mark.parametrize("ray", [1, 4])
+    def test_rational_function_entries(self, ray):
+        A = _symbolic_rational_matrix()
+        self.assert_same(A, ray=ray)
+        self.assert_same(_negate_mirrored(A, 2, 1), ray=ray)
+
+    def test_singular_only_after_steps(self):
+        # Bridge steps run before the sweep meets the zero diagonal block.
+        M = Matrix.diagonal([1, 0, 0, 0, 1])
+        for s, c in [(1, Fraction(2)), (3, Fraction(1, 3)), (2, Fraction(5, 2)), (4, Fraction(3))]:
+            M = materialize_atom(Atom("bridge", 5, s, c)) * M
+        run = eliminate_detailed(M)
+        assert verdict_to_doc(run.verdict) == {"verdict": "inapplicable", "reason": "singular"}
+        assert run.steps == ()
+        self.assert_same(M)

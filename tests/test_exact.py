@@ -44,6 +44,34 @@ def reference_mul(p, q):
     return Poly(out)
 
 
+def reference_shift(p, offset):
+    """q(u) = p(u + offset) by a Horner loop of Poly products."""
+    lin = Poly((Fraction(offset), Fraction(1)))
+    acc = Poly()
+    for c in reversed(p.coeffs):
+        acc = acc * lin + c
+    return acc
+
+
+def reference_split_tokens(line):
+    """The character loop of split_scalar_tokens, without its bracket-free fast path."""
+    tokens, current, depth = [], [], 0
+    for ch in line:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch.isspace() and depth == 0:
+            if current:
+                tokens.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
 def reference_primitive_ints(p):
     lcm_den = 1
     for c in p.coeffs:
@@ -175,6 +203,10 @@ class TestIntegerKernels:
         assert_matches_reference(f * g, reference_mul(fn, gn), dens)
         if not g.is_zero:
             assert_matches_reference(f / g, reference_mul(fn, gd), reference_mul(fd, gn))
+
+    @given(polys, st.one_of(st.integers(-20, 20), rationals))
+    def test_shift_equals_horner(self, p, offset):
+        assert p.shift(offset).coeffs == reference_shift(p, offset).coeffs
 
     def test_exact_division_in_integer_polynomials(self):
         assert _int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
@@ -347,3 +379,16 @@ class TestTextSyntax:
     def test_unbalanced_brackets_rejected(self):
         with pytest.raises(ValueError):
             split_scalar_tokens("[1, 2")
+
+    def test_stray_closing_bracket_rejected(self):
+        with pytest.raises(ValueError, match="unbalanced brackets"):
+            split_scalar_tokens("1 2] 3")
+
+    @given(st.text(alphabet=st.characters(blacklist_characters="[]")))
+    def test_bracket_free_lines_split_as_the_loop_does(self, line):
+        assert split_scalar_tokens(line) == reference_split_tokens(line)
+
+    @given(st.lists(st.sampled_from(["12", "-3/4", "0", " ", "\t", "\x1f", "\u3000"])))
+    def test_number_lines_split_as_the_loop_does(self, parts):
+        line = "".join(parts)
+        assert split_scalar_tokens(line) == reference_split_tokens(line)

@@ -1,0 +1,101 @@
+"""Pinned sha256 digests of reports, certificates and traces.
+
+The digests were recorded on the code before the integer row kernel
+replaced the Fraction/RatFunc row sweep; the kernel must print the same
+bytes.  Any change to a digest here is a change to the program's output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from crosstnn import amazing_matrix, amazing_matrix_symbolic, matrix_to_text
+from crosstnn.amazing import report_to_doc, verify_amazing
+from crosstnn.cli import main
+from crosstnn.matrix import Matrix
+
+REPORT_DIGESTS = {
+    1: "95624123c5c41f94d23e42f21b0101a530e984a6c40f3097d43ec899b122668d",
+    2: "a316051e980ed4fa637fef9536c82955f58551386491ab8f4f7d31a6e613da4c",
+    3: "e2b9364a89ebf14a2d8a7967ca664672c266fab9d1db7821e84f68255b9c9433",
+    4: "1bec10b130fd25f6df25ca3dc945256f827633e7b24d63401bb15df7eef2402d",
+    5: "1139c144e076bdf7fe9587a908953436fe71b8d4916a8906e5ba012c2a5ef028",
+    6: "a5350e070d961b7600690adbb55855cbe17e8c2bb6992c4a0a89af6832b37379",
+    7: "0867adaf70a3fc5b5605a3c29fb5fe55bb312b4790045255beb7f476e9be2ac1",
+    8: "71c5125bae3d366620064981c8ab3abdf6b8b16ba93a32cf6ca7eb191c2c163e",
+    9: "de033e0c9b3aa4ad6f3677e19ec23840adcd1b5455ae4a55ed88fa2d8375d544",
+    10: "717b14f5862363dafa33f21049c54a49d1c21df64ea8aa46a0b6bbdc4b0bbfcc",
+}
+
+CERTIFICATE_DIGESTS = {
+    3: "e945b9f42932aeed01b297f1938a557e9e8966e801ee4ea2ac2173954db8109f",
+    4: "4d9a906210e576f6f99ecccb1fb2d9f8b668d30f7def1cc22fcd66536801a96a",
+    5: "4d19000ec0cb15697b46ab7bafbb71f374f2955e82937af2d97c22c814b65e3d",
+    6: "e4722e751748c28121099c80643046a32a85ddf9542efbfebf3acb20dfc276cb",
+    7: "11fd75b36ec009270d209e6d8177b04de5b6b6cb0685736523b655f088d1ea2f",
+    8: "99c9e09f15fba50f75f88bff6b4215d268756b2609575b1e3a2db579f60cdafa",
+}
+
+# check --method cross --trace on the n = 40 scaled carries matrices, and on
+# the b = 10 one with entry (26, 20) and its mirror negated.
+TRACE_DIGESTS = {
+    (3, None): "d1bfbe3ee94aff99d51d3622ad3f223962303f32fae48b0ba1b7902a3006a8a1",
+    (10, None): "d482ca32639fb2b53f95ed0fe6bf9a84a66d5c164e632b5d57d2d76e6b20c172",
+    (10, 25): "990117e47cf8fdf6ae8875e0f00e821fc12723f2efc1643b9064118ae663f671",
+}
+
+# check --method cross --trace on the symbolic n = 5 matrix at rays 1 and 5.
+SYMBOLIC_TRACE_DIGESTS = {
+    1: "23a9af52fa14e8cfb160f4fd7f5419f7d2850b82ddc15146c8b27b1a860b11a8",
+    5: "72d38112aedfc7f49eee02b2c321d60d2f936f8a4e46f5a9bba3874108439da4",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _negate_mirrored(A: Matrix, i: int, j: int) -> Matrix:
+    n = A.n
+    rows = [list(r) for r in A.rows]
+    rows[i][j] = -rows[i][j]
+    rows[n - 1 - i][n - 1 - j] = -rows[n - 1 - i][n - 1 - j]
+    return Matrix(rows)
+
+
+def _check_stdout(tmp_path, capsys, matrix: Matrix, *flags) -> str:
+    path = tmp_path / "matrix.txt"
+    path.write_text(matrix_to_text(matrix), encoding="utf-8")
+    capsys.readouterr()
+    main(["check", str(path), "--method", "cross", "--trace", *flags])
+    return capsys.readouterr().out
+
+
+def test_verify_amazing_reports():
+    for n, digest in REPORT_DIGESTS.items():
+        text = json.dumps(report_to_doc(verify_amazing(n)), indent=2) + "\n"
+        assert _sha256(text) == digest, f"report n={n}"
+
+
+def test_symbolic_certificates(tmp_path):
+    for n, digest in CERTIFICATE_DIGESTS.items():
+        matrix_path, cert_path = tmp_path / f"s{n}.txt", tmp_path / f"s{n}.cert.json"
+        matrix_path.write_text(matrix_to_text(amazing_matrix_symbolic(n)), encoding="utf-8")
+        assert main(["factor", str(matrix_path), "--ray", str(n), "--out", str(cert_path)]) == 0
+        assert _sha256(cert_path.read_text(encoding="utf-8")) == digest, f"certificate n={n}"
+
+
+@pytest.mark.parametrize("b, flip_row", list(TRACE_DIGESTS))
+def test_large_check_traces(tmp_path, capsys, b, flip_row):
+    A = amazing_matrix(40, b, scaled=True)
+    if flip_row is not None:
+        A = _negate_mirrored(A, flip_row, 19)
+    out = _check_stdout(tmp_path, capsys, A)
+    assert _sha256(out) == TRACE_DIGESTS[b, flip_row]
+
+
+@pytest.mark.parametrize("ray", list(SYMBOLIC_TRACE_DIGESTS))
+def test_symbolic_check_traces(tmp_path, capsys, ray):
+    out = _check_stdout(tmp_path, capsys, amazing_matrix_symbolic(5), "--ray", str(ray))
+    assert _sha256(out) == SYMBOLIC_TRACE_DIGESTS[ray]
