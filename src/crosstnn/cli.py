@@ -17,6 +17,7 @@ are a function of flags and input files only; all randomness is seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = _Parser(prog="crosstnn", description="Exact total-nonnegativity toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -729,6 +729,10 @@ def parse_scalar(text: str) -> Scalar:
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
+    # Plain integers, most entries of a numeric file, skip Fraction's regex.
+    digits = t[1:] if t[0] in "+-" else t
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(t))
     try:
         if not t.startswith("["):
             return Fraction(t)

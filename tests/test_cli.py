@@ -304,3 +304,24 @@ class TestErrorPaths:
     def test_negative_escalation_cap_is_a_usage_error(self, capsys):
         assert main(["verify-amazing", "--n", "3", "--escalation-cap", "-1"]) == 64
         assert main(["verify-amazing", "--n", "3", "--escalation-cap", "0"]) == 0
+
+
+class TestConsecutiveCalls:
+    """The parser is built once per process; no call may see another's flags."""
+
+    def test_trace_does_not_carry_over(self, a33_path, capsys):
+        assert main(["check", a33_path, "--trace"]) == 0
+        assert "step 1:" in capsys.readouterr().out
+        assert main(["check", a33_path]) == 0
+        assert "step" not in capsys.readouterr().out
+
+    def test_valid_call_after_usage_error(self, a33_path, capsys):
+        assert main(["check", a33_path, "--method", "bogus"]) == 64
+        assert main(["check", a33_path, "--method", "neville"]) == 0
+        assert capsys.readouterr().out == "method: neville\nverdict: totally-nonnegative\n"
+
+    def test_ray_does_not_carry_over(self, tmp_path, capsys):
+        path = _write(tmp_path / "s3.txt", matrix_to_text(amazing_matrix_symbolic(3)))
+        assert main(["check", path, "--ray", "3"]) == 0
+        assert main(["check", path]) == 64
+        assert "pass --ray" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosstnn import (
@@ -392,3 +392,20 @@ class TestTextSyntax:
     def test_number_lines_split_as_the_loop_does(self, parts):
         line = "".join(parts)
         assert split_scalar_tokens(line) == reference_split_tokens(line)
+
+    @given(st.text(alphabet="+-0123456789\u0663\uff17\u00b2_/.e "))
+    @example(" -0012 ")
+    @example("+-1")
+    @example("1_0")
+    @example("\u0663")
+    @example("\u00b2")
+    @example("3/0")
+    def test_parse_scalar_matches_fraction(self, text):
+        # ASCII integers take a fast path; every other token is Fraction's.
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+        else:
+            assert parse_scalar(text) == expected

@@ -1,12 +1,15 @@
 """Pinned sha256 digests of reports, certificates and traces.
 
 The digests were recorded on the code before the integer row kernel
-replaced the Fraction/RatFunc row sweep; the kernel must print the same
-bytes.  Any change to a digest here is a change to the program's output.
+replaced the Fraction/RatFunc row sweep, and the ``check --method
+minors`` ones before the expansion sweep replaced one elimination per
+minor; both must print the same bytes.  Any change to a digest here is a
+change to the program's output.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +54,21 @@ SYMBOLIC_TRACE_DIGESTS = {
     5: "72d38112aedfc7f49eee02b2c321d60d2f936f8a4e46f5a9bba3874108439da4",
 }
 
+# check --method minors stdout; the witness lines carry the exact minor.
+MINORS_DIGESTS = {
+    # the n = 7 carries matrix at b = 10, certified
+    "carries": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
+    # the same with entry (4, 3) and its mirror negated: rows 4, cols 3
+    "carries-flipped": "117ccc8441ae910f2d49d1a34056c078ebc27cbf6031674971e2452a8260b0cc",
+    # singular, with the negative minor -3 on rows and cols 1,2
+    "singular": "727402cb23ac49c850dc00512bd92f1f7d332ddfb474369be448e697cc2a1486",
+    # every 1x1 and 2x2 minor positive, the determinant -19/42
+    "mixed-denominators": "41ad6c5e5c6552d8038cb0d0cfa51fd84c765bb0e8ebe3badf9118055c415df0",
+    # the symbolic n = 5 matrix: indefinite at ray 2, certified at ray 5
+    "symbolic-ray2": "3a95ee66f392ef09178bcf4341a92a35ae8ba4511301d92b9ac649f81d026688",
+    "symbolic-ray5": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -70,6 +88,30 @@ def _check_stdout(tmp_path, capsys, matrix: Matrix, *flags) -> str:
     capsys.readouterr()
     main(["check", str(path), "--method", "cross", "--trace", *flags])
     return capsys.readouterr().out
+
+
+def _minors_stdout(tmp_path, capsys, matrix: Matrix, *flags) -> str:
+    path = tmp_path / "matrix.txt"
+    path.write_text(matrix_to_text(matrix), encoding="utf-8")
+    capsys.readouterr()
+    main(["check", str(path), "--method", "minors", *flags])
+    return capsys.readouterr().out
+
+
+def _minors_case(name: str) -> tuple:
+    carries = amazing_matrix(7, 10)
+    symbolic = amazing_matrix_symbolic(5)
+    F = Fraction
+    return {
+        "carries": (carries,),
+        "carries-flipped": (_negate_mirrored(carries, 3, 2),),
+        "singular": (Matrix([[1, 2, 3], [2, 1, 3], [1, 1, 2]]),),
+        "mixed-denominators": (
+            Matrix([[2, F(5, 3), F(3, 7)], [3, 3, F(6, 7)], [F(9, 2), 8, F(7, 3)]]),
+        ),
+        "symbolic-ray2": (symbolic, "--ray", "2"),
+        "symbolic-ray5": (symbolic, "--ray", "5"),
+    }[name]
 
 
 def test_verify_amazing_reports():
@@ -99,3 +141,10 @@ def test_large_check_traces(tmp_path, capsys, b, flip_row):
 def test_symbolic_check_traces(tmp_path, capsys, ray):
     out = _check_stdout(tmp_path, capsys, amazing_matrix_symbolic(5), "--ray", str(ray))
     assert _sha256(out) == SYMBOLIC_TRACE_DIGESTS[ray]
+
+
+@pytest.mark.parametrize("name", list(MINORS_DIGESTS))
+def test_minors_check_outputs(tmp_path, capsys, name):
+    matrix, *flags = _minors_case(name)
+    out = _minors_stdout(tmp_path, capsys, matrix, *flags)
+    assert _sha256(out) == MINORS_DIGESTS[name]
