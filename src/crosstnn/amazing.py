@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elimination import cross_symmetric_eliminate
-from .exact import Poly, _int_mul
+from .elimination import cross_symmetric_eliminate, verdict_to_doc
+from .exact import Poly, _int_mul, _over_common_denominator, _poly
 from .matrix import Matrix
 from .verdicts import (
     INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -55,14 +55,16 @@ def binomial_poly(alpha, beta, k: int) -> Poly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return Poly(_falling_product(Fraction(alpha), Fraction(beta), k)) / math.factorial(k)
+    # alpha = a / d and beta = c / d, so each factor is (a - m*d + c*b) / d.
+    (a, c), d = _over_common_denominator((Fraction(alpha), Fraction(beta)))
+    return _poly(_falling_product(a, c, k, d), d**k * math.factorial(k))
 
 
-def _falling_product(alpha, beta, k: int) -> list:
-    """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m)."""
+def _falling_product(alpha: int, beta: int, k: int, unit: int = 1) -> list:
+    """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m*unit)."""
     out = [1]
     for m in range(k):
-        out = _int_mul(out, [alpha - m, beta])
+        out = _int_mul(out, [alpha - m * unit, beta])
     return out
 
 
@@ -126,7 +128,7 @@ def amazing_matrix_symbolic(n: int) -> Matrix:
                 weight = (-1) ** r * math.comb(n + 1, r)
                 term = numerators[n - 1 - i, j + 1 - r]
                 entry = [v + weight * x for v, x in zip(entry, term)]
-            row.append(Poly([Fraction(v, denominator) for v in entry]))
+            row.append(_poly(entry, denominator))
         rows.append(row)
     return Matrix(rows)
 
@@ -229,8 +231,6 @@ def verify_amazing(n: int, escalation_cap: int = 3) -> VerificationReport:
 
 def report_to_doc(report: VerificationReport) -> dict:
     """JSON-ready rendering with stable field order."""
-    from .elimination import verdict_to_doc
-
     def base_doc(check: BaseCheck) -> dict:
         return {"b": check.b, **verdict_to_doc(check.verdict)}
 

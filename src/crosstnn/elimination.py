@@ -17,7 +17,6 @@ Two independent oracles accompany it: the classical Neville test
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -29,12 +28,12 @@ from .exact import (
     RatFunc,
     SignUndecidedOnRay,
     _int_add,
-    _int_content,
-    _int_exact_div,
     _int_mul,
-    _int_poly_gcd,
     _int_sub,
+    _numeric_reduce,
     _over_common_denominator,
+    _poly,
+    _symbolic_reduce,
     format_scalar,
     parse_int,
     parse_list,
@@ -410,53 +409,19 @@ class _RowKernel:
         return False
 
 
-def _numeric_reduce(nums: list, den: int) -> tuple:
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return nums, den
-    return [v // g for v in nums], den // g
-
-
 def _symbolic_start(entries) -> tuple:
-    # Entry k is p_k / (d * q_k): p_k integer numerators over the row's
-    # common coefficient denominator d, q_k the entry's denominator.  The
-    # row starts over d times the product of the q_k.
-    parts = [
-        (e.coeffs, [1]) if isinstance(e, Poly) else (e.num.coeffs, [int(v) for v in e.den.coeffs])
-        for e in entries
-    ]
-    flat, d = _over_common_denominator([v for coeffs, _ in parts for v in coeffs])
-    nums, q_product, pos = [], [1], 0
-    for coeffs, q in parts:
-        p = flat[pos : pos + len(coeffs)]
-        pos += len(coeffs)
+    # Entry k is p_k / (d_k * q_k): integer numerators p_k over the integer
+    # d_k, and q_k the entry's denominator in Z[b].  The row starts over
+    # lcm(d_k) times the product of the q_k.
+    parts = [(e, [1]) if isinstance(e, Poly) else (e.num, list(e.den.numerators)) for e in entries]
+    d = math.lcm(*(p.denominator for p, _ in parts))
+    nums, q_product = [], [1]
+    for p, q in parts:
         if q != [1]:
             nums = [_int_mul(v, q) for v in nums]
-        nums.append(_int_mul(p, q_product))
+        nums.append(_int_mul([v * (d // p.denominator) for v in p.numerators], q_product))
         q_product = _int_mul(q_product, q)
     return _symbolic_reduce(nums, [d * v for v in q_product])
-
-
-def _symbolic_reduce(nums: list, den: list) -> tuple:
-    # The polynomial gcd first, stopping once it reaches degree 0; then
-    # the integer content, taken so that den has a positive leading term.
-    g = den
-    for v in nums:
-        if len(g) <= 1:
-            break
-        if v:
-            g = _int_poly_gcd(g, v)
-    if len(g) > 1:
-        nums = [_int_exact_div(v, g) if v else v for v in nums]
-        den = _int_exact_div(den, g)
-    content = _int_content(itertools.chain(den, *nums))
-    if den[-1] < 0:
-        content = -content
-    if content == 1:
-        return nums, den
-    return [[x // content for x in v] for v in nums], [x // content for x in den]
 
 
 _NUMERIC = _RowKernel(
@@ -474,7 +439,7 @@ _SYMBOLIC = _RowKernel(
     sub=_int_sub,
     start=_symbolic_start,
     reduce=_symbolic_reduce,
-    scalar=lambda num, den: RatFunc(Poly(num), Poly(den)),
+    scalar=lambda num, den: RatFunc(_poly(num), _poly(den)),
 )
 
 

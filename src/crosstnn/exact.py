@@ -4,8 +4,14 @@ Three scalar kinds share one arithmetic surface:
 
 * ``Rational`` -- arbitrary-precision rationals (``fractions.Fraction``),
 * :class:`Poly` -- univariate polynomials over the rationals in the base
-  variable ``b``, coefficients stored ascending by degree,
+  variable ``b``, stored as integer numerators (ascending by degree) over
+  one positive integer denominator,
 * :class:`RatFunc` -- reduced ratios of two such polynomials.
+
+There is one polynomial arithmetic, over the integers: the ``_int_*``
+kernels on coefficient lists, which ``Poly``, ``RatFunc``, the Sturm
+chains, root deflation and the elimination's row kernel all run on.
+``Fraction`` values appear only where rationals enter or leave.
 
 Everything is immutable and float-free: total-nonnegativity verdicts are
 sign decisions, and a single rounding error would invalidate a
@@ -57,23 +63,26 @@ MIXED = "mixed"
 class Poly:
     """Univariate polynomial over the rationals.
 
-    Coefficients are ascending by degree with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple.  Instances are immutable
-    and hashable, and constants compare (and hash) equal to the matching
-    ``Fraction``.
+    Stored as integer numerators, ascending by degree, over one positive
+    integer denominator, in canonical form: no trailing zero numerators,
+    the numerators' content coprime to the denominator, and the zero
+    polynomial as ``((), 1)``.  All arithmetic runs on the numerators;
+    :attr:`coeffs` gives the reduced ``Fraction`` coefficients.  Instances
+    are immutable and hashable, and constants compare (and hash) equal to
+    the matching ``Fraction``.  Coefficients must be ``int`` or
+    ``Fraction``: a float is rejected, not rounded.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls((value,))
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError(f"polynomial coefficients must be int or Fraction, got {coeffs!r}")
+        # Each coefficient is reduced, so its numerator over the lcm of the
+        # denominators is already coprime to that lcm.
+        nums, self.denominator = _over_common_denominator(coeffs)
+        self.numerators = tuple(_int_strip(nums))
 
     @classmethod
     def variable(cls) -> "Poly":
@@ -81,17 +90,23 @@ class Poly:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple:
+        """The reduced ``Fraction`` coefficients, ascending by degree."""
+        den = self.denominator
+        return tuple(Fraction(v, den) for v in self.numerators)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.numerators[-1], self.denominator) if self.numerators else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -107,18 +122,15 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        da, do = self.denominator, o.denominator
+        den = math.lcm(da, do)
+        a = [v * (den // da) for v in self.numerators]
+        return _poly(_int_add(a, [v * (den // do) for v in o.numerators]), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-v for v in self.numerators], self.denominator)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -136,12 +148,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Convolve integer numerators over each operand's common denominator,
-        # then reduce each output coefficient once.
-        a, da = _over_common_denominator(self.coeffs)
-        c, dc = _over_common_denominator(o.coeffs)
-        den = da * dc
-        return Poly([Fraction(v, den) for v in _int_mul(a, c)])
+        return _poly(_int_mul(self.numerators, o.numerators), self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -162,8 +169,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("polynomial divided by zero scalar")
-            inv = Fraction(1) / Fraction(other)
-            return Poly(tuple(c * inv for c in self.coeffs))
+            nums = [v * other.denominator for v in self.numerators]
+            return _poly(nums, self.denominator * other.numerator)
         if isinstance(other, Poly):
             return RatFunc(self, other)
         return NotImplemented
@@ -174,48 +181,37 @@ class Poly:
             return NotImplemented
         return RatFunc(o, self)
 
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def divide_exact(self, other) -> "Poly":
+        """Quotient when the division is exact; raises otherwise.
+
+        With self = ca * p / da and other = cc * q / dc for primitive p and
+        q, the quotient is (ca * dc) / (da * cc) times p / q, and p / q is
+        in Z[x] when q divides p (Gauss's lemma).
+        """
+        o = _as_poly(other)
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        ddeg = o.degree
-        dlead = o.leading
-        rem = list(self.coeffs)
-        if len(rem) <= ddeg:
-            return Poly(), Poly(rem)
-        quo = [Fraction(0)] * (len(rem) - ddeg)
-        for k in range(len(rem) - 1 - ddeg, -1, -1):
-            coef = rem[k + ddeg] / dlead
-            quo[k] = coef
-            if coef:
-                for i, c in enumerate(o.coeffs):
-                    rem[k + i] -= c * coef
-        return Poly(quo), Poly(rem[:ddeg])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divide_exact(self, other) -> "Poly":
-        """Quotient when the division is exact; raises otherwise."""
-        quo, rem = divmod(self, other)
-        if not rem.is_zero:
-            raise ValueError(f"inexact polynomial division: remainder {rem!r}")
-        return quo
+        if self.is_zero:
+            return self
+        ca, cc = _int_content(self.numerators), _int_content(o.numerators)
+        quo = _int_exact_div([v // ca for v in self.numerators], [v // cc for v in o.numerators])
+        return _poly([v * ca * o.denominator for v in quo], self.denominator * cc)
 
     # -- evaluation and structure --------------------------------------
 
     def eval(self, point) -> Fraction:
-        """Exact value at a rational point (Horner)."""
+        """Exact value at a rational point (Horner over the integers)."""
+        if not self.numerators:
+            return Fraction(0)
         x = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        # acc = sum a_k p^k q^(m-k): each numerator from the top takes one
+        # more factor q than the one above it.
+        acc, scale = 0, 1
+        for v in reversed(self.numerators):
+            acc = acc * p + v * scale
+            scale *= q
+        return Fraction(acc, self.denominator * (scale // q))
 
     __call__ = eval
 
@@ -223,33 +219,26 @@ class Poly:
         """Return q with q(u) = p(u + offset), by a Taylor shift over the integers.
 
         With offset = r/s and p of degree m, s^m * p(w/s) has integer
-        coefficients; shifting those by r in place and dividing
-        coefficient k by s^(m-k) gives q.
+        coefficients; shifting those by r in place and multiplying
+        coefficient k by s^k puts q over the denominator s^m.
         """
         offset = Fraction(offset)
         r, s = offset.numerator, offset.denominator
-        a, d = _over_common_denominator(self.coeffs)
-        m = len(a) - 1
-        a = [v * s ** (m - k) for k, v in enumerate(a)]
+        m = self.degree
+        if m < 0:
+            return self
+        a = [v * s ** (m - k) for k, v in enumerate(self.numerators)]
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 a[j] += r * a[j + 1]
-        return Poly([Fraction(v, d * s ** (m - k)) for k, v in enumerate(a)])
+        return _poly([v * s**k for k, v in enumerate(a)], self.denominator * s**m)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs) if i))
-
-    def primitive_int_coeffs(self) -> list:
-        """Integer coefficient list with content 1, sign preserved."""
-        return _int_primitive(_over_common_denominator(self.coeffs)[0])
+        return _poly([k * v for k, v in enumerate(self.numerators) if k], self.denominator)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Canonical gcd: primitive integer coefficients, positive leading one."""
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError("gcd needs a polynomial")
-        result = _int_poly_gcd(self.primitive_int_coeffs(), o.primitive_int_coeffs())
-        return Poly(result)
+        return _poly(_int_poly_gcd(self.numerators, _as_poly(other).numerators))
 
     def squarefree_part(self) -> "Poly":
         if self.degree <= 1:
@@ -261,28 +250,27 @@ class Poly:
 
     def root_bound_int(self) -> int:
         """Integer M with every real root of self in [-M, M] (Cauchy bound)."""
-        if self.degree < 1:
-            return 0
-        lead = abs(self.leading)
-        biggest = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        return math.ceil(1 + biggest / lead)
+        return _int_root_bound(self.numerators)
 
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.numerators == other.numerators and self.denominator == other.denominator
         if isinstance(other, (int, Fraction)):
-            return self.degree <= 0 and (self.coeffs[0] if self.coeffs else Fraction(0)) == other
+            if self.degree > 0:
+                return False
+            value = self.numerators[0] if self.numerators else 0
+            return value * other.denominator == other.numerator * self.denominator
         return NotImplemented
 
     def __hash__(self):
         if self.degree <= 0:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+            return hash(self.leading)
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __repr__(self):
         if self.is_zero:
@@ -300,12 +288,55 @@ class Poly:
         return f"Poly('{' + '.join(terms)}')"
 
 
+def _poly(nums, den: int = 1) -> Poly:
+    """The Poly with coefficients nums[k] / den, for integers nums and den != 0."""
+    nums = _int_strip(list(nums))
+    if den != 1:
+        nums, den = _numeric_reduce(nums, den)
+    p = Poly.__new__(Poly)
+    p.numerators, p.denominator = tuple(nums), den
+    return p
+
+
 def _over_common_denominator(coeffs) -> tuple:
     """(ints, d) with coeffs[k] == ints[k] / d, d the lcm of the denominators."""
     d = 1
     for c in coeffs:
         d = math.lcm(d, c.denominator)
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _numeric_reduce(nums: list, den: int) -> tuple:
+    """Integers nums over den with their common factor removed and den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _symbolic_reduce(nums: list, den: list) -> tuple:
+    """Polynomials in Z[x] over den with their common factor removed.
+
+    The polynomial gcd first, stopping once it reaches degree 0; then the
+    integer content, taken so that den has a positive leading term.
+    """
+    g = den
+    for v in nums:
+        if len(g) <= 1:
+            break
+        if v:
+            g = _int_poly_gcd(g, v)
+    if len(g) > 1:
+        nums = [_int_exact_div(v, g) if v else v for v in nums]
+        den = _int_exact_div(den, g)
+    content = _int_content(itertools.chain(den, *nums))
+    if den[-1] < 0:
+        content = -content
+    if content == 1:
+        return nums, den
+    return [[x // content for x in v] for v in nums], [x // content for x in den]
 
 
 def _int_strip(coeffs: list) -> list:
@@ -346,8 +377,30 @@ def _int_primitive(coeffs: list) -> list:
     return [v // g for v in coeffs]
 
 
+def _int_eval(a: list, x: int) -> int:
+    acc = 0
+    for v in reversed(a):
+        acc = acc * x + v
+    return acc
+
+
+def _int_root_bound(a: list) -> int:
+    """Integer M with every real root of a in [-M, M] (Cauchy bound); 0 below degree 1."""
+    if len(a) < 2:
+        return 0
+    biggest = max(abs(v) for v in a[:-1])
+    return 1 - (-biggest // abs(a[-1]))
+
+
 def _int_pseudo_rem(a: list, b: list) -> list:
-    # Pseudo-remainder over the integers; scale factors are irrelevant for gcd.
+    """A positive multiple of the remainder of a divided by b over the rationals.
+
+    b is negated first if its leading coefficient is negative, which
+    leaves the remainder unchanged, so scaling by that coefficient keeps
+    signs, as Sturm chains need.
+    """
+    if b[-1] < 0:
+        b = [-v for v in b]
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return list(a)
@@ -410,26 +463,15 @@ class RatFunc:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num = Poly()
-            self.den = Poly((1,))
-            return
-        # num = (cp / dp) * p and den = (cq / dq) * q with p, q primitive in Z[b].
-        p, dp = _over_common_denominator(num.coeffs)
-        q, dq = _over_common_denominator(den.coeffs)
-        cp, cq = _int_content(p), _int_content(q)
-        p = [v // cp for v in p]
-        q = [v // cq for v in q]
-        g = _int_poly_gcd(p, q)
-        if len(g) > 1:
-            p = _int_exact_div(p, g)
-            q = _int_exact_div(q, g)
-        if q[-1] < 0:
-            q = [-v for v in q]
-            cq = -cq
-        scale = Fraction(cp * dq, dp * cq)
-        self.num = Poly([scale * v for v in p])
-        self.den = Poly(q)
+        # num / den = (p * dq) / (q * dp) for num = p / dp and den = q / dq.
+        (p,), q = _symbolic_reduce(
+            [[v * den.denominator for v in num.numerators]],
+            [v * num.denominator for v in den.numerators],
+        )
+        # No common content is left, so q's content c becomes num's denominator.
+        c = _int_content(q)
+        self.num = _poly(p, c)
+        self.den = _poly([v // c for v in q])
 
     @property
     def is_zero(self) -> bool:
@@ -561,68 +603,59 @@ class SignUndecidedOnRay(Exception):
         self.witness_bound = witness_bound
 
 
-def _sturm_chain(p: Poly) -> list:
-    chain = [p, p.derivative()]
-    while chain[-1].degree >= 1:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
+def _sturm_chain(p: list) -> list:
+    """Sturm chain of p in Z[x], each member a positive multiple of the classical one."""
+    chain = [p, _int_primitive([k * v for k, v in enumerate(p) if k])]
+    while len(chain[-1]) >= 2:
+        rem = _int_pseudo_rem(chain[-2], chain[-1])
+        if not rem:
             break
-        # primitive_int_coeffs rescales by a positive constant, which
-        # keeps the chain's sign pattern valid.
-        chain.append(Poly([-v for v in rem.primitive_int_coeffs()]))
-    return [q for q in chain if not q.is_zero]
+        chain.append(_int_primitive([-v for v in rem]))
+    return chain
 
 
-def _sign_variations(chain: list, x) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain: list, x: int) -> int:
+    signs = [v > 0 for v in (_int_eval(q, x) for q in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _floor_largest_root_at_least(g: Poly, beta: int) -> int | None:
     """Floor of the largest real root of g in [beta, inf), or None.
 
-    Integer probe points that turn out to be roots are deflated exactly,
-    so Sturm counts are only ever taken at non-roots.
+    Roots are isolated on the integer numerators of g's square-free part,
+    a positive multiple of it.  Integer probe points that turn out to be
+    roots are deflated exactly, so Sturm counts are only ever taken at
+    non-roots.
     """
-    g = g.squarefree_part()
-    best = None
-    while g.degree >= 1:
-        if g.eval(beta) == 0:
-            best = beta if best is None else max(best, beta)
-            g = g.divide_exact(Poly((-beta, 1)))
+    a = list(g.squarefree_part().numerators)
+    floors = []  # deflated integer roots, then the floor of the largest other root
+    while len(a) >= 2:
+        if _int_eval(a, beta) == 0:
+            floors.append(beta)
+            a = _int_exact_div(a, [-beta, 1])
             continue
-        bound = max(beta, g.root_bound_int())
-        if g.eval(bound) == 0:
-            best = bound if best is None else max(best, bound)
-            g = g.divide_exact(Poly((-bound, 1)))
-            continue
-        chain = _sturm_chain(g)
+        # bound is beta, no root, or the Cauchy bound, above every root.
+        bound = max(beta, _int_root_bound(a))
+        chain = _sturm_chain(a)
         at_bound = _sign_variations(chain, bound)
         if _sign_variations(chain, beta) - at_bound == 0:
             break
         lo, hi = beta, bound
-        deflated = False
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if g.eval(mid) == 0:
-                best = mid if best is None else max(best, mid)
-                g = g.divide_exact(Poly((-mid, 1)))
-                deflated = True
+            if _int_eval(a, mid) == 0:
+                floors.append(mid)
+                a = _int_exact_div(a, [-mid, 1])
                 break
             if _sign_variations(chain, mid) - at_bound > 0:
                 lo = mid
             else:
                 hi = mid
-        if deflated:
-            continue
-        # The remaining largest root lies strictly inside (lo, lo+1).
-        best = lo if best is None else max(best, lo)
-        break
-    return best
+        else:
+            # The remaining largest root lies strictly inside (lo, lo+1).
+            floors.append(lo)
+            break
+    return max(floors, default=None)
 
 
 def sign_on_ray(f, beta: int) -> RaySign:
@@ -657,16 +690,16 @@ def sign_on_ray(f, beta: int) -> RaySign:
         g = f
     else:
         raise TypeError(f"not an exact scalar: {f!r}")
-    shifted = g.shift(beta)
-    cs = shifted.coeffs
+    # The numerators of g(u + beta) over a positive denominator; the
+    # first is a positive multiple of g(beta).
+    cs = g.shift(beta).numerators
     if cs[0] > 0 and all(c >= 0 for c in cs):
         return RaySign(POSITIVE_ON_RAY)
     if cs[0] < 0 and all(c <= 0 for c in cs):
         return RaySign(NEGATIVE_ON_RAY)
     bound = _floor_largest_root_at_least(g, beta)
     if bound is None:
-        value = g.eval(beta)
-        return RaySign(POSITIVE_ON_RAY if value > 0 else NEGATIVE_ON_RAY)
+        return RaySign(POSITIVE_ON_RAY if cs[0] > 0 else NEGATIVE_ON_RAY)
     return RaySign(MIXED, witness_bound=bound)
 
 

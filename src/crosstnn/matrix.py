@@ -19,6 +19,7 @@ from .exact import (
     Poly,
     RatFunc,
     SignUndecidedOnRay,
+    _over_common_denominator,
     as_ratfunc,
     format_scalar,
     parse_int,
@@ -265,8 +266,7 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
         rows = A.rows
         one = RatFunc(Poly((1,))) if isinstance(rows[0][0], RatFunc) else Poly((1,))
     else:
-        scales = [math.lcm(*(x.denominator for x in r)) for r in A.rows]
-        rows = [[x.numerator * (L // x.denominator) for x in r] for L, r in zip(scales, A.rows)]
+        rows, scales = zip(*map(_over_common_denominator, A.rows))
         one = 1
     zero = one - one
     indices = range(1, n + 1)

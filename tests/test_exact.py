@@ -22,7 +22,8 @@ from crosstnn import (
     scalar_sign,
     sign_on_ray,
 )
-from crosstnn.exact import _int_exact_div, split_scalar_tokens
+from crosstnn import exact
+from crosstnn.exact import _int_exact_div, _int_pseudo_rem, _sturm_chain, split_scalar_tokens
 
 B = Poly.variable()
 
@@ -51,6 +52,174 @@ def reference_shift(p, offset):
     for c in reversed(p.coeffs):
         acc = acc * lin + c
     return acc
+
+
+def reference_divmod(p, d):
+    """(quotient, remainder) by long division over the rationals, one Fraction per step."""
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    ddeg = d.degree
+    dlead = d.leading
+    rem = list(p.coeffs)
+    if len(rem) <= ddeg:
+        return Poly(), Poly(rem)
+    quo = [Fraction(0)] * (len(rem) - ddeg)
+    for k in range(len(rem) - 1 - ddeg, -1, -1):
+        coef = rem[k + ddeg] / dlead
+        quo[k] = coef
+        if coef:
+            for i, c in enumerate(d.coeffs):
+                rem[k + i] -= c * coef
+    return Poly(quo), Poly(rem[:ddeg])
+
+
+def reference_gcd(p, q):
+    """A gcd by Euclid's algorithm over the rationals, up to a constant factor."""
+    while not q.is_zero:
+        p, q = q, reference_divmod(p, q)[1]
+    return p
+
+
+def reference_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_derivative(p):
+    return Poly([i * c for i, c in enumerate(p.coeffs) if i])
+
+
+def reference_sturm_chain(p):
+    """The classical Sturm chain: p, p', then negated remainders over the rationals."""
+    chain = [p, reference_derivative(p)]
+    while chain[-1].degree >= 1:
+        rem = reference_divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(-rem)
+    return [q for q in chain if not q.is_zero]
+
+
+def reference_variations(chain, x):
+    signs = [v > 0 for v in (reference_eval(q, x) for q in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def reference_floor_largest_root(g, beta):
+    """Floor of the largest real root of g in [beta, inf), by Fraction Sturm chains."""
+    if g.degree > 1:
+        common = reference_gcd(g, reference_derivative(g))
+        if common.degree >= 1:
+            g = reference_divmod(g, common)[0]
+    best = None
+    while g.degree >= 1:
+        if reference_eval(g, beta) == 0:
+            best = beta if best is None else max(best, beta)
+            g = reference_divmod(g, Poly((-beta, 1)))[0]
+            continue
+        biggest = max(abs(c) for c in g.coeffs[:-1])
+        bound = max(beta, math.ceil(1 + biggest / abs(g.leading)))
+        if reference_eval(g, bound) == 0:
+            best = bound if best is None else max(best, bound)
+            g = reference_divmod(g, Poly((-bound, 1)))[0]
+            continue
+        chain = reference_sturm_chain(g)
+        at_bound = reference_variations(chain, bound)
+        if reference_variations(chain, beta) - at_bound == 0:
+            break
+        lo, hi = beta, bound
+        deflated = False
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if reference_eval(g, mid) == 0:
+                best = mid if best is None else max(best, mid)
+                g = reference_divmod(g, Poly((-mid, 1)))[0]
+                deflated = True
+                break
+            if reference_variations(chain, mid) - at_bound > 0:
+                lo = mid
+            else:
+                hi = mid
+        if deflated:
+            continue
+        best = lo if best is None else max(best, lo)
+        break
+    return best
+
+
+def reference_sign_on_ray(f, beta):
+    """sign_on_ray with the shift fast path and the Sturm search over the rationals."""
+    g = reference_mul(f.num, f.den) if isinstance(f, RatFunc) else f
+    if g.is_zero:
+        return RaySign(ZERO_IDENTICALLY)
+    cs = reference_shift(g, beta).coeffs
+    if cs[0] > 0 and all(c >= 0 for c in cs):
+        return RaySign(POSITIVE_ON_RAY)
+    if cs[0] < 0 and all(c <= 0 for c in cs):
+        return RaySign(NEGATIVE_ON_RAY)
+    bound = reference_floor_largest_root(g, beta)
+    if bound is None:
+        return RaySign(POSITIVE_ON_RAY if reference_eval(g, beta) > 0 else NEGATIVE_ON_RAY)
+    return RaySign(MIXED, witness_bound=bound)
+
+
+def is_positive_multiple(ints, p):
+    """Whether the integer coefficient list ints is c * p for a constant c > 0."""
+    q = Poly(ints)
+    if q.is_zero or p.is_zero:
+        return q.is_zero and p.is_zero
+    ratio = q.leading / p.leading
+    return ratio > 0 and q == reference_mul(p, Poly((ratio,)))
+
+
+def ray_battery():
+    """500 (integer polynomial, beta) pairs, a third or so of them mixed."""
+    rng = random.Random("ray-sign-battery")
+    for _ in range(500):
+        degree = rng.randint(0, 6)
+        p = Poly([rng.randint(-10, 10) for _ in range(degree + 1)])
+        yield p, rng.randint(1, 4)
+
+
+def rational_battery():
+    rng = random.Random("rational-ray-signs")
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        p = Poly([Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(size)])
+        yield p, rng.randint(1, 5)
+
+
+def pole_battery():
+    """Rational functions with a denominator root on the ray [beta, inf).
+
+    Some numerators share that root, which then cancels.
+    """
+    rng = random.Random("ray-sign-poles")
+    for _ in range(200):
+        beta = rng.randint(1, 5)
+        pole = Fraction(rng.randint(3 * beta, 3 * beta + 18), rng.choice([1, 3]))
+        cofactor = Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] + [1])
+        num = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.4:
+            num = reference_mul(num, B - pole)
+        yield RatFunc(num, reference_mul(B - pole, cofactor)), beta
+
+
+def repeated_root_battery():
+    """Products of repeated integer and rational roots at, below and beyond beta."""
+    rng = random.Random("ray-sign-repeated-roots")
+    for _ in range(200):
+        beta = rng.randint(1, 6)
+        p = Poly((rng.choice([-3, -1, Fraction(1, 2), 2]),))
+        for _ in range(rng.randint(1, 3)):
+            offset = rng.choice([-2, -1, 0, 0, 1, 4])
+            root = beta + offset + rng.choice([0, 0, Fraction(1, 2), Fraction(2, 3)])
+            p = reference_mul(p, (B - root) ** rng.randint(1, 3))
+        if rng.random() < 0.3:
+            p = reference_mul(p, B * B + 1)
+        yield p, beta
 
 
 def reference_split_tokens(line):
@@ -84,13 +253,13 @@ def reference_primitive_ints(p):
 
 
 def reference_ratfunc(num, den):
-    """(num, den) of num/den normalised through a gcd, divide_exact and a Fraction scale."""
+    """(num, den) of num/den normalised through a gcd, long division and a Fraction scale."""
     if num.is_zero:
         return Poly(), Poly((1,))
-    g = num.gcd(den)
+    g = reference_gcd(num, den)
     if g.degree >= 1:
-        num = num.divide_exact(g)
-        den = den.divide_exact(g)
+        num = reference_divmod(num, g)[0]
+        den = reference_divmod(den, g)[0]
     ints = reference_primitive_ints(den)
     if ints[-1] < 0:
         ints = [-v for v in ints]
@@ -147,10 +316,66 @@ class TestPoly:
         with pytest.raises(ValueError):
             (B * B + 1).divide_exact(B - 1)
 
-    def test_divmod(self):
-        q, r = divmod(B * B * B - 2 * B + 5, B - 1)
-        assert q * (B - 1) + r == B * B * B - 2 * B + 5
-        assert r.degree < 1
+    def test_no_fraction_division_path(self):
+        for name in ("__divmod__", "__floordiv__", "__mod__"):
+            assert not hasattr(Poly, name)
+
+    @given(polys, nonzero_polys, polys)
+    def test_divide_exact_and_sturm_remainders_equal_reference(self, p, d, extra):
+        quo, rem = reference_divmod(p, d)
+        if rem.is_zero:
+            assert p.divide_exact(d) == quo
+        else:
+            with pytest.raises(ValueError):
+                p.divide_exact(d)
+        assert reference_mul(p, d).divide_exact(d) == p
+        # p's numerators are p times its denominator; the divisor's scale
+        # does not change the remainder.
+        scaled_rem = reference_mul(rem, Poly((p.denominator,)))
+        assert is_positive_multiple(_int_pseudo_rem(p.numerators, d.numerators), scaled_rem)
+        q = reference_mul(p, d) + extra
+        if q.degree >= 1:
+            chain = _sturm_chain(list(q.numerators))
+            reference = reference_sturm_chain(q)
+            assert len(chain) == len(reference)
+            assert all(map(is_positive_multiple, chain, reference))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(10**15), 10**15),
+                st.fractions(max_denominator=10**12),
+                st.sampled_from([0, Fraction(0), Fraction(-1, 10**12)]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_storage_gives_the_reduced_fractions(self, cs):
+        expected = [Fraction(c) for c in cs]
+        while expected and not expected[-1]:
+            expected.pop()
+        p = Poly(cs)
+        assert p.coeffs == tuple(expected)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert format_scalar(p) == "[" + ",".join(map(str, expected or [0])) + "]"
+        # The same polynomial through the arithmetic kernels is the same value.
+        built = sum((Poly((c,)) * B**k for k, c in enumerate(cs)), Poly())
+        assert built == p and hash(built) == hash(p)
+        assert (built.numerators, built.denominator) == (p.numerators, p.denominator)
+        if len(expected) <= 1:
+            value = expected[0] if expected else Fraction(0)
+            assert p == value and hash(p) == hash(value)
+            assert p != value + Fraction(1, 10**12)
+        else:
+            assert hash(p) == hash(tuple(expected))
+            assert p != expected[0]
+        assert p.denominator > 0 and math.gcd(p.denominator, *p.numerators) == 1
+        assert not p.numerators or p.numerators[-1]
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+    def test_rejects_inexact_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            Poly((1, bad))
 
     def test_pow(self):
         assert (B + 1) ** 3 == B * B * B + 3 * B * B + 3 * B + 1
@@ -306,13 +531,9 @@ class TestSignOnRay:
             sign_on_ray(B, 0)
 
     def test_agrees_with_integer_evaluation(self):
-        rng = random.Random("ray-sign-battery")
         mixed_seen = 0
         sturm_positive_seen = 0
-        for _ in range(500):
-            degree = rng.randint(0, 6)
-            p = Poly([rng.randint(-10, 10) for _ in range(degree + 1)])
-            beta = rng.randint(1, 4)
+        for p, beta in ray_battery():
             rs = sign_on_ray(p, beta)
             samples = [p.eval(x) for x in range(beta, beta + 51)]
             if rs.verdict == POSITIVE_ON_RAY:
@@ -335,6 +556,32 @@ class TestSignOnRay:
                 assert value != 0 and (value > 0) == (p.leading > 0)
         assert mixed_seen > 50
         assert sturm_positive_seen > 50
+
+    @pytest.mark.parametrize(
+        "battery", [ray_battery, rational_battery, pole_battery, repeated_root_battery]
+    )
+    def test_matches_fraction_sturm_reference(self, battery):
+        verdicts = []
+        for f, beta in battery():
+            rs = sign_on_ray(f, beta)
+            assert rs == reference_sign_on_ray(f, beta), (f, beta)
+            verdicts.append(rs.verdict)
+        assert verdicts.count(MIXED) > 20
+        assert verdicts.count(POSITIVE_ON_RAY) + verdicts.count(NEGATIVE_ON_RAY) > 20
+
+
+    def test_root_isolation_builds_no_fraction(self, monkeypatch):
+        cases = [(f.num * f.den if isinstance(f, RatFunc) else f, beta)
+                 for battery in (pole_battery, repeated_root_battery)
+                 for f, beta in battery()]
+        expected = [reference_floor_largest_root(g, beta) for g, beta in cases]
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built during root isolation")
+
+        monkeypatch.setattr(exact, "Fraction", NoFraction)
+        assert [exact._floor_largest_root_at_least(g, beta) for g, beta in cases] == expected
 
 
 class TestScalarSign:
