@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elimination import cross_symmetric_eliminate, verdict_to_doc
-from .exact import Poly, _int_mul, _over_common_denominator, _poly
+from .exact import Poly, _int_mul, _over_common_denominator, _poly, as_rational
 from .matrix import Matrix
 from .verdicts import (
     INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -56,7 +56,7 @@ def binomial_poly(alpha, beta, k: int) -> Poly:
     if k < 0:
         raise ValueError("k must be >= 0")
     # alpha = a / d and beta = c / d, so each factor is (a - m*d + c*b) / d.
-    (a, c), d = _over_common_denominator((Fraction(alpha), Fraction(beta)))
+    (a, c), d = _over_common_denominator((as_rational(alpha), as_rational(beta)))
     return _poly(_falling_product(a, c, k, d), d**k * math.factorial(k))
 
 

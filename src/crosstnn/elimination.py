@@ -17,8 +17,6 @@ Two independent oracles accompany it: the classical Neville test
 
 from __future__ import annotations
 
-import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,20 +25,13 @@ from .exact import (
     Poly,
     RatFunc,
     SignUndecidedOnRay,
-    _int_add,
-    _int_mul,
-    _int_sub,
-    _numeric_reduce,
-    _over_common_denominator,
-    _poly,
-    _symbolic_reduce,
     format_scalar,
     parse_int,
     parse_list,
     parse_scalar,
     scalar_sign,
 )
-from .matrix import Matrix, determinant, is_cross_symmetric, w0
+from .matrix import _NUMERIC, _SYMBOLIC, Matrix, determinant, is_cross_symmetric, w0
 from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
@@ -256,10 +247,10 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     * a nonpositive entry on the final diagonal.
 
     Each row is held as integer numerators over one row denominator (see
-    :class:`_RowKernel`); reduced scalars are built only for the values
-    that are sign-queried or recorded.  Every intermediate matrix is
-    cross-symmetric, so row w0(s+1) is row s+1 reversed and only row s+1
-    is computed.
+    :class:`crosstnn.matrix._RowKernel`); reduced scalars are built only
+    for the values that are sign-queried or recorded.  Every intermediate
+    matrix is cross-symmetric, so row w0(s+1) is row s+1 reversed and only
+    row s+1 is computed.
 
     Singularity is decided only when the sweep does not certify: a bridge
     step has determinant 1 and a center step 1 - c^2 with 0 < c < 1, so a
@@ -278,8 +269,11 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     steps: list = []
 
     def finish(verdict: Verdict) -> EliminationRun:
-        # Not certified: only now is singularity worth deciding.
-        if kernel.singular(rows, dens, swept):
+        # Not certified: only now is singularity worth deciding.  Columns
+        # 1..swept are zero below the diagonal, so the rows are singular iff
+        # a diagonal entry there is zero or the block past them is singular.
+        rest = [(row[swept:], den) for row, den in zip(rows[swept:], dens[swept:])]
+        if not all(rows[k][k] for k in range(swept)) or kernel.pivots(rest) is None:
             return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
         return EliminationRun(verdict, tuple(steps), A)
 
@@ -354,95 +348,6 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
 
 
-# -- the row kernel ----------------------------------------------------
-#
-# A numeric row is a list of ints over a positive int.  A symbolic row is
-# a list of integer coefficient lists (ascending by degree, [] for zero)
-# over one such list.  Both kinds share the update formula and the
-# singularity test; only the ring operations and the common-factor
-# removal differ.
-
-
-class _RowKernel:
-    """The ring operations of one row kind, and the row routines built on them.
-
-    ``start`` turns a row of matrix entries into (numerators, denominator),
-    ``reduce`` removes the common factor of numerators and denominator,
-    and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
-    numerator over a denominator.
-    """
-
-    __slots__ = ("mul", "add", "sub", "start", "reduce", "scalar")
-
-    def __init__(self, mul, add, sub, start, reduce, scalar):
-        self.mul, self.add, self.sub = mul, add, sub
-        self.start, self.reduce, self.scalar = start, reduce, scalar
-
-    def combine(self, P, T: list, dT, B, S: list) -> tuple:
-        """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
-
-        With P and B the numerators in one column of S and of T, this
-        clears that column of T whatever the denominator of S.
-        """
-        mul, sub = self.mul, self.sub
-        return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
-
-    def singular(self, rows: list, dens: list, swept: int) -> bool:
-        """Whether the rows are linearly dependent.
-
-        Columns 1..swept are zero below the diagonal, so the rows are
-        singular iff a diagonal entry there is zero or the block past
-        ``swept`` is singular; the block is eliminated with :meth:`combine`.
-        """
-        if not all(rows[k][k] for k in range(swept)):
-            return True
-        block = [(row[swept:], den) for row, den in zip(rows[swept:], dens[swept:])]
-        while block:
-            k = next((k for k, (row, _) in enumerate(block) if row[0]), None)
-            if k is None:
-                return True
-            S, _ = block.pop(k)
-            block = [
-                self.combine(S[0], T[1:], dT, T[0], S[1:]) if T[0] else (T[1:], dT)
-                for T, dT in block
-            ]
-        return False
-
-
-def _symbolic_start(entries) -> tuple:
-    # Entry k is p_k / (d_k * q_k): integer numerators p_k over the integer
-    # d_k, and q_k the entry's denominator in Z[b].  The row starts over
-    # lcm(d_k) times the product of the q_k.
-    parts = [(e, [1]) if isinstance(e, Poly) else (e.num, list(e.den.numerators)) for e in entries]
-    d = math.lcm(*(p.denominator for p, _ in parts))
-    nums, q_product = [], [1]
-    for p, q in parts:
-        if q != [1]:
-            nums = [_int_mul(v, q) for v in nums]
-        nums.append(_int_mul([v * (d // p.denominator) for v in p.numerators], q_product))
-        q_product = _int_mul(q_product, q)
-    return _symbolic_reduce(nums, [d * v for v in q_product])
-
-
-_NUMERIC = _RowKernel(
-    mul=operator.mul,
-    add=operator.add,
-    sub=operator.sub,
-    start=_over_common_denominator,
-    reduce=_numeric_reduce,
-    scalar=Fraction,
-)
-
-_SYMBOLIC = _RowKernel(
-    mul=_int_mul,
-    add=_int_add,
-    sub=_int_sub,
-    start=_symbolic_start,
-    reduce=_symbolic_reduce,
-    scalar=lambda num, den: RatFunc(_poly(num), _poly(den)),
-)
-
-
 def cross_symmetric_eliminate(A: Matrix, ray: int | None = None) -> Verdict:
     """Test an invertible cross-symmetric matrix for total nonnegativity.
 
@@ -464,6 +369,11 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     is inapplicable.  No factorization is produced.  Witness positions
     for the second pass refer to the transposed matrix.
 
+    The steps are unpaired, but the rows are held and updated on the
+    sweep's row kernel, and reduced scalars are built only for the values
+    that are sign-queried or recorded: the entry below a pivot, the
+    multiplier and the final diagonal.
+
     Singularity is decided only when the test does not certify: the first
     pass applies unit lower-triangular row operations and reaches an upper
     triangular matrix with a positive diagonal, so a certified run proves
@@ -479,39 +389,32 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
 
 def _neville_passes(A: Matrix, ray: int | None) -> Verdict:
     n = A.n
+    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    scalar = kernel.scalar
     try:
-        for M in (A, A.transpose()):
-            rows = [list(r) for r in M.rows]
+        for entries in (A.rows, zip(*A.rows)):
+            rows, dens = map(list, zip(*map(kernel.start, entries)))
             for t in range(n - 1):
                 for i in range(n - 1, t, -1):
-                    x = rows[i][t]
-                    if x == 0:
+                    B = rows[i][t]
+                    if not B:
                         continue
-                    above = rows[i - 1][t]
-                    if above == 0:
+                    below = scalar(B, dens[i])
+                    P = rows[i - 1][t]
+                    if not P:
                         return NotTnn(
-                            Witness(
-                                REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=x
-                            )
+                            Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=below)
                         )
-                    multiplier = x / above
+                    multiplier = below / scalar(P, dens[i - 1])
                     if scalar_sign(multiplier, ray) < 0:
                         return NotTnn(
-                            Witness(
-                                REASON_NEGATIVE_MULTIPLIER,
-                                s=i,
-                                t=t + 1,
-                                value=multiplier,
-                            )
+                            Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=multiplier)
                         )
-                    rows[i] = [a - multiplier * b for a, b in zip(rows[i], rows[i - 1])]
+                    rows[i], dens[i] = kernel.combine(P, rows[i], dens[i], B, rows[i - 1])
             for d in range(n):
-                if scalar_sign(rows[d][d], ray) <= 0:
-                    return NotTnn(
-                        Witness(
-                            REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=rows[d][d]
-                        )
-                    )
+                diagonal = scalar(rows[d][d], dens[d])
+                if scalar_sign(diagonal, ray) <= 0:
+                    return NotTnn(Witness(REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=diagonal))
     except SignUndecidedOnRay as exc:
         return Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
     return TotallyNonnegative()

@@ -201,9 +201,9 @@ class Poly:
 
     def eval(self, point) -> Fraction:
         """Exact value at a rational point (Horner over the integers)."""
+        x = as_rational(point)
         if not self.numerators:
             return Fraction(0)
-        x = Fraction(point)
         p, q = x.numerator, x.denominator
         # acc = sum a_k p^k q^(m-k): each numerator from the top takes one
         # more factor q than the one above it.
@@ -222,7 +222,7 @@ class Poly:
         coefficients; shifting those by r in place and multiplying
         coefficient k by s^k puts q over the denominator s^m.
         """
-        offset = Fraction(offset)
+        offset = as_rational(offset)
         r, s = offset.numerator, offset.denominator
         m = self.degree
         if m < 0:
@@ -557,6 +557,15 @@ class RatFunc:
         if self.den == Poly((1,)):
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def as_rational(x) -> Fraction:
+    """Coerce an int or ``Fraction`` to a ``Fraction``; a float is rejected, not rounded."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational (int or Fraction): {x!r}")
 
 
 def _as_poly(x) -> Poly:

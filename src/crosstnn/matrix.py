@@ -13,14 +13,23 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .exact import (
     Poly,
     RatFunc,
     SignUndecidedOnRay,
+    _as_poly,
+    _int_add,
+    _int_mul,
+    _int_sub,
+    _numeric_reduce,
     _over_common_denominator,
+    _poly,
+    _symbolic_reduce,
     as_ratfunc,
+    as_rational,
     format_scalar,
     parse_int,
     parse_scalar,
@@ -61,24 +70,22 @@ class Matrix:
     Entries are coerced to a homogeneous scalar kind at construction:
     plain integers become rationals, and the presence of any polynomial
     (or rational-function) entry lifts the whole matrix to that kind.
+    Any other entry, a float included, raises ``TypeError``.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = [list(r) for r in rows]
+        rows = [tuple(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with n >= 1")
-        flat = [x for r in rows for x in r]
-        if any(isinstance(x, RatFunc) for x in flat):
-            rows = [[as_ratfunc(x) for x in r] for r in rows]
-        elif any(isinstance(x, Poly) for x in flat):
-            rows = [[x if isinstance(x, Poly) else Poly((x,)) for x in r] for r in rows]
-        else:
-            rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if kinds != {Fraction}:
+            lift = as_ratfunc if RatFunc in kinds else _as_poly if Poly in kinds else as_rational
+            rows = [tuple(map(lift, r)) for r in rows]
         self.n = n
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -155,43 +162,120 @@ def is_cross_symmetric(A: Matrix) -> bool:
     return flat[:half] == flat[: -half - 1 : -1]
 
 
+# -- the row kernel ----------------------------------------------------
+#
+# Every elimination in the package runs on one row kernel: the
+# symmetry-preserving sweep, the Neville test, and the determinant.  A
+# numeric row is a list of ints over a positive int.  A symbolic row is a
+# list of integer coefficient lists (ascending by degree, [] for zero)
+# over one such list.  Both kinds share the update formula and the pivot
+# search; only the ring operations and the common-factor removal differ.
+
+
+class _RowKernel:
+    """The ring operations of one row kind, and the row routines built on them.
+
+    ``start`` turns a row of matrix entries into (numerators, denominator),
+    ``reduce`` removes the common factor of numerators and denominator,
+    and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
+    numerator over a denominator.
+    """
+
+    __slots__ = ("mul", "add", "sub", "start", "reduce", "scalar")
+
+    def __init__(self, mul, add, sub, start, reduce, scalar):
+        self.mul, self.add, self.sub = mul, add, sub
+        self.start, self.reduce, self.scalar = start, reduce, scalar
+
+    def combine(self, P, T: list, dT, B, S: list) -> tuple:
+        """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
+
+        With P and B the numerators in one column of S and of T, this
+        clears that column of T whatever the denominator of S.
+        """
+        mul, sub = self.mul, self.sub
+        return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
+
+    def pivots(self, block: list):
+        """Eliminate (row, denominator) pairs: None if singular, else (sign, pivots).
+
+        Each column pivots on its first nonzero row, which moves to the
+        front, and clears that column of the rows after it with
+        :meth:`combine`.  ``sign`` is the sign of the row permutation, and
+        each pivot is a (numerator, denominator) pair, so the determinant
+        is ``sign`` times the product of the pivots.
+        """
+        sign, out = 1, []
+        while block:
+            k = next((k for k, (row, _) in enumerate(block) if row[0]), None)
+            if k is None:
+                return None
+            S, dS = block.pop(k)
+            if k % 2:
+                sign = -sign
+            out.append((S[0], dS))
+            block = [
+                self.combine(S[0], T[1:], dT, T[0], S[1:]) if T[0] else (T[1:], dT)
+                for T, dT in block
+            ]
+        return sign, out
+
+
+def _symbolic_start(entries) -> tuple:
+    # Entry k is p_k / (d_k * q_k): integer numerators p_k over the integer
+    # d_k, and q_k the entry's denominator in Z[b].  The row starts over
+    # lcm(d_k) times the product of the q_k.
+    parts = [(e, [1]) if isinstance(e, Poly) else (e.num, list(e.den.numerators)) for e in entries]
+    d = math.lcm(*(p.denominator for p, _ in parts))
+    nums, q_product = [], [1]
+    for p, q in parts:
+        if q != [1]:
+            nums = [_int_mul(v, q) for v in nums]
+        nums.append(_int_mul([v * (d // p.denominator) for v in p.numerators], q_product))
+        q_product = _int_mul(q_product, q)
+    return _symbolic_reduce(nums, [d * v for v in q_product])
+
+
+_NUMERIC = _RowKernel(
+    mul=operator.mul,
+    add=operator.add,
+    sub=operator.sub,
+    start=_over_common_denominator,
+    reduce=_numeric_reduce,
+    scalar=Fraction,
+)
+
+_SYMBOLIC = _RowKernel(
+    mul=_int_mul,
+    add=_int_add,
+    sub=_int_sub,
+    start=_symbolic_start,
+    reduce=_symbolic_reduce,
+    scalar=lambda num, den: RatFunc(_poly(num), _poly(den)),
+)
+
+
 def _det_rows(rows):
     # The routine behind determinant and minor; see determinant.
-    if isinstance(rows[0][0], (Poly, RatFunc)):
-        m = [[as_ratfunc(x) for x in r] for r in rows]
-        det = RatFunc(Poly((1,)))
-    else:
-        m = [list(r) for r in rows]
-        det = Fraction(1)
-    n = len(m)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            return m[k][k]  # a zero of the entries' kind
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        top = m[k]
-        det = det * top[k]
-        for row in m[k + 1 :]:
-            if row[k]:
-                factor = row[k] / top[k]
-                row[k + 1 :] = [
-                    x - factor * y if y else x for x, y in zip(row[k + 1 :], top[k + 1 :])
-                ]
+    symbolic = isinstance(rows[0][0], (Poly, RatFunc))
+    kernel = _SYMBOLIC if symbolic else _NUMERIC
+    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (0, ())
+    det = as_ratfunc(sign) if symbolic else Fraction(sign)
+    for p, d in pivots:
+        det = det * kernel.scalar(p, d)
     return det
 
 
 def determinant(A: Matrix):
     """Exact determinant; zero iff singular (identically zero for symbolic entries).
 
-    One Gaussian elimination over the field of the entries: ``Fraction``
-    for numeric matrices, ``RatFunc`` for symbolic ones (``Poly`` entries
-    are lifted first).  Each column pivots on its first nonzero entry, a
-    row swap negates the result, and the result is the signed product of
-    the pivots.  Numeric matrices give a ``Fraction``; symbolic ones
-    always give a reduced ``RatFunc``, whose denominator is 1 whenever
-    the entries are polynomials.  :func:`minor` uses the same routine.
+    One elimination on the row kernel: each row is held as integer
+    numerators over one row denominator (polynomials over Z for symbolic
+    matrices), each column pivots on its first nonzero row, and the
+    result is the sign of the row permutation times the product of the
+    pivots.  Numeric matrices give a ``Fraction``; symbolic ones always
+    give a reduced ``RatFunc``, whose denominator is 1 whenever the
+    entries are polynomials.  :func:`minor` uses the same routine.
     """
     return _det_rows(A.rows)
 

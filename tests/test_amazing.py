@@ -45,6 +45,13 @@ class TestBinomialPoly:
     def test_degree(self):
         assert binomial_poly(2, 1, 4).degree == 4
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None])
+    def test_rejects_inexact_arguments(self, bad):
+        with pytest.raises(TypeError):
+            binomial_poly(bad, 1, 1)
+        with pytest.raises(TypeError):
+            binomial_poly(1, bad, 1)
+
     def test_matches_comb_on_a_grid(self):
         # math.comb(top, k) is 0 for 0 <= top < k, matching the vanishing factor
         for alpha in range(0, 5):

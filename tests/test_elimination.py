@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_cross_symmetric
+from hypothesis import given, settings
+from conftest import matrices_on_rays, random_cross_symmetric, reference_determinant
 
 from crosstnn import (
     Atom,
@@ -33,7 +34,7 @@ from crosstnn import (
 )
 from crosstnn.elimination import EliminationRun, verdict_to_doc
 from crosstnn.exact import SignUndecidedOnRay, scalar_sign
-from crosstnn.matrix import determinant
+from crosstnn.matrix import _RowKernel
 from crosstnn.verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
     INAPPLICABLE_SINGULAR,
@@ -263,6 +264,22 @@ class TestSingularity:
             assert isinstance(neville_tnn_test(A, ray=ray), TotallyNonnegative)
         assert calls == []
 
+    def test_certified_runs_eliminate_no_pivots(self, monkeypatch):
+        calls = []
+        real = _RowKernel.pivots
+        monkeypatch.setattr(_RowKernel, "pivots", lambda *args: calls.append(args) or real(*args))
+        assert verify_amazing(5).overall == "certified"
+        for n in range(1, 6):
+            for A in (amazing_matrix(n, 3, scaled=True), random_certified_tnn(n, seed=n)[0]):
+                assert isinstance(eliminate_detailed(A).verdict, TotallyNonnegative)
+                assert isinstance(neville_tnn_test(A), TotallyNonnegative)
+        assert isinstance(neville_tnn_test(amazing_matrix_symbolic(4), ray=4), TotallyNonnegative)
+        assert calls == []
+        # A refutation decides singularity through the same routine.
+        assert isinstance(neville_tnn_test(Matrix([[1, 2], [3, 4]])), NotTnn)
+        assert isinstance(eliminate_detailed(Matrix([[1, 2], [2, 1]])).verdict, NotTnn)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("A, ray", SINGULAR)
     def test_singular_is_inapplicable_without_steps(self, A, ray):
         run = eliminate_detailed(A, ray=ray)
@@ -423,7 +440,7 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
 
     def finish(verdict: Verdict) -> EliminationRun:
         # Not certified: only now is singularity worth deciding.
-        if determinant(A) == 0:
+        if reference_determinant(A.rows) == 0:
             return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
         return EliminationRun(verdict, tuple(steps), A)
 
@@ -535,6 +552,49 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
     )
     fact = Factorization(n=n, atoms=atoms, diagonal=diag)
     return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
+
+
+def reference_neville(A: Matrix, ray=None) -> Verdict:
+    """The Neville test over Fraction/RatFunc rows, with det A on every other exit.
+
+    Each step subtracts the multiplier times the row above, entry by
+    entry; neville_tnn_test must give the same verdicts and witnesses.
+    """
+    n = A.n
+
+    def passes() -> Verdict:
+        for M in (A, A.transpose()):
+            rows = [list(r) for r in M.rows]
+            for t in range(n - 1):
+                for i in range(n - 1, t, -1):
+                    x = rows[i][t]
+                    if x == 0:
+                        continue
+                    above = rows[i - 1][t]
+                    if above == 0:
+                        return NotTnn(
+                            Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=x)
+                        )
+                    multiplier = x / above
+                    if scalar_sign(multiplier, ray) < 0:
+                        return NotTnn(
+                            Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=multiplier)
+                        )
+                    rows[i] = [a - multiplier * b for a, b in zip(rows[i], rows[i - 1])]
+            for d in range(n):
+                if scalar_sign(rows[d][d], ray) <= 0:
+                    return NotTnn(
+                        Witness(REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=rows[d][d])
+                    )
+        return TotallyNonnegative()
+
+    try:
+        verdict = passes()
+    except SignUndecidedOnRay as exc:
+        verdict = Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
+    if isinstance(verdict, TotallyNonnegative) or reference_determinant(A.rows) != 0:
+        return verdict
+    return Inapplicable(INAPPLICABLE_SINGULAR)
 
 
 def _atom_product(rng, n):
@@ -657,3 +717,48 @@ class TestAgainstReference:
         assert verdict_to_doc(run.verdict) == {"verdict": "inapplicable", "reason": "singular"}
         assert run.steps == ()
         self.assert_same(M)
+
+
+class TestNevilleAgainstReference:
+    """The row-kernel Neville test gives the reference's verdicts and witnesses."""
+
+    @staticmethod
+    def assert_same(A, ray=None):
+        ref = reference_neville(A, ray=ray)
+        assert verdict_to_doc(neville_tnn_test(A, ray=ray)) == verdict_to_doc(ref)
+        return ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices_on_rays())
+    def test_random_matrices(self, case):
+        self.assert_same(*case)
+
+    def test_random_numeric_matrices(self):
+        seen = set()
+        for A in _random_numeric_inputs():
+            for M in (A, A.transpose()):
+                verdict = self.assert_same(M)
+                seen.add(verdict.witness.reason if isinstance(verdict, NotTnn) else getattr(verdict, "reason", None))
+        assert seen == {
+            REASON_NEGATIVE_MULTIPLIER,
+            REASON_ZERO_PIVOT_NONZERO_BELOW,
+            REASON_NONPOSITIVE_DIAGONAL,
+            INAPPLICABLE_SINGULAR,
+            None,
+        }
+
+    def test_symbolic_carries_matrices(self):
+        reasons = set()
+        for n in range(1, 8):
+            A = amazing_matrix_symbolic(n)
+            for ray in sorted({1, 2, n}):
+                for M in (A, _negate_mirrored(A, n - 1, 0)):
+                    verdict = self.assert_same(M, ray=ray)
+                    reasons.add(type(verdict).__name__)
+        assert reasons == {"TotallyNonnegative", "NotTnn", "Inapplicable"}
+
+    @pytest.mark.parametrize("ray", [1, 2, 3, 4])
+    def test_rational_function_entries(self, ray):
+        A = _symbolic_rational_matrix()
+        self.assert_same(A, ray=ray)
+        self.assert_same(_negate_mirrored(A, 2, 1), ray=ray)

@@ -377,6 +377,18 @@ class TestPoly:
         with pytest.raises(TypeError):
             Poly((1, bad))
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+    def test_eval_rejects_inexact_points(self, bad):
+        with pytest.raises(TypeError):
+            (B * B + 1).eval(bad)
+        with pytest.raises(TypeError):
+            Poly().eval(bad)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+    def test_shift_rejects_inexact_offsets(self, bad):
+        with pytest.raises(TypeError):
+            (B * B + 1).shift(bad)
+
     def test_pow(self):
         assert (B + 1) ** 3 == B * B * B + 3 * B * B + 3 * B + 1
 
@@ -473,6 +485,11 @@ class TestRatFunc:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(B, Poly())
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+    def test_eval_rejects_inexact_points(self, bad):
+        with pytest.raises(TypeError):
+            RatFunc(B - 1, B + 1).eval(bad)
 
     def test_field_arithmetic(self):
         f = RatFunc(B - 1, B + 1)

@@ -1,10 +1,12 @@
 """Pinned sha256 digests of reports, certificates and traces.
 
 The digests were recorded on the code before the integer row kernel
-replaced the Fraction/RatFunc row sweep, and the ``check --method
-minors`` ones before the expansion sweep replaced one elimination per
-minor; both must print the same bytes.  Any change to a digest here is a
-change to the program's output.
+replaced the Fraction/RatFunc row sweep, the ``check --method minors``
+ones before the expansion sweep replaced one elimination per minor, and
+the ``check --method neville`` and determinant ones before the Neville
+test and the determinant moved onto the row kernel; each must print the
+same bytes.  Any change to a digest here is a change to the program's
+output.
 """
 
 import hashlib
@@ -16,7 +18,8 @@ import pytest
 from crosstnn import amazing_matrix, amazing_matrix_symbolic, matrix_to_text
 from crosstnn.amazing import report_to_doc, verify_amazing
 from crosstnn.cli import main
-from crosstnn.matrix import Matrix
+from crosstnn.exact import format_scalar
+from crosstnn.matrix import Matrix, determinant
 
 REPORT_DIGESTS = {
     1: "95624123c5c41f94d23e42f21b0101a530e984a6c40f3097d43ec899b122668d",
@@ -69,6 +72,49 @@ MINORS_DIGESTS = {
     "symbolic-ray5": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
 }
 
+# check --method neville stdout on the minors cases, one zero pivot above a
+# nonzero entry, and one refutation found only in the transposed pass.
+NEVILLE_DIGESTS = {
+    "carries": "a27e85cfc05fae6fdc4a5a5d565b3416046c989da6ea3dc76f718df138d89fab",
+    "carries-flipped": "7610494989abd90cad209120f237295ed7a507d53d4090c8c6298febeeadee60",
+    "singular": "262719e40d2c295dc6f1caaedcc03ad4328cf5e538b57a216888781694ea3688",
+    "mixed-denominators": "dc4237f604feb1ae0f6405dfbb5d4eedbe8df9d2ddddf08f6e5f48ded6e32e17",
+    "symbolic-ray2": "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+    "symbolic-ray5": "a27e85cfc05fae6fdc4a5a5d565b3416046c989da6ea3dc76f718df138d89fab",
+    # rows 2 and 3 hold 3 below a zero pivot after one step: s=2, t=2
+    "zero-pivot": "44c0af3f7341ad0aede467828863dbb5f7271b8ebed1799bd904f429bd306aa7",
+    # upper triangular, so only the transpose is refuted: s=2, t=2, -3/2
+    "transposed-pass": "628241a8fdf7b5bf45e95ef2a5c056383694e134d6217257d4bf4f741a3b1500",
+}
+
+# format_scalar(determinant(...)) of the symbolic carries matrices
+SYMBOLIC_DETERMINANT_DIGESTS = {
+    1: "463f2998327eb3a694145e6014444480b2235be84aa6cfd57871cc64f1cd816c",
+    2: "4a09c971672901816cf9043fd2d02e6bf4657585be4be39027eabad7e7e11752",
+    3: "c3f169a77e93176285025f7e430dce9194466af9bc8e81c5657d9f73e9e9e039",
+    4: "2aaf7d186b55273c338f410081e57b7f6942c2c55d33968e71b1da06df3862e2",
+    5: "5e94673a54a7bf4a603e42b8a1dbeb146aeee291e3bb72802faed4244b3ca368",
+    6: "c61d27625786a2b4c7bf37b4b61434d07a471c5e5d5736f2f0b78445c709c165",
+    7: "379aeb674ba3e1ddd514d93f5d36dea94e5f96b937160dc88ebcf19433118ad2",
+    8: "f7b5b4849ec20ac27c78ef6f3babc321b8ffec9c8bcffe9d722c620da496bd98",
+}
+
+# ... and of the scaled carries matrices at b = 10
+SCALED_DETERMINANT_DIGESTS = {
+    1: "4a44dc15364204a80fe80e9039455cc1608281820fe2b24f1e5233ade6af1dd5",
+    2: "40510175845988f13f6162ed8526f0b09f73384467fa855e1e79b44a56562a58",
+    3: "6cce36d9f8a9e151b100234af75cca89d55bcb94c153f51847debdf1f39cae45",
+    4: "e476a1537b03d06db3ffffdbe4ac07a137333c5f6ef58d7375a4238751d7c3d8",
+    5: "6a4ef24cb01aa0e97da4186c067128b828532db703db8872fa736a0cc0b363b1",
+    6: "b3c4d9d40b4c90b3995fea02caaf40503883e2b8b9aa1420063f090f42186f21",
+    7: "f4b26a702d2ce14451842e14f0434317791959dcea814df6c768dc0e65a958b8",
+    8: "5ff6853e63028ef824e12c67ceaecd1a92fc6abd43bb4234466dc67d2d86e1fc",
+    9: "be3c8b16491b4f29bbc9177f88d8bcfdac018990fd00c5d1aa726b6e9d335e89",
+    10: "f100b8b495505f1d57e11878aec19d8ea763869ef2251225597d5d791bb78cdd",
+    11: "1838511b447fd0d623b9dd5bbc71e407904dcd8aabee1c5e180fdc6bca2d72e0",
+    12: "33a420452cf23be88593b7b982173389819de6b24bd4f5a81e9db1cda1f6d9fe",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -82,19 +128,11 @@ def _negate_mirrored(A: Matrix, i: int, j: int) -> Matrix:
     return Matrix(rows)
 
 
-def _check_stdout(tmp_path, capsys, matrix: Matrix, *flags) -> str:
+def _method_stdout(tmp_path, capsys, method: str, matrix: Matrix, *flags) -> str:
     path = tmp_path / "matrix.txt"
     path.write_text(matrix_to_text(matrix), encoding="utf-8")
     capsys.readouterr()
-    main(["check", str(path), "--method", "cross", "--trace", *flags])
-    return capsys.readouterr().out
-
-
-def _minors_stdout(tmp_path, capsys, matrix: Matrix, *flags) -> str:
-    path = tmp_path / "matrix.txt"
-    path.write_text(matrix_to_text(matrix), encoding="utf-8")
-    capsys.readouterr()
-    main(["check", str(path), "--method", "minors", *flags])
+    main(["check", str(path), "--method", method, *flags])
     return capsys.readouterr().out
 
 
@@ -111,6 +149,8 @@ def _minors_case(name: str) -> tuple:
         ),
         "symbolic-ray2": (symbolic, "--ray", "2"),
         "symbolic-ray5": (symbolic, "--ray", "5"),
+        "zero-pivot": (Matrix([[1, 2, 0], [2, 4, 1], [0, 3, 1]]),),
+        "transposed-pass": (Matrix([[1, 2, 5], [0, 1, 1], [0, 0, 2]]),),
     }[name]
 
 
@@ -133,18 +173,35 @@ def test_large_check_traces(tmp_path, capsys, b, flip_row):
     A = amazing_matrix(40, b, scaled=True)
     if flip_row is not None:
         A = _negate_mirrored(A, flip_row, 19)
-    out = _check_stdout(tmp_path, capsys, A)
+    out = _method_stdout(tmp_path, capsys, "cross", A, "--trace")
     assert _sha256(out) == TRACE_DIGESTS[b, flip_row]
 
 
 @pytest.mark.parametrize("ray", list(SYMBOLIC_TRACE_DIGESTS))
 def test_symbolic_check_traces(tmp_path, capsys, ray):
-    out = _check_stdout(tmp_path, capsys, amazing_matrix_symbolic(5), "--ray", str(ray))
+    A = amazing_matrix_symbolic(5)
+    out = _method_stdout(tmp_path, capsys, "cross", A, "--trace", "--ray", str(ray))
     assert _sha256(out) == SYMBOLIC_TRACE_DIGESTS[ray]
 
 
 @pytest.mark.parametrize("name", list(MINORS_DIGESTS))
 def test_minors_check_outputs(tmp_path, capsys, name):
     matrix, *flags = _minors_case(name)
-    out = _minors_stdout(tmp_path, capsys, matrix, *flags)
+    out = _method_stdout(tmp_path, capsys, "minors", matrix, *flags)
     assert _sha256(out) == MINORS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(NEVILLE_DIGESTS))
+def test_neville_check_outputs(tmp_path, capsys, name):
+    matrix, *flags = _minors_case(name)
+    out = _method_stdout(tmp_path, capsys, "neville", matrix, *flags)
+    assert _sha256(out) == NEVILLE_DIGESTS[name]
+
+
+def test_determinants():
+    for n, digest in SYMBOLIC_DETERMINANT_DIGESTS.items():
+        text = format_scalar(determinant(amazing_matrix_symbolic(n)))
+        assert _sha256(text) == digest, f"symbolic n={n}"
+    for n, digest in SCALED_DETERMINANT_DIGESTS.items():
+        text = format_scalar(determinant(amazing_matrix(n, 10, scaled=True)))
+        assert _sha256(text) == digest, f"scaled n={n}"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosstnn import (
     Inapplicable,
@@ -28,7 +30,8 @@ from crosstnn import (
     w0,
     zero_pattern_violation,
 )
-from conftest import random_matrix
+from crosstnn.exact import format_scalar
+from conftest import matrices_on_rays, random_matrix, reference_determinant
 
 B = Poly.variable()
 
@@ -200,6 +203,36 @@ class TestDeterminant:
         assert minor(A, (1, 3), (1, 2)) == -(B + 1)
 
 
+def _assert_same_scalar(value, expected):
+    assert type(value) is type(expected)
+    assert format_scalar(value) == format_scalar(expected)
+
+
+class TestAgainstReference:
+    """The row-kernel determinant gives the field elimination's values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices_on_rays(), st.data())
+    def test_determinant_and_minor(self, case, data):
+        A, _ = case
+        _assert_same_scalar(determinant(A), reference_determinant(A.rows))
+        k = data.draw(st.integers(1, A.n))
+        index_set = st.lists(st.integers(1, A.n), min_size=k, max_size=k, unique=True).map(sorted)
+        rows_idx, cols_idx = data.draw(index_set), data.draw(index_set)
+        sub = [[A.entry(i, j) for j in cols_idx] for i in rows_idx]
+        _assert_same_scalar(minor(A, rows_idx, cols_idx), reference_determinant(sub))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_carries_matrices(self, n):
+        for A in (amazing_matrix_symbolic(n), amazing_matrix(n, 10, scaled=True)):
+            _assert_same_scalar(determinant(A), reference_determinant(A.rows))
+            for k in range(1, n + 1):
+                # the lower-left k x k corner
+                rows_idx, cols_idx = range(n - k + 1, n + 1), range(1, k + 1)
+                sub = [[A.entry(i, j) for j in cols_idx] for i in rows_idx]
+                _assert_same_scalar(minor(A, rows_idx, cols_idx), reference_determinant(sub))
+
+
 class TestBruteForce:
     def test_antidiagonal_permutation_refuted(self):
         verdict = brute_force_tnn(Matrix([[0, 1], [1, 0]]))
@@ -319,6 +352,17 @@ class TestMatrixClass:
         assert all(isinstance(x, Poly) for r in A.rows for x in r)
         assert A.is_symbolic
         assert not Matrix([[1, 2], [3, 4]]).is_symbolic
+        A = Matrix([[RatFunc(B, B + 1), B], [Fraction(1, 2), 3]])
+        assert all(isinstance(x, RatFunc) for r in A.rows for x in r)
+        A = Matrix([[True, 2], [Fraction(1, 2), 3]])
+        assert all(type(x) is Fraction for r in A.rows for x in r)
+        assert A.rows == ((1, 2), (Fraction(1, 2), 3))
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+    def test_rejects_inexact_entries(self, bad):
+        for rows in ([[bad]], [[1, bad], [2, 3]], [[B, bad], [2, 3]], [[RatFunc(B), bad], [2, 3]]):
+            with pytest.raises(TypeError):
+                Matrix(rows)
 
     def test_product_and_transpose(self):
         A = Matrix([[1, 2], [3, 4]])
