@@ -31,7 +31,7 @@ from .exact import (
     parse_scalar,
     scalar_sign,
 )
-from .matrix import _NUMERIC, _SYMBOLIC, Matrix, determinant, is_cross_symmetric, w0
+from .matrix import _NUMERIC, _SYMBOLIC, Matrix, is_cross_symmetric, w0
 from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
@@ -374,50 +374,55 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     that are sign-queried or recorded: the entry below a pivot, the
     multiplier and the final diagonal.
 
-    Singularity is decided only when the test does not certify: the first
-    pass applies unit lower-triangular row operations and reaches an upper
-    triangular matrix with a positive diagonal, so a certified run proves
-    det A > 0.  Every other exit computes det A.  A symbolic matrix needs
-    a ray: with ``ray=None`` the first sign query raises ``ValueError``,
-    singular matrices included.
+    Singularity is decided only when the test does not certify, and from
+    the test's own rows.  The first pass applies unit lower-triangular row
+    operations, so its rows keep det A at every point: an exit there runs
+    the row kernel's pivot search on them.  An exit in the second pass
+    needs no check, because the first pass reached an upper triangular
+    matrix with a positive diagonal, which proves det A > 0.  A symbolic
+    matrix needs a ray: with ``ray=None`` the first sign query raises
+    ``ValueError``, singular matrices included.
     """
-    verdict = _neville_passes(A, ray)
-    if isinstance(verdict, TotallyNonnegative) or determinant(A) != 0:
-        return verdict
-    return Inapplicable(INAPPLICABLE_SINGULAR)
-
-
-def _neville_passes(A: Matrix, ray: int | None) -> Verdict:
-    n = A.n
     kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    for first, entries in ((True, A.rows), (False, zip(*A.rows))):
+        rows, dens = map(list, zip(*map(kernel.start, entries)))
+        verdict = _neville_pass(kernel, rows, dens, ray)
+        if verdict is not None:
+            if first and kernel.pivots(list(zip(rows, dens))) is None:
+                return Inapplicable(INAPPLICABLE_SINGULAR)
+            return verdict
+    return TotallyNonnegative()
+
+
+def _neville_pass(kernel, rows: list, dens: list, ray: int | None) -> Verdict | None:
+    # One pass over (rows, dens) in place; None if it certifies.
+    n = len(rows)
     scalar = kernel.scalar
     try:
-        for entries in (A.rows, zip(*A.rows)):
-            rows, dens = map(list, zip(*map(kernel.start, entries)))
-            for t in range(n - 1):
-                for i in range(n - 1, t, -1):
-                    B = rows[i][t]
-                    if not B:
-                        continue
-                    below = scalar(B, dens[i])
-                    P = rows[i - 1][t]
-                    if not P:
-                        return NotTnn(
-                            Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=below)
-                        )
-                    multiplier = below / scalar(P, dens[i - 1])
-                    if scalar_sign(multiplier, ray) < 0:
-                        return NotTnn(
-                            Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=multiplier)
-                        )
-                    rows[i], dens[i] = kernel.combine(P, rows[i], dens[i], B, rows[i - 1])
-            for d in range(n):
-                diagonal = scalar(rows[d][d], dens[d])
-                if scalar_sign(diagonal, ray) <= 0:
-                    return NotTnn(Witness(REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=diagonal))
+        for t in range(n - 1):
+            for i in range(n - 1, t, -1):
+                B = rows[i][t]
+                if not B:
+                    continue
+                below = scalar(B, dens[i])
+                P = rows[i - 1][t]
+                if not P:
+                    return NotTnn(
+                        Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=below)
+                    )
+                multiplier = below / scalar(P, dens[i - 1])
+                if scalar_sign(multiplier, ray) < 0:
+                    return NotTnn(
+                        Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=multiplier)
+                    )
+                rows[i], dens[i] = kernel.combine(P, rows[i], dens[i], B, rows[i - 1])
+        for d in range(n):
+            diagonal = scalar(rows[d][d], dens[d])
+            if scalar_sign(diagonal, ray) <= 0:
+                return NotTnn(Witness(REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=diagonal))
     except SignUndecidedOnRay as exc:
         return Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
-    return TotallyNonnegative()
+    return None
 
 
 def factorization_product(f: Factorization) -> Matrix:

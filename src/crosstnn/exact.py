@@ -739,7 +739,8 @@ def scalar_sign(x, ray: int | None = None) -> int:
 #
 # Integers: 12      Rationals: p/q      Polynomials: [c0,c1,...,cd]
 # Rational functions: [n0,...]/[d0,...]
-# On input, whitespace inside brackets is tolerated.
+# On input, whitespace inside brackets is tolerated; exponent notation
+# (1e5) is rejected.
 
 
 def format_scalar(x) -> str:
@@ -775,6 +776,10 @@ def parse_scalar(text: str) -> Scalar:
     digits = t[1:] if t[0] in "+-" else t
     if digits.isascii() and digits.isdigit():
         return Fraction(int(t))
+    # Fraction(str) reads exponents, and 1e601110 builds a 601,111-digit
+    # integer; the scalar syntax has none.
+    if "e" in t or "E" in t:
+        raise ValueError(f"exponent notation in scalar {t!r}")
     try:
         if not t.startswith("["):
             return Fraction(t)

@@ -18,6 +18,10 @@ through the exact identity
 into three consecutive chips, and closes with one chip holding the
 positive diagonal.  Wires are numbered top to bottom, 1 at the top; a
 matrix entry (p, q) = c becomes a slant from wire p to wire q.
+
+:func:`path_matrix` multiplies the chips out as column updates on the
+row kernel of :mod:`crosstnn.matrix`, so a certificate is re-multiplied
+over the integers (integer polynomials for symbolic weights).
 """
 
 from __future__ import annotations
@@ -25,8 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_scalar, parse_int, parse_list, parse_scalar
-from .matrix import Matrix, w0
+from .exact import (
+    Poly,
+    RatFunc,
+    _as_poly,
+    _poly,
+    as_ratfunc,
+    as_rational,
+    format_scalar,
+    parse_int,
+    parse_list,
+    parse_scalar,
+)
+from .matrix import _NUMERIC, _SYMBOLIC, Matrix, w0
 
 __all__ = [
     "Slant",
@@ -73,7 +88,8 @@ class PlanarNetwork:
                 if not (1 <= slant.src <= self.n and 1 <= slant.dst <= self.n):
                     raise ValueError("slant wire outside 1..n")
             for weight in (*chip.horizontals, *(slant.weight for slant in chip.slants)):
-                if isinstance(weight, (int, Fraction)) and weight <= 0:
+                # A Fraction's denominator is positive: the numerator has its sign.
+                if isinstance(weight, (int, Fraction)) and weight.numerator <= 0:
                     raise ValueError("edge weights must be positive")
             # Two slants cross iff their left and right endpoints are
             # oppositely ordered; sharing an endpoint is planar.
@@ -113,19 +129,52 @@ def network_from_factorization(f) -> PlanarNetwork:
 
 
 def path_matrix(net: PlanarNetwork) -> Matrix:
-    """Exact path-weight sums source-to-sink, by chip-wise column updates."""
-    # Right-multiplying by a chip rescales column q by the horizontal weight
-    # on wire q and adds w times the old column p for each slant p -> q.
-    cols = [[Fraction(int(i == j)) for i in range(net.n)] for j in range(net.n)]
-    for chip in net.chips:
-        sources = [cols[slant.src - 1] for slant in chip.slants]  # before any rewrite
-        for q, h in enumerate(chip.horizontals):
-            if h != 1:
-                cols[q] = [h * x for x in cols[q]]
-        for slant, source in zip(chip.slants, sources):
-            q, w = slant.dst - 1, slant.weight
-            cols[q] = [x + w * y if y else x for x, y in zip(cols[q], source)]
-    return Matrix(list(zip(*cols)))
+    """Exact path-weight sums source-to-sink, by chip-wise column updates.
+
+    Right-multiplying by a chip rescales column q by the horizontal weight
+    on wire q and adds w times the old column p for each slant p -> q.
+    The columns start from the identity and run on the row kernel of
+    :mod:`crosstnn.matrix`: each is held as integer numerators over one
+    denominator (integer coefficient lists when a weight is symbolic),
+    and each entry becomes a reduced scalar once, at the end.  Entries
+    are ``RatFunc`` if any applied weight is one, else ``Poly`` if any is
+    one, else ``Fraction``; a unit horizontal is not applied.
+    """
+    chips = [
+        (
+            [(q, h) for q, h in enumerate(chip.horizontals) if h != 1],
+            [(s.src - 1, s.dst - 1, s.weight) for s in chip.slants],
+        )
+        for chip in net.chips
+    ]
+    kinds = {type(w) for scales, slants in chips for *_, w in (*scales, *slants)}
+    if RatFunc in kinds:
+        kernel, lift, entry = _SYMBOLIC, as_ratfunc, _SYMBOLIC.scalar
+    elif Poly in kinds:
+        kernel, lift, entry = _SYMBOLIC, _as_poly, lambda num, den: _poly(num, den[0])
+    else:
+        kernel, lift, entry = _NUMERIC, as_rational, Fraction
+    mul, sub, reduce, combine = kernel.mul, kernel.sub, kernel.reduce, kernel.combine
+
+    def split(w) -> tuple:
+        (num,), den = kernel.start([lift(w)])
+        return num, den
+
+    n = net.n
+    one, zero = (1, 0) if kernel is _NUMERIC else ([1], [])  # never mutated
+    cols = [([one if i == j else zero for i in range(n)], one) for j in range(n)]
+    for scales, slants in chips:
+        sources = [cols[p] for p, _, _ in slants]  # before any rewrite
+        for q, h in scales:
+            hn, hd = split(h)
+            X, d = cols[q]
+            cols[q] = reduce([mul(hn, x) for x in X], mul(d, hd))
+        for (_, q, w), (Xp, dp) in zip(slants, sources):
+            # Xq/dq + (wn/wd)(Xp/dp) is one combine, with B = -wn*dq.
+            wn, wd = split(w)
+            Xq, dq = cols[q]
+            cols[q] = combine(mul(wd, dp), Xq, dq, sub(zero, mul(wn, dq)), Xp)
+    return Matrix([[entry(X[i], d) for X, d in cols] for i in range(n)])
 
 
 def reflect(net: PlanarNetwork) -> PlanarNetwork:

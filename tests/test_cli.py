@@ -1,11 +1,15 @@
 """Command-line front end: commands, exit codes, deterministic output."""
 
 import json
+import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from crosstnn import (
     Matrix,
+    TotallyNonnegative,
     amazing_matrix,
     amazing_matrix_symbolic,
     factorization_from_doc,
@@ -15,6 +19,7 @@ from crosstnn import (
     network_from_doc,
     path_matrix,
 )
+from crosstnn import cli
 from crosstnn.cli import main
 
 DEEPLY_NESTED = '{"n": ' + "[" * 100000 + "]" * 100000 + "}"
@@ -140,6 +145,24 @@ class TestFactor:
     def test_inapplicable_exit(self, tmp_path, capsys):
         path = _write(tmp_path / "s.txt", "2\n1 1\n1 1\n")
         assert main(["factor", path]) == 2
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_verify_rejects_a_tampered_certificate(self, tmp_path, monkeypatch, n):
+        # One atom coefficient off by one: the product no longer equals the input.
+        path = _write(tmp_path / "a.txt", matrix_to_text(amazing_matrix(n, 10, scaled=True)))
+        real = cli.eliminate_detailed
+
+        def tampered(matrix, ray=None):
+            fact = real(matrix, ray=ray).verdict.factorization
+            bridges = [a for a in fact.atoms if a.kind == "bridge"]
+            atom = bridges[len(bridges) // 2]
+            atoms = tuple(replace(a, c=a.c + 1) if a is atom else a for a in fact.atoms)
+            return SimpleNamespace(verdict=TotallyNonnegative(replace(fact, atoms=atoms)))
+
+        monkeypatch.setattr(cli, "eliminate_detailed", tampered)
+        assert main(["factor", path]) == 0
+        with pytest.raises(AssertionError, match="does not re-multiply"):
+            main(["factor", path, "--verify"])
 
 
 class TestNetwork:
@@ -273,6 +296,22 @@ class TestErrorPaths:
         path = _write(tmp_path / "bad.txt", text)
         assert main([command, path]) == 65
         assert capsys.readouterr().err.startswith("malformed input: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("2\n1e6011100 0\n0 1\n", id="text"),
+            pytest.param('{"n": 2, "entries": [["1E6011100", 0], [0, 1]]}', id="json"),
+            pytest.param("1\n[1,1e6011100]\n", id="polynomial-coefficient"),
+        ],
+    )
+    def test_exponent_notation_exits_65_quickly(self, tmp_path, capsys, text):
+        # Read as a Fraction, the token would be a 6,011,101-digit integer.
+        path = _write(tmp_path / "exponent.txt", text)
+        start = time.perf_counter()
+        assert main(["check", path, "--ray", "1"]) == 65
+        assert time.perf_counter() - start < 1.0
+        assert "exponent notation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["2", "2.0", '"2"'])
     def test_integral_n_shapes_are_accepted(self, tmp_path, capsys, n):

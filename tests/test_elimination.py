@@ -241,33 +241,53 @@ SINGULAR = [
 class TestSingularity:
     """Singularity is decided only when the sweep does not certify."""
 
-    def test_certified_runs_compute_no_determinant(self, monkeypatch):
-        import crosstnn.elimination as elimination
+    @pytest.fixture
+    def determinant_calls(self, monkeypatch):
+        # _det_rows is the routine behind determinant and minor, wherever
+        # they are imported.
+        import crosstnn.matrix as matrix
 
         calls = []
-        real = elimination.determinant
-        monkeypatch.setattr(elimination, "determinant", lambda A: calls.append(A) or real(A))
+        real = matrix._det_rows
+        monkeypatch.setattr(matrix, "_det_rows", lambda rows: calls.append(rows) or real(rows))
+        return calls
+
+    @pytest.fixture
+    def pivot_calls(self, monkeypatch):
+        calls = []
+        real = _RowKernel.pivots
+        monkeypatch.setattr(_RowKernel, "pivots", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_certified_runs_compute_no_determinant(self, determinant_calls):
         assert verify_amazing(5).overall == "certified"
-        assert calls == []
+        assert determinant_calls == []
 
-    def test_certified_neville_runs_compute_no_determinant(self, monkeypatch):
-        import crosstnn.elimination as elimination
-
-        calls = []
-        real = elimination.determinant
-        monkeypatch.setattr(elimination, "determinant", lambda A: calls.append(A) or real(A))
+    def test_certified_neville_runs_compute_no_determinant(self, determinant_calls):
         cases = [(amazing_matrix_symbolic(4), 4)]
         for n in range(1, 6):
             cases.append((amazing_matrix(n, 3, scaled=True), None))
             cases.append((random_certified_tnn(n, seed=n, atom_count=4)[0], None))
         for A, ray in cases:
             assert isinstance(neville_tnn_test(A, ray=ray), TotallyNonnegative)
-        assert calls == []
+        assert determinant_calls == []
 
-    def test_certified_runs_eliminate_no_pivots(self, monkeypatch):
-        calls = []
-        real = _RowKernel.pivots
-        monkeypatch.setattr(_RowKernel, "pivots", lambda *args: calls.append(args) or real(*args))
+    def test_neville_decides_singularity_from_its_own_rows(self, determinant_calls, pivot_calls):
+        # Upper triangular: the first pass certifies, which proves det A > 0,
+        # so a refutation in the transposed pass needs no singularity check.
+        verdict = neville_tnn_test(Matrix([[1, 2, 5], [0, 1, 1], [0, 0, 2]]))
+        assert isinstance(verdict, NotTnn)
+        assert (verdict.witness.s, verdict.witness.t) == (2, 2)
+        assert pivot_calls == []
+        # A first-pass exit searches the pass's rows for pivots instead.
+        verdict = neville_tnn_test(Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]))
+        assert isinstance(verdict, Inapplicable) and verdict.reason == INAPPLICABLE_SINGULAR
+        assert isinstance(neville_tnn_test(Matrix([[1, 2], [3, 4]])), NotTnn)
+        assert len(pivot_calls) == 2
+        assert determinant_calls == []
+
+    def test_certified_runs_eliminate_no_pivots(self, pivot_calls):
+        calls = pivot_calls
         assert verify_amazing(5).overall == "certified"
         for n in range(1, 6):
             for A in (amazing_matrix(n, 3, scaled=True), random_certified_tnn(n, seed=n)[0]):

@@ -657,16 +657,21 @@ class TestTextSyntax:
         line = "".join(parts)
         assert split_scalar_tokens(line) == reference_split_tokens(line)
 
-    @given(st.text(alphabet="+-0123456789\u0663\uff17\u00b2_/.e "))
+    @given(st.text(alphabet="+-0123456789\u0663\uff17\u00b2_/.eE "))
     @example(" -0012 ")
     @example("+-1")
     @example("1_0")
     @example("\u0663")
     @example("\u00b2")
     @example("3/0")
+    @example("1e601110")
+    @example("2E3")
     def test_parse_scalar_matches_fraction(self, text):
-        # ASCII integers take a fast path; every other token is Fraction's.
+        # ASCII integers take a fast path; a token with an exponent is
+        # rejected, and every other token is Fraction's.
         try:
+            if "e" in text or "E" in text:
+                raise ValueError("exponent notation")
             expected = Fraction(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError):

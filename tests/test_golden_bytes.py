@@ -4,8 +4,9 @@ The digests were recorded on the code before the integer row kernel
 replaced the Fraction/RatFunc row sweep, the ``check --method minors``
 ones before the expansion sweep replaced one elimination per minor, and
 the ``check --method neville`` and determinant ones before the Neville
-test and the determinant moved onto the row kernel; each must print the
-same bytes.  Any change to a digest here is a change to the program's
+test and the determinant moved onto the row kernel, and the ``factor
+--verify`` and ``network`` ones before ``path_matrix`` moved onto it;
+each must print the same bytes.  Any change to a digest here is a change to the program's
 output.
 """
 
@@ -115,6 +116,34 @@ SCALED_DETERMINANT_DIGESTS = {
     12: "33a420452cf23be88593b7b982173389819de6b24bd4f5a81e9db1cda1f6d9fe",
 }
 
+# factor --verify --out on the scaled carries matrices at b = 10 ...
+VERIFIED_CERTIFICATE_DIGESTS = {
+    12: "1fe65d21f606862bf569109adc5b8e3183e83d2beba0f3ccb0859c5aa785f1e3",
+    14: "ee4040fb5852bedc4ea36f9ea1e100dba07ee87ad0e239fef3d2985859fb804b",
+    16: "0af24ff115ab74423dbc8c94421d3fc85cc24b4446850df8a683160343016b62",
+}
+
+# ... and network CERT --format doc|dot on those certificates
+NETWORK_DIGESTS = {
+    (12, "doc"): "579341e94c1c457831db8885543a5b46f4c18c11863d85883da25e577104c8f2",
+    (12, "dot"): "7ebec3b39c5f8b1c79aeb023a47c66cea4e221dc4ef76f557088659a5e208ca4",
+    (14, "doc"): "3896421cff138b3f706d27cc0495b3dd8fc106058339526860046acd97184093",
+    (14, "dot"): "f6f1544cbf7c1176f4bd39e8de4d370af651fb77f889161049b84670cf2662d3",
+    (16, "doc"): "6d9960c8e9ef181c483aa565c3b59bf86fb4446cd16e4be45cd1aa9454272a0b",
+    (16, "dot"): "b70c3f2301eedcdc4577ea01d575735b6f62d87e3bd3f8ac355163f0bd4d6d5b",
+}
+
+# network CERT --format doc|dot --ray n on the symbolic certificates at ray n
+SYMBOLIC_NETWORK_DIGESTS = {
+    (3, "doc"): "db4fb010749f76c07b4aa94ade70c0f3ee912d6e1757cfcfdb4c2089ca0fdd67",
+    (3, "dot"): "e99f319e34da73c8ac10366b0eb717d8961050582a6c8b5a8b09966a1d507cfc",
+    (4, "doc"): "a02895df54ce4834746df9db36108d25d70afae3c6ef8eee7234a55f17de593a",
+    (4, "dot"): "18005967c84f09d4d792ea546dd2ecef134161fc42c5e17a62a61ecaef49074c",
+    (5, "doc"): "9e0f606a4dd22b7516e08726e2d51c7a6bdad7bea81bbe2dcb9295b361490d98",
+    (5, "dot"): "146d735b804b270122dbbfa5d74598d9e72ee71ee880abb8136ace7533e7574e",
+    (6, "doc"): "7620b3011d470988b26f12a08aaa04d29b91ca4213feca6bcbc001328906d4d8",
+    (6, "dot"): "ca305b2c32eeabdc3c3cf6a1d32a4f7487c49722e17c839a2978e3739a586a2a",
+}
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -205,3 +234,30 @@ def test_determinants():
     for n, digest in SCALED_DETERMINANT_DIGESTS.items():
         text = format_scalar(determinant(amazing_matrix(n, 10, scaled=True)))
         assert _sha256(text) == digest, f"scaled n={n}"
+
+
+def _network_stdout(capsys, cert_path, fmt: str, *flags) -> str:
+    capsys.readouterr()
+    assert main(["network", str(cert_path), "--format", fmt, *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_verified_certificates_and_their_networks(tmp_path, capsys):
+    for n, digest in VERIFIED_CERTIFICATE_DIGESTS.items():
+        matrix_path, cert_path = tmp_path / f"c{n}.txt", tmp_path / f"c{n}.cert.json"
+        matrix_path.write_text(matrix_to_text(amazing_matrix(n, 10, scaled=True)), encoding="utf-8")
+        assert main(["factor", str(matrix_path), "--verify", "--out", str(cert_path)]) == 0
+        assert _sha256(cert_path.read_text(encoding="utf-8")) == digest, f"certificate n={n}"
+        for fmt in ("doc", "dot"):
+            out = _network_stdout(capsys, cert_path, fmt)
+            assert _sha256(out) == NETWORK_DIGESTS[n, fmt], f"network n={n} {fmt}"
+
+
+def test_symbolic_networks(tmp_path, capsys):
+    for n in sorted({n for n, _ in SYMBOLIC_NETWORK_DIGESTS}):
+        matrix_path, cert_path = tmp_path / f"s{n}.txt", tmp_path / f"s{n}.cert.json"
+        matrix_path.write_text(matrix_to_text(amazing_matrix_symbolic(n)), encoding="utf-8")
+        assert main(["factor", str(matrix_path), "--ray", str(n), "--out", str(cert_path)]) == 0
+        for fmt in ("doc", "dot"):
+            out = _network_stdout(capsys, cert_path, fmt, "--ray", str(n))
+            assert _sha256(out) == SYMBOLIC_NETWORK_DIGESTS[n, fmt], f"network n={n} {fmt}"

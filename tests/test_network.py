@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosstnn import (
     Atom,
@@ -12,6 +14,8 @@ from crosstnn import (
     Factorization,
     Matrix,
     PlanarNetwork,
+    Poly,
+    RatFunc,
     Slant,
     amazing_matrix,
     amazing_matrix_symbolic,
@@ -27,6 +31,65 @@ from crosstnn import (
     reflect,
     tau,
 )
+
+
+def reference_path_matrix(net: PlanarNetwork) -> Matrix:
+    """The Fraction column loop: path_matrix must give the same entries, of the same kinds."""
+    cols = [[Fraction(int(i == j)) for i in range(net.n)] for j in range(net.n)]
+    for chip in net.chips:
+        sources = [cols[slant.src - 1] for slant in chip.slants]  # before any rewrite
+        for q, h in enumerate(chip.horizontals):
+            if h != 1:
+                cols[q] = [h * x for x in cols[q]]
+        for slant, source in zip(chip.slants, sources):
+            q, w = slant.dst - 1, slant.weight
+            cols[q] = [x + w * y if y else x for x, y in zip(cols[q], source)]
+    return Matrix(list(zip(*cols)))
+
+
+def _with_kinds(M: Matrix) -> list:
+    return [(x, type(x)) for row in M.rows for x in row]
+
+
+_NONZERO_POLY = st.lists(st.integers(-3, 5), min_size=1, max_size=3).map(Poly).filter(bool)
+
+# Each kind with its unit, which a horizontal does not apply.
+_WEIGHTS = {
+    "int": (1, st.integers(1, 5)),
+    "fraction": (Fraction(1), st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))),
+    "poly": (Poly((1,)), _NONZERO_POLY),
+    "ratfunc": (
+        RatFunc(Poly((1,))),
+        st.builds(
+            RatFunc,
+            _NONZERO_POLY,
+            st.sampled_from([(1,), (2,), (1, 1), (3, 2), (1, 0, 1)]).map(Poly),
+        ),
+    ),
+}
+
+
+@st.composite
+def networks(draw, max_n=5, max_chips=6):
+    """Networks weighted by one to four scalar kinds, units included.
+
+    At most one slant joins each adjacent pair of wires in a chip, in
+    either direction, so slants chain (p -> p+1 -> p+2) but never cross.
+    """
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(_WEIGHTS)), min_size=1)))
+    weight = st.one_of(*(st.one_of(st.just(_WEIGHTS[k][0]), _WEIGHTS[k][1]) for k in kinds))
+    n = draw(st.integers(1, max_n))
+    chips = []
+    for _ in range(draw(st.integers(0, max_chips))):
+        horizontals = tuple(draw(weight) for _ in range(n))
+        slants = []
+        for p in range(1, n):
+            direction = draw(st.sampled_from([None, "down", "up"]))
+            if direction is not None:
+                src, dst = (p, p + 1) if direction == "down" else (p + 1, p)
+                slants.append(Slant(src, dst, draw(weight)))
+        chips.append(Chip(horizontals, tuple(slants)))
+    return PlanarNetwork(n, tuple(chips))
 
 
 def _worked_3x3_certificate() -> Factorization:
@@ -218,6 +281,46 @@ class TestSingleProductPath:
         assert factorization_product(fact) == A
         assert path_matrix(network_from_factorization(fact)) == A
         assert calls == []
+
+
+    def test_path_matrix_does_no_fraction_arithmetic(self, monkeypatch):
+        A = amazing_matrix(16, 10, scaled=True)
+        net = network_from_factorization(cross_symmetric_eliminate(A).factorization)
+        calls = []
+        for name in ("__add__", "__mul__"):
+            real = getattr(Fraction, name)
+            counting = lambda a, b, name=name, real=real: calls.append(name) or real(a, b)
+            monkeypatch.setattr(Fraction, name, counting)
+        P = path_matrix(net)
+        monkeypatch.undo()
+        assert calls == []
+        assert P == A
+
+
+class TestAgainstTheFractionLoop:
+    """path_matrix runs on the row kernel; the Fraction column loop it
+    replaced is the reference for its entries and their kinds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    def test_random_networks(self, net):
+        assert _with_kinds(path_matrix(net)) == _with_kinds(reference_path_matrix(net))
+
+    def test_numeric_carries_certificates(self):
+        for n in (12, 16):
+            A = amazing_matrix(n, 10, scaled=True)
+            net = network_from_factorization(cross_symmetric_eliminate(A).factorization)
+            P = path_matrix(net)
+            assert _with_kinds(P) == _with_kinds(reference_path_matrix(net))
+            assert P == A
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symbolic_carries_certificates(self, n):
+        S = amazing_matrix_symbolic(n)
+        net = network_from_factorization(cross_symmetric_eliminate(S, ray=n).factorization)
+        P = path_matrix(net)
+        assert _with_kinds(P) == _with_kinds(reference_path_matrix(net))
+        assert P == S
 
 
 class TestMirrorSymmetry:
