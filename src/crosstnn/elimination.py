@@ -31,7 +31,7 @@ from .exact import (
     parse_scalar,
     scalar_sign,
 )
-from .matrix import _NUMERIC, _SYMBOLIC, Matrix, is_cross_symmetric, w0
+from .matrix import _NUMERIC, _SYMBOLIC, Matrix, w0
 from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
@@ -114,11 +114,12 @@ class Atom:
             raise ValueError("bridge atom requires n != 2s")
         if self.kind == "center" and self.n != 2 * self.s:
             raise ValueError("center atom requires n = 2s")
-        if isinstance(self.c, (int, Fraction)):
-            c = Fraction(self.c)
-            if c <= 0:
+        # A numeric c is decided on its numerator over its positive denominator.
+        c = self.c
+        if isinstance(c, (int, Fraction)):
+            if c.numerator <= 0:
                 raise ValueError("atom coefficient must be positive")
-            if self.kind == "center" and c >= 1:
+            if self.kind == "center" and c.numerator >= c.denominator:
                 raise ValueError("center atom coefficient must be < 1")
 
 
@@ -139,7 +140,7 @@ class Factorization:
             if atom.n != self.n:
                 raise ValueError("atom dimension mismatch")
         for i, d in enumerate(self.diagonal):
-            if isinstance(d, (int, Fraction)) and Fraction(d) <= 0:
+            if isinstance(d, (int, Fraction)) and d.numerator <= 0:
                 raise ValueError("diagonal entries must be positive")
             if d != self.diagonal[self.n - 1 - i]:
                 raise ValueError("diagonal must be palindromic")
@@ -247,10 +248,13 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     * a nonpositive entry on the final diagonal.
 
     Each row is held as integer numerators over one row denominator (see
-    :class:`crosstnn.matrix._RowKernel`); reduced scalars are built only
-    for the values that are sign-queried or recorded.  Every intermediate
-    matrix is cross-symmetric, so row w0(s+1) is row s+1 reversed and only
-    row s+1 is computed.
+    :class:`crosstnn.matrix._RowKernel`), on which cross-symmetry is also
+    tested.  Every intermediate matrix is cross-symmetric, so row w0(s+1)
+    is row s+1 reversed and only row s+1 is computed, on the columns where
+    it can be nonzero.  Numeric denominators are positive, so numeric
+    signs are read from numerators, the center test is B*d(s-1) < P*d(s),
+    and a step builds one ``Fraction``, its c.  Witness values are built
+    only when the sweep refutes.
 
     Singularity is decided only when the sweep does not certify: a bridge
     step has determinant 1 and a center step 1 - c^2 with 0 < c < 1, so a
@@ -280,12 +284,14 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     def refute(reason: str, **where) -> EliminationRun:
         return finish(NotTnn(Witness(reason, trace=tuple(steps), **where)))
 
-    if not is_cross_symmetric(A):
+    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    scalar, sign = kernel.scalar, kernel.sign
+    rows, dens = map(list, zip(*map(kernel.start, A.rows)))
+    # A row's start commutes with reversal, so A is cross-symmetric iff each
+    # kernel row is its mirror row reversed, over the same denominator.
+    if any(dens[i] != dens[-1 - i] or rows[i] != rows[-1 - i][::-1] for i in range((n + 1) // 2)):
         return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
 
-    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
-    scalar = kernel.scalar
-    rows, dens = map(list, zip(*map(kernel.start, A.rows)))
     swept = 0  # columns 1..swept are cleared below the diagonal
     try:
         for t in range(1, n):
@@ -295,18 +301,20 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 B = rows[s][t - 1]
                 if not B:
                     continue
-                below = scalar(B, dens[s])
-                if scalar_sign(below, ray) < 0:
-                    return refute(REASON_NEGATIVE_MULTIPLIER, s=s, t=t, value=below)
+                dB, dP = dens[s], dens[s - 1]
+                if sign(B, dB, ray) < 0:
+                    return refute(REASON_NEGATIVE_MULTIPLIER, s=s, t=t, value=scalar(B, dB))
                 P = rows[s - 1][t - 1]
                 if not P:
-                    return refute(REASON_ZERO_PIVOT_NONZERO_BELOW, s=s, t=t, value=below)
-                pivot = scalar(P, dens[s - 1])
-                if scalar_sign(pivot, ray) < 0:
-                    return refute(REASON_NONPOSITIVE_PIVOT, s=s, t=t, value=pivot)
-                c = below / pivot
+                    return refute(REASON_ZERO_PIVOT_NONZERO_BELOW, s=s, t=t, value=scalar(B, dB))
+                if sign(P, dP, ray) < 0:
+                    return refute(REASON_NONPOSITIVE_PIVOT, s=s, t=t, value=scalar(P, dP))
+                c = kernel.ratio(B, dB, P, dP)
                 is_center = n == 2 * s
-                if is_center and scalar_sign(pivot - below, ray) <= 0:
+                # c < 1 iff pivot - below = (P*dB - B*dP) / (dP*dB) > 0
+                if is_center and sign(
+                    kernel.sub(kernel.mul(P, dB), kernel.mul(B, dP)), kernel.mul(dP, dB), ray
+                ) <= 0:
                     return refute(REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=c)
                 steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
                 # Row s+1 loses c times row s, and row w0(s+1) c times row
@@ -315,26 +323,27 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # as row w0(s+1); for n = 2s that overwrites the source only
                 # after it was read.  For odd n with s+1 the middle row, both
                 # updates land in that row, whose source is row s plus row
-                # w0(s) = row s reversed.
-                source = rows[s - 1]
+                # w0(s) = row s reversed.  Both rows are zero left of column
+                # t and right of column n - min(t-1, n-s-1), the mirror of row
+                # w0(s+1)'s cleared start, so only the columns between are
+                # updated; for the middle row they are symmetric.
+                lo, hi = t - 1, n - min(t - 1, n - s - 1)
+                source = rows[s - 1][lo:hi]
                 if 2 * s + 1 == n:
                     source = [kernel.add(x, y) for x, y in zip(source, reversed(source))]
-                rows[s], dens[s] = kernel.combine(P, rows[s], dens[s], B, source)
+                rows[s][lo:hi], dens[s] = kernel.combine(P, rows[s][lo:hi], dB, B, source)
                 rows[n - 1 - s], dens[n - 1 - s] = rows[s][::-1], dens[s]
 
         swept = n - 1
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j]:
-                    raise AssertionError(
-                        f"off-diagonal residue at ({i + 1},{j + 1}) after elimination"
-                    )
+        for i, row in enumerate(rows):
+            if any(row[:i]) or any(row[i + 1 :]):
+                raise AssertionError(f"off-diagonal residue in row {i + 1} after elimination")
         diag = tuple(scalar(rows[i][i], dens[i]) for i in range(n))
-        for index, d in enumerate(diag, start=1):
-            if scalar_sign(d, ray) <= 0:
-                return refute(REASON_NONPOSITIVE_DIAGONAL, index=index, value=d)
+        for i, d in enumerate(diag):
+            if sign(rows[i][i], dens[i], ray) <= 0:
+                return refute(REASON_NONPOSITIVE_DIAGONAL, index=i + 1, value=d)
     except SignUndecidedOnRay as exc:
         return finish(
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
@@ -370,9 +379,10 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     for the second pass refer to the transposed matrix.
 
     The steps are unpaired, but the rows are held and updated on the
-    sweep's row kernel, and reduced scalars are built only for the values
-    that are sign-queried or recorded: the entry below a pivot, the
-    multiplier and the final diagonal.
+    sweep's row kernel.  A numeric multiplier's sign is the product of
+    the signs of its two numerators, and a numeric diagonal entry's sign
+    its numerator's; a symbolic sign is queried on the reduced multiplier
+    or diagonal entry.  A witness value is built only for a refutation.
 
     Singularity is decided only when the test does not certify, and from
     the test's own rows.  The first pass applies unit lower-triangular row
@@ -395,7 +405,8 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
 
 
 def _neville_pass(kernel, rows: list, dens: list, ray: int | None) -> Verdict | None:
-    # One pass over (rows, dens) in place; None if it certifies.
+    # One pass over (rows, dens) in place; None if it certifies.  Rows i-1
+    # and i are zero left of column t, so only columns t.. are updated.
     n = len(rows)
     scalar = kernel.scalar
     try:
@@ -404,21 +415,18 @@ def _neville_pass(kernel, rows: list, dens: list, ray: int | None) -> Verdict | 
                 B = rows[i][t]
                 if not B:
                     continue
-                below = scalar(B, dens[i])
-                P = rows[i - 1][t]
+                P, dB, dP = rows[i - 1][t], dens[i], dens[i - 1]
                 if not P:
                     return NotTnn(
-                        Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=below)
+                        Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=scalar(B, dB))
                     )
-                multiplier = below / scalar(P, dens[i - 1])
-                if scalar_sign(multiplier, ray) < 0:
-                    return NotTnn(
-                        Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=multiplier)
-                    )
-                rows[i], dens[i] = kernel.combine(P, rows[i], dens[i], B, rows[i - 1])
+                if kernel.ratio_sign(B, dB, P, dP, ray) < 0:
+                    value = kernel.ratio(B, dB, P, dP)
+                    return NotTnn(Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=value))
+                rows[i][t:], dens[i] = kernel.combine(P, rows[i][t:], dB, B, rows[i - 1][t:])
         for d in range(n):
-            diagonal = scalar(rows[d][d], dens[d])
-            if scalar_sign(diagonal, ray) <= 0:
+            if kernel.sign(rows[d][d], dens[d], ray) <= 0:
+                diagonal = scalar(rows[d][d], dens[d])
                 return NotTnn(Witness(REASON_NONPOSITIVE_DIAGONAL, index=d + 1, value=diagonal))
     except SignUndecidedOnRay as exc:
         return Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)

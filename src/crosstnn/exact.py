@@ -300,10 +300,9 @@ def _poly(nums, den: int = 1) -> Poly:
 
 def _over_common_denominator(coeffs) -> tuple:
     """(ints, d) with coeffs[k] == ints[k] / d, d the lcm of the denominators."""
-    d = 1
-    for c in coeffs:
-        d = math.lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+    dens = [c.denominator for c in coeffs]
+    d = math.lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
 def _numeric_reduce(nums: list, den: int) -> tuple:

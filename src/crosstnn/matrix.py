@@ -178,7 +178,8 @@ class _RowKernel:
     ``start`` turns a row of matrix entries into (numerators, denominator),
     ``reduce`` removes the common factor of numerators and denominator,
     and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
-    numerator over a denominator.
+    numerator over a denominator.  This class is the symbolic kernel;
+    :class:`_NumericKernel` reads its signs from integers.
     """
 
     __slots__ = ("mul", "add", "sub", "start", "reduce", "scalar")
@@ -191,10 +192,23 @@ class _RowKernel:
         """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
 
         With P and B the numerators in one column of S and of T, this
-        clears that column of T whatever the denominator of S.
+        clears that column of T whatever the denominator of S.  Columns
+        where T and S are both zero may be left out: they stay zero.
         """
         mul, sub = self.mul, self.sub
         return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
+
+    def sign(self, num, den, ray) -> int:
+        """Sign of num/den, on [ray, inf) for symbolic values."""
+        return scalar_sign(self.scalar(num, den), ray)
+
+    def ratio(self, B, dB, P, dP):
+        """The reduced scalar (B/dB) / (P/dP)."""
+        return self.scalar(self.mul(B, dP), self.mul(P, dB))
+
+    def ratio_sign(self, B, dB, P, dP, ray) -> int:
+        """Sign of :meth:`ratio`."""
+        return scalar_sign(self.ratio(B, dB, P, dP), ray)
 
     def pivots(self, block: list):
         """Eliminate (row, denominator) pairs: None if singular, else (sign, pivots).
@@ -221,6 +235,26 @@ class _RowKernel:
         return sign, out
 
 
+class _NumericKernel(_RowKernel):
+    """Rows of ints over a positive int: integer updates, signs from numerators."""
+
+    __slots__ = ()
+
+    def combine(self, P, T: list, dT, B, S: list) -> tuple:
+        # P and B divided by their gcd give smaller products and the same
+        # row, since a reduced row (denominator > 0) is unique.
+        g = math.gcd(P, B)
+        if g != 1:
+            P, B = P // g, B // g
+        return _numeric_reduce([P * x - B * y for x, y in zip(T, S)], dT * P)
+
+    def sign(self, num, den, ray) -> int:
+        return (num > 0) - (num < 0)
+
+    def ratio_sign(self, B, dB, P, dP, ray) -> int:
+        return ((B > 0) - (B < 0)) * ((P > 0) - (P < 0))
+
+
 def _symbolic_start(entries) -> tuple:
     # Entry k is p_k / (d_k * q_k): integer numerators p_k over the integer
     # d_k, and q_k the entry's denominator in Z[b].  The row starts over
@@ -236,7 +270,7 @@ def _symbolic_start(entries) -> tuple:
     return _symbolic_reduce(nums, [d * v for v in q_product])
 
 
-_NUMERIC = _RowKernel(
+_NUMERIC = _NumericKernel(
     mul=operator.mul,
     add=operator.add,
     sub=operator.sub,
@@ -349,9 +383,11 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     if A.is_symbolic:
         rows = A.rows
         one = RatFunc(Poly((1,))) if isinstance(rows[0][0], RatFunc) else Poly((1,))
+        is_negative = lambda m: scalar_sign(m, ray) < 0  # noqa: E731
     else:
         rows, scales = zip(*map(_over_common_denominator, A.rows))
         one = 1
+        is_negative = (0).__gt__  # an integer over a positive scale: 0 > m
     zero = one - one
     indices = range(1, n + 1)
     prev_combos, prev = [()], [one]  # the empty minor
@@ -373,7 +409,7 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
                         if b:
                             m = m - a * b if negative else m + a * b
                 try:
-                    sign = scalar_sign(m, ray)
+                    refuted = is_negative(m)
                 except SignUndecidedOnRay as exc:
                     return Inapplicable(
                         INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -381,7 +417,7 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
                         rows=rows_idx,
                         cols=cols_idx,
                     )
-                if sign < 0:
+                if refuted:
                     return NotTnn(
                         Witness(
                             REASON_NEGATIVE_MINOR,

@@ -26,6 +26,7 @@ over the integers (integer polynomials for symbolic weights).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,11 +252,13 @@ def network_to_doc(net: PlanarNetwork) -> dict:
 
 def network_from_doc(doc: dict) -> PlanarNetwork:
     n = parse_int(doc["n"])
+    # Nearly every horizontal is "1": each distinct token is parsed once.
+    scalar = functools.cache(parse_scalar)
     chips = tuple(
         Chip(
-            tuple(parse_scalar(str(h)) for h in parse_list(chip["horizontals"], "horizontals")),
+            tuple(scalar(str(h)) for h in parse_list(chip["horizontals"], "horizontals")),
             tuple(
-                Slant(parse_int(s["from"]), parse_int(s["to"]), parse_scalar(str(s["weight"])))
+                Slant(parse_int(s["from"]), parse_int(s["to"]), scalar(str(s["weight"])))
                 for s in parse_list(chip["slants"], "slants", dict)
             ),
         )

@@ -728,6 +728,17 @@ class TestAgainstReference:
         self.assert_same(A, ray=ray)
         self.assert_same(_negate_mirrored(A, 2, 1), ray=ray)
 
+    @pytest.mark.parametrize("n", [39, 40])
+    @pytest.mark.parametrize("b", [3, 10])
+    def test_large_carries_matrices_and_flipped_copies(self, n, b):
+        # Full size, where most row pairs a step meets lie outside its live
+        # columns; the flips sit in column n/2, as in the benchmark.
+        A = amazing_matrix(n, b, scaled=True)
+        assert isinstance(self.assert_same(A).verdict, TotallyNonnegative)
+        for row in (5, 25):
+            flipped = _negate_mirrored(A, row, n // 2 - 1)
+            assert isinstance(self.assert_same(flipped).verdict, NotTnn)
+
     def test_singular_only_after_steps(self):
         # Bridge steps run before the sweep meets the zero diagonal block.
         M = Matrix.diagonal([1, 0, 0, 0, 1])
@@ -737,6 +748,28 @@ class TestAgainstReference:
         assert verdict_to_doc(run.verdict) == {"verdict": "inapplicable", "reason": "singular"}
         assert run.steps == ()
         self.assert_same(M)
+
+
+class TestIntegerSigns:
+    """The numeric sweep decides its signs on integer numerators."""
+
+    def test_one_fraction_per_step(self):
+        # Every Fraction the sweep builds: one c per step, then the diagonal.
+        A = amazing_matrix(16, 10, scaled=True)
+        real = Fraction.__dict__["__new__"]
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            run = eliminate_detailed(A)
+        finally:
+            Fraction.__new__ = real
+        assert isinstance(run.verdict, TotallyNonnegative)
+        assert len(built) <= len(run.steps) + A.n
 
 
 class TestNevilleAgainstReference:

@@ -5,8 +5,10 @@ replaced the Fraction/RatFunc row sweep, the ``check --method minors``
 ones before the expansion sweep replaced one elimination per minor, and
 the ``check --method neville`` and determinant ones before the Neville
 test and the determinant moved onto the row kernel, and the ``factor
---verify`` and ``network`` ones before ``path_matrix`` moved onto it;
-each must print the same bytes.  Any change to a digest here is a change to the program's
+--verify`` and ``network`` ones before ``path_matrix`` moved onto it,
+and the n = 40 ``check --method cross --trace`` ones before the numeric
+sweep decided its signs on integer numerators; each must print the same
+bytes.  Any change to a digest here is a change to the program's
 output.
 """
 
@@ -45,11 +47,17 @@ CERTIFICATE_DIGESTS = {
 }
 
 # check --method cross --trace on the n = 40 scaled carries matrices, and on
-# the b = 10 one with entry (26, 20) and its mirror negated.
+# copies with entry (row + 1, 20) and its mirror negated (0-based row in the key).
 TRACE_DIGESTS = {
     (3, None): "d1bfbe3ee94aff99d51d3622ad3f223962303f32fae48b0ba1b7902a3006a8a1",
     (10, None): "d482ca32639fb2b53f95ed0fe6bf9a84a66d5c164e632b5d57d2d76e6b20c172",
     (10, 25): "990117e47cf8fdf6ae8875e0f00e821fc12723f2efc1643b9064118ae663f671",
+    (10, 0): "f3b2a1f9afd916cc13df32a2f12aa2a8b019d768f006ed9570d807525560ce41",
+    (10, 5): "0282db4a55847e1b83daebd26eb095d1ddeaa422fe76a105f08c418b9b543ebd",
+    (10, 34): "f77d423ee3e5939ad6b847448acb8374e9827f6131315ddc314f25496516b23a",
+    (3, 5): "a18ba61bebfd08893befc495431a9ae1869f44ac3476150e2fc84d17b3874422",
+    (3, 25): "4331163871d3f49663742750ebd7413e96d891444b728726292a429e3a1bb196",
+    (3, 39): "159963dcc9fe282dab366ad898cbfa0a7737771c125f6df3b6a8c114a559d02f",
 }
 
 # check --method cross --trace on the symbolic n = 5 matrix at rays 1 and 5.

@@ -30,7 +30,8 @@ from crosstnn import (
     w0,
     zero_pattern_violation,
 )
-from crosstnn.exact import format_scalar
+from crosstnn.exact import _numeric_reduce, format_scalar
+from crosstnn.matrix import _NUMERIC
 from conftest import matrices_on_rays, random_matrix, reference_determinant
 
 B = Poly.variable()
@@ -231,6 +232,27 @@ class TestAgainstReference:
                 rows_idx, cols_idx = range(n - k + 1, n + 1), range(1, k + 1)
                 sub = [[A.entry(i, j) for j in cols_idx] for i in rows_idx]
                 _assert_same_scalar(minor(A, rows_idx, cols_idx), reference_determinant(sub))
+
+
+_INT = st.integers(-(10**6), 10**6)
+
+
+class TestNumericCombine:
+    """Dividing P and B by their gcd first leaves the reduced row unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 36),
+        _INT.filter(bool),
+        st.one_of(st.just(0), _INT),
+        st.integers(1, 10**6),
+        st.lists(st.tuples(st.one_of(st.just(0), _INT), st.one_of(st.just(0), _INT)), max_size=8),
+    )
+    def test_matches_the_update_reduced_once(self, g, p, b, dT, pairs):
+        P, B = g * p, g * b
+        T, S = [x for x, _ in pairs], [y for _, y in pairs]
+        expected = _numeric_reduce([P * x - B * y for x, y in pairs], dT * P)
+        assert _NUMERIC.combine(P, T, dT, B, S) == expected
 
 
 class TestBruteForce:

@@ -384,11 +384,28 @@ class TestDocFormat:
             pytest.param([{"horizontals": 5, "slants": []}], id="horizontals-not-a-list"),
             pytest.param([{"horizontals": ["1", "1"], "slants": 5}], id="slants-not-a-list"),
             pytest.param([{"horizontals": ["1", "1"], "slants": [5]}], id="slant-not-an-object"),
+            pytest.param([{"horizontals": ["x", "x"], "slants": []}], id="bad-token-repeated"),
+            pytest.param([{"horizontals": [1, True], "slants": []}], id="boolean-token"),
         ],
     )
     def test_malformed_doc_is_rejected(self, chips):
         with pytest.raises(ValueError):
             network_from_doc({"n": 2, "chips": chips})
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        import crosstnn.network as network
+
+        fact = cross_symmetric_eliminate(amazing_matrix(8, 10, scaled=True)).factorization
+        net = network_from_factorization(fact)
+        doc = network_to_doc(net)
+        tokens = [h for chip in doc["chips"] for h in chip["horizontals"]]
+        tokens += [s["weight"] for chip in doc["chips"] for s in chip["slants"]]
+        parsed = []
+        real = network.parse_scalar
+        monkeypatch.setattr(network, "parse_scalar", lambda text: parsed.append(text) or real(text))
+        assert network_from_doc(doc) == net
+        assert sorted(parsed) == sorted(set(tokens))
+        assert len(parsed) < len(tokens) // 4
 
     def test_doc_shape(self):
         fact = Factorization(n=2, atoms=(), diagonal=(Fraction(3, 2), Fraction(3, 2)))
