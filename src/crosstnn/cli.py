@@ -23,12 +23,11 @@ import os
 import sys
 
 from .amazing import amazing_matrix, report_to_doc, verify_amazing
+from .audit import check_factorization_signs, peel_certificate
 from .elimination import (
-    check_factorization_signs,
     eliminate_detailed,
     factorization_from_doc,
     factorization_to_doc,
-    factorization_product,
     neville_tnn_test,
     random_certified_tnn,
     verdict_to_doc,
@@ -84,7 +83,7 @@ def _build_parser() -> _Parser:
     factor.add_argument("path")
     factor.add_argument("--out", metavar="CERT")
     factor.add_argument(
-        "--verify", action="store_true", help="re-multiply the certificate and compare"
+        "--verify", action="store_true", help="peel the certificate off the input and compare"
     )
     factor.add_argument("--ray", type=int)
 
@@ -117,8 +116,45 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_value(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``indent``, for the types documents use.
+
+    Values of exactly the types str, int, bool, None, list, and dict with
+    string keys are written as the json module writes them; any other
+    type raises ``TypeError``.  With ``indent`` set, ``json.dumps`` runs
+    its pure-Python encoder, which this replaces.
+    """
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = indent + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if all(type(x) is str for x in value):
+            items = map(_json_string, value)
+        else:
+            items = [_json_value(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = [_json_string(k) + ": " + _json_value(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"not a document value: {type(value).__name__}")
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_value(doc, "") + "\n"
 
 
 def _verdict_exit(verdict) -> int:
@@ -237,7 +273,7 @@ def _cmd_factor(args) -> int:
     if not isinstance(verdict, TotallyNonnegative):
         return _verdict_exit(verdict)
     fact = verdict.factorization
-    if args.verify and factorization_product(fact) != matrix:
+    if args.verify and not peel_certificate(fact, matrix):
         raise AssertionError("certificate does not re-multiply to the input")
     _emit(_json_text(factorization_to_doc(fact)), args.out)
     return EXIT_CERTIFIED

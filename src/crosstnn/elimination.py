@@ -29,7 +29,6 @@ from .exact import (
     parse_int,
     parse_list,
     parse_scalar,
-    scalar_sign,
 )
 from .matrix import _NUMERIC, _SYMBOLIC, Matrix, w0
 from .network import network_from_factorization, path_matrix
@@ -53,7 +52,6 @@ __all__ = [
     "ElementaryStep",
     "Atom",
     "Factorization",
-    "check_factorization_signs",
     "EliminationRun",
     "materialize_elementary",
     "materialize_atom",
@@ -97,7 +95,8 @@ class Atom:
     0 < c < 1.  Both are cross-symmetric and totally nonnegative.
     Symbolic coefficients skip the numeric range checks here; their signs
     are certified on a ray by the elimination that produced them, or by
-    :func:`check_factorization_signs` for a loaded certificate.
+    :func:`crosstnn.audit.check_factorization_signs` for a loaded
+    certificate.
     """
 
     kind: str
@@ -139,35 +138,17 @@ class Factorization:
         for atom in self.atoms:
             if atom.n != self.n:
                 raise ValueError("atom dimension mismatch")
-        for i, d in enumerate(self.diagonal):
+        diagonal = self.diagonal
+        for d in diagonal:
             if isinstance(d, (int, Fraction)) and d.numerator <= 0:
                 raise ValueError("diagonal entries must be positive")
-            if d != self.diagonal[self.n - 1 - i]:
-                raise ValueError("diagonal must be palindromic")
+        if any(diagonal[i] != diagonal[-1 - i] for i in range(self.n // 2)):
+            raise ValueError("diagonal must be palindromic")
 
     @property
     def is_symbolic(self) -> bool:
         scalars = (*self.diagonal, *(atom.c for atom in self.atoms))
         return any(isinstance(x, (Poly, RatFunc)) for x in scalars)
-
-
-def check_factorization_signs(f: Factorization, ray: int | None) -> None:
-    """Re-derive the signs a certificate rests on, symbolic entries on [ray, inf).
-
-    Every atom needs c > 0, every center atom also 1 - c > 0, and every
-    diagonal entry d > 0; :class:`Atom` and :class:`Factorization` check
-    these only for numeric entries.  A sign that fails, or that cannot be
-    decided on the ray, raises ``ValueError``.
-    """
-    claims = [(atom.c, "atom coefficient") for atom in f.atoms]
-    claims += [(1 - atom.c, "1 - c of a center atom") for atom in f.atoms if atom.kind == "center"]
-    claims += [(d, "diagonal entry") for d in f.diagonal]
-    try:
-        for value, what in claims:
-            if scalar_sign(value, ray) <= 0:
-                raise ValueError(f"{what} {format_scalar(value)} is not positive on the ray")
-    except SignUndecidedOnRay as exc:
-        raise ValueError(f"certificate sign: {exc}") from exc
 
 
 @dataclass(frozen=True)

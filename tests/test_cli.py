@@ -6,6 +6,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crosstnn import (
     Matrix,
@@ -343,6 +345,34 @@ class TestErrorPaths:
     def test_negative_escalation_cap_is_a_usage_error(self, capsys):
         assert main(["verify-amazing", "--n", "3", "--escalation-cap", "-1"]) == 64
         assert main(["verify-amazing", "--n", "3", "--escalation-cap", "0"]) == 0
+
+
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(), kids, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """Documents are written byte for byte as ``json.dumps(doc, indent=2)`` writes them."""
+
+    @given(_JSON_DOCS)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[], {}], "d": ["x", "y"], "e": [1, "x", None]})
+    @example({"\u00e9\u2603\U0001f600": ["caf\u00e9", "\x00\n\t\"\\", "\ud800"]})
+    @example([True, False, None, -(10**30), 0])
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {1, 2}}, b"x"])
+    def test_other_types_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestConsecutiveCalls:

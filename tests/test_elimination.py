@@ -383,6 +383,20 @@ class TestFactorizationProduct:
         with pytest.raises(ValueError):
             Factorization(n=3, atoms=(Atom("center", 2, 1, Fraction(1, 2)),), diagonal=(1, 2, 1))
 
+    @pytest.mark.parametrize(
+        "diagonal",
+        [(1, 2, 3), (1, 2, 3, 1), (2, 1, 1, 2, 1), (B, B + 1, B + 1), (B, 1, 2, B)],
+    )
+    def test_non_palindromic_diagonal_rejected(self, diagonal):
+        with pytest.raises(ValueError, match="palindromic"):
+            Factorization(n=len(diagonal), atoms=(), diagonal=diagonal)
+
+    @pytest.mark.parametrize("diagonal", [(1, -1, 1), (1, 0, 0, 1), (-2, -2)])
+    def test_every_numeric_diagonal_entry_must_be_positive(self, diagonal):
+        # The middle entry of odd n has no mirror pair, but is still checked.
+        with pytest.raises(ValueError, match="positive"):
+            Factorization(n=len(diagonal), atoms=(), diagonal=diagonal)
+
 
 class TestRandomCertified:
     def test_zero_atoms_returns_diagonal(self):

@@ -7,7 +7,9 @@ the ``check --method neville`` and determinant ones before the Neville
 test and the determinant moved onto the row kernel, and the ``factor
 --verify`` and ``network`` ones before ``path_matrix`` moved onto it,
 and the n = 40 ``check --method cross --trace`` ones before the numeric
-sweep decided its signs on integer numerators; each must print the same
+sweep decided its signs on integer numerators, and the symbolic ``factor
+--verify`` ones before ``--verify`` peeled the certificate off the input
+instead of re-multiplying it; each must print the same
 bytes.  Any change to a digest here is a change to the program's
 output.
 """
@@ -141,6 +143,13 @@ NETWORK_DIGESTS = {
     (16, "dot"): "b70c3f2301eedcdc4577ea01d575735b6f62d87e3bd3f8ac355163f0bd4d6d5b",
 }
 
+# factor --verify --ray n --out on the symbolic carries matrices, which checks
+# the Poly certificate against the input before it is written
+SYMBOLIC_VERIFIED_CERTIFICATE_DIGESTS = {
+    5: "4d19000ec0cb15697b46ab7bafbb71f374f2955e82937af2d97c22c814b65e3d",
+    6: "e4722e751748c28121099c80643046a32a85ddf9542efbfebf3acb20dfc276cb",
+}
+
 # network CERT --format doc|dot --ray n on the symbolic certificates at ray n
 SYMBOLIC_NETWORK_DIGESTS = {
     (3, "doc"): "db4fb010749f76c07b4aa94ade70c0f3ee912d6e1757cfcfdb4c2089ca0fdd67",
@@ -259,6 +268,15 @@ def test_verified_certificates_and_their_networks(tmp_path, capsys):
         for fmt in ("doc", "dot"):
             out = _network_stdout(capsys, cert_path, fmt)
             assert _sha256(out) == NETWORK_DIGESTS[n, fmt], f"network n={n} {fmt}"
+
+
+def test_symbolic_verified_certificates(tmp_path):
+    for n, digest in SYMBOLIC_VERIFIED_CERTIFICATE_DIGESTS.items():
+        matrix_path, cert_path = tmp_path / f"s{n}.txt", tmp_path / f"s{n}.cert.json"
+        matrix_path.write_text(matrix_to_text(amazing_matrix_symbolic(n)), encoding="utf-8")
+        argv = ["factor", str(matrix_path), "--verify", "--ray", str(n), "--out", str(cert_path)]
+        assert main(argv) == 0
+        assert _sha256(cert_path.read_text(encoding="utf-8")) == digest, f"certificate n={n}"
 
 
 def test_symbolic_networks(tmp_path, capsys):
