@@ -13,26 +13,19 @@ row operation:
   [[1, -c], [-c, 1]].
 
 :func:`peel_certificate` applies these on the row kernel of
-:mod:`crosstnn.matrix`, so a certificate is checked for about the cost of
-one elimination, without multiplying the atoms together.  This is the
-bidiagonal (Neville) factorization read backwards.
+:mod:`crosstnn.matrix`: it runs the sweep's own paired row update
+(:meth:`crosstnn.matrix._RowKernel.paired_update`) with the certificate's
+c, so a certificate is checked for about the cost of one elimination,
+without multiplying the atoms together.  This is the bidiagonal
+(Neville) factorization read backwards.
 :func:`check_factorization_signs` re-derives the signs a certificate
 rests on.
 """
 
 from __future__ import annotations
 
-from .exact import (
-    Poly,
-    RatFunc,
-    SignUndecidedOnRay,
-    _as_poly,
-    as_ratfunc,
-    as_rational,
-    format_scalar,
-    scalar_sign,
-)
-from .matrix import _NUMERIC, _SYMBOLIC
+from .exact import SignUndecidedOnRay, format_scalar, scalar_sign
+from .matrix import _row_kind
 
 __all__ = ["peel_certificate", "check_factorization_signs"]
 
@@ -42,41 +35,27 @@ def peel_certificate(f, A) -> bool:
 
     A is put on the row kernel and must be cross-symmetric: every atom and
     the palindromic diagonal are, so their product is.  Each atom is then
-    peeled in certificate order with the certificate's own c.  Every atom
-    inverse is cross-symmetric too, so row w0(i) stays row i reversed:
-    only one target row is computed per atom and its reverse is stored as
-    the mirror row.  The result must be diag(diagonal) exactly.  Weights
-    are lifted as in :func:`crosstnn.network.path_matrix`: to ``RatFunc``
-    if any scalar is one, else to ``Poly`` if any is one.  Signs are not
-    checked here; see :func:`check_factorization_signs`.
+    peeled in certificate order with the certificate's own c, by the
+    sweep's paired update: every atom inverse is cross-symmetric too, so
+    row w0(i) stays row i reversed.  The result must be diag(diagonal)
+    exactly.  Weights are lifted by :func:`crosstnn.matrix._row_kind`, as
+    in :func:`crosstnn.network.path_matrix`.  Signs are not checked here;
+    see :func:`check_factorization_signs`.
     """
-    n = f.n
-    if A.n != n:
+    if A.n != f.n:
         return False
-    kinds = {type(x) for x in (A.rows[0][0], *f.diagonal, *(atom.c for atom in f.atoms))}
-    if RatFunc in kinds:
-        kernel, lift = _SYMBOLIC, as_ratfunc
-    elif Poly in kinds:
-        kernel, lift = _SYMBOLIC, _as_poly
-    else:
-        kernel, lift = _NUMERIC, as_rational
-    mul, start, combine = kernel.mul, kernel.start, kernel.combine
-    rows, dens = map(list, zip(*(start([lift(x) for x in row]) for row in A.rows)))
-    # A row's start commutes with reversal, so A is cross-symmetric iff each
-    # kernel row is its mirror row reversed, over the same denominator.
-    if any(dens[i] != dens[-1 - i] or rows[i] != rows[-1 - i][::-1] for i in range((n + 1) // 2)):
+    scalars = (A.rows[0][0], *f.diagonal, *(atom.c for atom in f.atoms))
+    kernel, lift = _row_kind(set(map(type, scalars)))
+    started = kernel.mirrored([list(map(lift, row)) for row in A.rows])
+    if started is None:
         return False
+    rows, dens = started
     for atom in f.atoms:
-        (cn,), cd = start([lift(atom.c)])
-        s = atom.s  # 1-based: the inverse writes row s+1, 0-based index s
-        S, dS = rows[s - 1], dens[s - 1]
-        if 2 * s + 1 == n:
-            S = [kernel.add(x, y) for x, y in zip(S, reversed(S))]
-        # Row s+1 minus (cn/cd) times S/dS; for a center atom the mirror of
-        # row s+1 is row s, whose new value is row s minus c times row s+1.
-        T, dT = rows[s], dens[s]
-        rows[s], dens[s] = combine(mul(cd, dS), T, dT, mul(cn, dT), S)
-        rows[n - 1 - s], dens[n - 1 - s] = rows[s][::-1], dens[s]
+        # This P and B make the update's c = cn/cd; for a center atom the new
+        # row s is row s minus c times row s+1, as [[1, -c], [-c, 1]] asks.
+        cn, cd = kernel.split(lift(atom.c))
+        s = atom.s
+        kernel.paired_update(rows, dens, s, kernel.mul(cd, dens[s - 1]), kernel.mul(cn, dens[s]))
     scalar = kernel.scalar
     return all(
         not any(row[:i]) and not any(row[i + 1 :]) and scalar(row[i], den) == d

@@ -30,10 +30,9 @@ from .elimination import (
     factorization_to_doc,
     neville_tnn_test,
     random_certified_tnn,
-    verdict_to_doc,
 )
 from .exact import format_scalar
-from .matrix import brute_force_tnn, matrix_from_doc, matrix_from_payload, matrix_to_text
+from .matrix import brute_force_tnn, matrix_from_payload, matrix_to_text
 from .network import export_dot, network_from_factorization, network_to_doc
 from .verdicts import Inapplicable, NotTnn, TotallyNonnegative, verdict_label
 
@@ -211,23 +210,20 @@ def _cmd_gen(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _load_matrix(payload, ray):
-    """Parse a matrix file's text, or its already-decoded JSON document."""
-    if isinstance(payload, dict):
-        matrix = matrix_from_doc(payload)
-    else:
-        matrix = matrix_from_payload(payload)
+def _load_matrix(text, ray):
+    """Parse a matrix file's text, plain or JSON."""
+    matrix = matrix_from_payload(text)
     if matrix.is_symbolic and ray is None:
         raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
     return matrix
 
 
-def _certify(payload, ray):
+def _certify(text, ray):
     """Load a matrix and eliminate it; returns (matrix, verdict).
 
     A verdict that is not certified is reported on stderr.
     """
-    matrix = _load_matrix(payload, ray)
+    matrix = _load_matrix(text, ray)
     verdict = eliminate_detailed(matrix, ray=ray).verdict
     if isinstance(verdict, NotTnn):
         print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
@@ -289,7 +285,7 @@ def _cmd_network(args) -> int:
             raise _UsageError("symbolic certificate: pass --ray to fix the sign ray")
         check_factorization_signs(fact, args.ray)
     else:
-        _, verdict = _certify(text if doc is None else doc, args.ray)
+        _, verdict = _certify(text, args.ray)
         if not isinstance(verdict, TotallyNonnegative):
             return _verdict_exit(verdict)
         fact = verdict.factorization

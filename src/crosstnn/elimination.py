@@ -30,7 +30,7 @@ from .exact import (
     parse_list,
     parse_scalar,
 )
-from .matrix import _NUMERIC, _SYMBOLIC, Matrix, w0
+from .matrix import Matrix, _row_kind, w0
 from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
@@ -232,7 +232,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     :class:`crosstnn.matrix._RowKernel`), on which cross-symmetry is also
     tested.  Every intermediate matrix is cross-symmetric, so row w0(s+1)
     is row s+1 reversed and only row s+1 is computed, on the columns where
-    it can be nonzero.  Numeric denominators are positive, so numeric
+    it can be nonzero, by the kernel's paired update (the certificate peel
+    runs the same one).  Numeric denominators are positive, so numeric
     signs are read from numerators, the center test is B*d(s-1) < P*d(s),
     and a step builds one ``Fraction``, its c.  Witness values are built
     only when the sweep refutes.
@@ -265,13 +266,12 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     def refute(reason: str, **where) -> EliminationRun:
         return finish(NotTnn(Witness(reason, trace=tuple(steps), **where)))
 
-    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    kernel = _row_kind((type(A.rows[0][0]),))[0]
     scalar, sign = kernel.scalar, kernel.sign
-    rows, dens = map(list, zip(*map(kernel.start, A.rows)))
-    # A row's start commutes with reversal, so A is cross-symmetric iff each
-    # kernel row is its mirror row reversed, over the same denominator.
-    if any(dens[i] != dens[-1 - i] or rows[i] != rows[-1 - i][::-1] for i in range((n + 1) // 2)):
+    started = kernel.mirrored(A.rows)
+    if started is None:
         return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
+    rows, dens = started
 
     swept = 0  # columns 1..swept are cleared below the diagonal
     try:
@@ -298,22 +298,9 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 ) <= 0:
                     return refute(REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=c)
                 steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
-                # Row s+1 loses c times row s, and row w0(s+1) c times row
-                # w0(s).  Cross-symmetry makes the second update the first
-                # one reversed, so row s+1 is computed and its reverse stored
-                # as row w0(s+1); for n = 2s that overwrites the source only
-                # after it was read.  For odd n with s+1 the middle row, both
-                # updates land in that row, whose source is row s plus row
-                # w0(s) = row s reversed.  Both rows are zero left of column
-                # t and right of column n - min(t-1, n-s-1), the mirror of row
-                # w0(s+1)'s cleared start, so only the columns between are
-                # updated; for the middle row they are symmetric.
-                lo, hi = t - 1, n - min(t - 1, n - s - 1)
-                source = rows[s - 1][lo:hi]
-                if 2 * s + 1 == n:
-                    source = [kernel.add(x, y) for x, y in zip(source, reversed(source))]
-                rows[s][lo:hi], dens[s] = kernel.combine(P, rows[s][lo:hi], dB, B, source)
-                rows[n - 1 - s], dens[n - 1 - s] = rows[s][::-1], dens[s]
+                # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
+                # n-s-1), the mirror of row w0(s+1)'s cleared start.
+                kernel.paired_update(rows, dens, s, P, B, t - 1, n - min(t - 1, n - s - 1))
 
         swept = n - 1
         # Cross-symmetry of the final matrix forces the upper triangle to
@@ -374,7 +361,7 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     matrix needs a ray: with ``ray=None`` the first sign query raises
     ``ValueError``, singular matrices included.
     """
-    kernel = _SYMBOLIC if A.is_symbolic else _NUMERIC
+    kernel = _row_kind((type(A.rows[0][0]),))[0]
     for first, entries in ((True, A.rows), (False, zip(*A.rows))):
         rows, dens = map(list, zip(*map(kernel.start, entries)))
         verdict = _neville_pass(kernel, rows, dens, ray)

@@ -82,7 +82,7 @@ class Matrix:
             raise ValueError("matrix must be square with n >= 1")
         kinds = set(map(type, itertools.chain.from_iterable(rows)))
         if kinds != {Fraction}:
-            lift = as_ratfunc if RatFunc in kinds else _as_poly if Poly in kinds else as_rational
+            lift = _row_kind(kinds)[1]
             rows = [tuple(map(lift, r)) for r in rows]
         self.n = n
         self.rows = tuple(rows)
@@ -165,11 +165,13 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # -- the row kernel ----------------------------------------------------
 #
 # Every elimination in the package runs on one row kernel: the
-# symmetry-preserving sweep, the Neville test, and the determinant.  A
-# numeric row is a list of ints over a positive int.  A symbolic row is a
-# list of integer coefficient lists (ascending by degree, [] for zero)
-# over one such list.  Both kinds share the update formula and the pivot
-# search; only the ring operations and the common-factor removal differ.
+# symmetry-preserving sweep, the Neville test, the determinant, the
+# certificate peel and path_matrix.  A numeric row is a list of ints over
+# a positive int.  A symbolic row is a list of integer coefficient lists
+# (ascending by degree, [] for zero) over one such list.  Both kinds share
+# the update formula, the pivot search and the mirrored row layout of the
+# sweep and the peel; only the ring operations and the common-factor
+# removal differ.  :func:`_row_kind` picks the kind.
 
 
 class _RowKernel:
@@ -197,6 +199,41 @@ class _RowKernel:
         """
         mul, sub = self.mul, self.sub
         return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
+
+    def split(self, value) -> tuple:
+        """(numerator, denominator) of one lifted scalar."""
+        (num,), den = self.start([value])
+        return num, den
+
+    def mirrored(self, entries):
+        """The started rows as (rows, dens) lists, or None if not cross-symmetric.
+
+        A row's start commutes with reversal, so the test is that each row
+        is its mirror row reversed, over the same denominator.
+        """
+        rows, dens = map(list, zip(*map(self.start, entries)))
+        for i in range((len(rows) + 1) // 2):
+            if dens[i] != dens[-1 - i] or rows[i] != rows[-1 - i][::-1]:
+                return None
+        return rows, dens
+
+    def paired_update(self, rows: list, dens: list, s: int, P, B, lo: int = 0, hi=None) -> None:
+        """Take c = (B*dens[s-1]) / (P*dens[s]) times row s from row s+1 (1-based).
+
+        Row w0(s+1) loses c times row w0(s), which on cross-symmetric rows
+        is the first update reversed: row s+1 is one :meth:`combine`, and
+        its reverse is stored as row w0(s+1) (for n = 2s, row s, after it
+        was read).  The odd middle row takes both updates, from row s plus
+        its reverse.  Only columns lo..hi-1 are updated: the rows must be
+        zero outside them, a window symmetric for the middle row.
+        """
+        n = len(rows)
+        source = rows[s - 1][lo:hi]
+        if 2 * s + 1 == n:
+            source = [self.add(x, y) for x, y in zip(source, reversed(source))]
+        row = rows[s]
+        row[lo:hi], dens[s] = self.combine(P, row[lo:hi], dens[s], B, source)
+        rows[n - 1 - s], dens[n - 1 - s] = row[::-1], dens[s]
 
     def sign(self, num, den, ray) -> int:
         """Sign of num/den, on [ray, inf) for symbolic values."""
@@ -289,15 +326,27 @@ _SYMBOLIC = _RowKernel(
 )
 
 
+def _row_kind(kinds) -> tuple:
+    """(kernel, lift) for scalars whose types are in ``kinds``.
+
+    Any ``RatFunc`` lifts all to ``RatFunc``, else any ``Poly`` to ``Poly``,
+    both on the symbolic kernel; else all are rationals on the numeric one.
+    """
+    if RatFunc in kinds:
+        return _SYMBOLIC, as_ratfunc
+    if Poly in kinds:
+        return _SYMBOLIC, _as_poly
+    return _NUMERIC, as_rational
+
+
 def _det_rows(rows):
     # The routine behind determinant and minor; see determinant.
-    symbolic = isinstance(rows[0][0], (Poly, RatFunc))
-    kernel = _SYMBOLIC if symbolic else _NUMERIC
-    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (0, ())
-    det = as_ratfunc(sign) if symbolic else Fraction(sign)
-    for p, d in pivots:
+    kernel, lift = _row_kind((type(rows[0][0]),))
+    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (1, [kernel.split(lift(0))])
+    det = kernel.scalar(*pivots[0])
+    for p, d in pivots[1:]:
         det = det * kernel.scalar(p, d)
-    return det
+    return det if sign > 0 else -det
 
 
 def determinant(A: Matrix):
@@ -380,9 +429,9 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     are held at once, so memory grows as C(n, n // 2) ** 2.
     """
     n = A.n
-    if A.is_symbolic:
-        rows = A.rows
-        one = RatFunc(Poly((1,))) if isinstance(rows[0][0], RatFunc) else Poly((1,))
+    kernel, lift = _row_kind((type(A.rows[0][0]),))
+    if kernel is _SYMBOLIC:
+        rows, one = A.rows, lift(1)
         is_negative = lambda m: scalar_sign(m, ray) < 0  # noqa: E731
     else:
         rows, scales = zip(*map(_over_common_denominator, A.rows))

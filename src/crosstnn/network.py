@@ -31,18 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    Poly,
-    RatFunc,
     _as_poly,
     _poly,
-    as_ratfunc,
-    as_rational,
     format_scalar,
     parse_int,
     parse_list,
     parse_scalar,
 )
-from .matrix import _NUMERIC, _SYMBOLIC, Matrix, w0
+from .matrix import Matrix, _row_kind, w0
 
 __all__ = [
     "Slant",
@@ -148,31 +144,22 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
         )
         for chip in net.chips
     ]
-    kinds = {type(w) for scales, slants in chips for *_, w in (*scales, *slants)}
-    if RatFunc in kinds:
-        kernel, lift, entry = _SYMBOLIC, as_ratfunc, _SYMBOLIC.scalar
-    elif Poly in kinds:
-        kernel, lift, entry = _SYMBOLIC, _as_poly, lambda num, den: _poly(num, den[0])
-    else:
-        kernel, lift, entry = _NUMERIC, as_rational, Fraction
-    mul, sub, reduce, combine = kernel.mul, kernel.sub, kernel.reduce, kernel.combine
-
-    def split(w) -> tuple:
-        (num,), den = kernel.start([lift(w)])
-        return num, den
-
+    kernel, lift = _row_kind({type(w) for scales, slants in chips for *_, w in (*scales, *slants)})
+    entry = (lambda num, den: _poly(num, den[0])) if lift is _as_poly else kernel.scalar
+    mul, sub, combine, split = kernel.mul, kernel.sub, kernel.combine, kernel.split
     n = net.n
-    one, zero = (1, 0) if kernel is _NUMERIC else ([1], [])  # never mutated
+    one = split(lift(1))[0]  # never mutated, nor is zero
+    zero = sub(one, one)
     cols = [([one if i == j else zero for i in range(n)], one) for j in range(n)]
     for scales, slants in chips:
         sources = [cols[p] for p, _, _ in slants]  # before any rewrite
         for q, h in scales:
-            hn, hd = split(h)
+            hn, hd = split(lift(h))
             X, d = cols[q]
-            cols[q] = reduce([mul(hn, x) for x in X], mul(d, hd))
+            cols[q] = kernel.reduce([mul(hn, x) for x in X], mul(d, hd))
         for (_, q, w), (Xp, dp) in zip(slants, sources):
             # Xq/dq + (wn/wd)(Xp/dp) is one combine, with B = -wn*dq.
-            wn, wd = split(w)
+            wn, wd = split(lift(w))
             Xq, dq = cols[q]
             cols[q] = combine(mul(wd, dp), Xq, dq, sub(zero, mul(wn, dq)), Xp)
     return Matrix([[entry(X[i], d) for X, d in cols] for i in range(n)])

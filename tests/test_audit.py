@@ -171,12 +171,22 @@ def test_rejects_a_tampered_carries_certificate(n, ray, how):
     assert not _agrees(_tampered(f, how, 0), A)
 
 
-@pytest.mark.parametrize("n, ray", CARRIES)
-def test_rejects_a_matrix_that_is_not_cross_symmetric(n, ray):
+@pytest.mark.parametrize(
+    "n, ray, where",
+    [pytest.param(n, ray, "first", id=f"{n}-{ray}") for n, ray in CARRIES]
+    + [pytest.param(n, ray, "middle", id=f"middle-{n}-{ray}") for n, ray in CARRIES if n % 2]
+    + [pytest.param(n, ray, "last", id=f"last-{n}-{ray}") for n, ray in CARRIES],
+)
+def test_rejects_a_matrix_that_is_not_cross_symmetric(n, ray, where):
     A, f = _carries(n, ray)
     rows = [list(r) for r in A.rows]
-    rows[0][1] = rows[0][1] + 1
-    assert not peel_certificate(f, Matrix(rows))
+    # One entry moves and its half-turn mirror does not: entry (1, 2), or
+    # the first entry of the middle row (odd n only) or of the last row.
+    i, j = {"first": (0, 1), "middle": (n // 2, 0), "last": (n - 1, 0)}[where]
+    rows[i][j] = rows[i][j] + 1
+    M = Matrix(rows)
+    assert not peel_certificate(f, M)
+    assert eliminate_detailed(M, ray).verdict.reason == "not-cross-symmetric"
 
 
 def test_rejects_a_matrix_of_another_size():

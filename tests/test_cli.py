@@ -17,6 +17,7 @@ from crosstnn import (
     factorization_from_doc,
     factorization_product,
     matrix_from_text,
+    matrix_to_doc,
     matrix_to_text,
     network_from_doc,
     path_matrix,
@@ -202,6 +203,28 @@ class TestNetwork:
     def test_refuted_input(self, tmp_path, capsys):
         path = _write(tmp_path / "p.txt", "2\n0 1\n1 0\n")
         assert main(["network", path]) == 1
+
+    @pytest.mark.parametrize(
+        "matrix, flags, code",
+        [
+            pytest.param(amazing_matrix(3, 3, scaled=True), ["--format", "dot"], 0, id="dot"),
+            pytest.param(amazing_matrix(3, 3, scaled=True), ["--format", "doc"], 0, id="doc"),
+            pytest.param(amazing_matrix_symbolic(5), ["--ray", "5"], 0, id="symbolic"),
+            pytest.param(Matrix([[0, 1], [1, 0]]), [], 1, id="refuted"),
+        ],
+    )
+    def test_json_matrix_gives_the_text_result(self, tmp_path, capsysbinary, matrix, flags, code):
+        outcomes = []
+        for name, text in (
+            ("m.txt", matrix_to_text(matrix)),
+            ("m.json", json.dumps(matrix_to_doc(matrix))),
+        ):
+            exit_code = main(["network", _write(tmp_path / name, text), *flags])
+            outcomes.append((exit_code, capsysbinary.readouterr().out))
+        (text_code, text_out), (json_code, json_out) = outcomes
+        assert text_code == json_code == code
+        assert text_out == json_out
+        assert bool(text_out) == (code == 0)
 
     @pytest.mark.parametrize(
         "cert",
