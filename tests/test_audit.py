@@ -89,7 +89,10 @@ def _poly():
 
 
 def _ratfunc():
-    return st.builds(lambda k, p: RatFunc(p, Poly((k, 1))), st.integers(1, 5), _poly())
+    # p / (k + B) is 1 when p = k + B; a center atom needs 1 - c^2 nonzero
+    return st.builds(lambda k, p: RatFunc(p, Poly((k, 1))), st.integers(1, 5), _poly()).filter(
+        lambda r: r != 1
+    )
 
 
 @st.composite
