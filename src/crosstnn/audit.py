@@ -55,7 +55,8 @@ def peel_certificate(f, A) -> bool:
         # row s is row s minus c times row s+1, as [[1, -c], [-c, 1]] asks.
         cn, cd = kernel.split(lift(atom.c))
         s = atom.s
-        kernel.paired_update(rows, dens, s, kernel.mul(cd, dens[s - 1]), kernel.mul(cn, dens[s]))
+        P, B = kernel.cancel(kernel.mul(cd, dens[s - 1]), kernel.mul(cn, dens[s]))
+        kernel.paired_update(rows, dens, s, P, B)
     scalar = kernel.scalar
     return all(
         not any(row[:i]) and not any(row[i + 1 :]) and scalar(row[i], den) == d

@@ -290,7 +290,10 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                     return refute(REASON_ZERO_PIVOT_NONZERO_BELOW, s=s, t=t, value=scalar(B, dB))
                 if sign(P, dP, ray) < 0:
                     return refute(REASON_NONPOSITIVE_PIVOT, s=s, t=t, value=scalar(P, dP))
-                c = kernel.ratio(B, dB, P, dP)
+                # c and the row update share one cancelled pair; the center
+                # test keeps P and B, whose gcd may change sign on the ray.
+                Pc, Bc = kernel.cancel(P, B)
+                c = kernel.ratio(Bc, dB, Pc, dP)
                 is_center = n == 2 * s
                 # c < 1 iff pivot - below = (P*dB - B*dP) / (dP*dB) > 0
                 if is_center and sign(
@@ -300,7 +303,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
                 # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
-                kernel.paired_update(rows, dens, s, P, B, t - 1, n - min(t - 1, n - s - 1))
+                kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
 
         swept = n - 1
         # Cross-symmetry of the final matrix forces the upper triangle to
@@ -349,8 +352,9 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     The steps are unpaired, but the rows are held and updated on the
     sweep's row kernel.  A numeric multiplier's sign is the product of
     the signs of its two numerators, and a numeric diagonal entry's sign
-    its numerator's; a symbolic sign is queried on the reduced multiplier
-    or diagonal entry.  A witness value is built only for a refutation.
+    its numerator's; a symbolic sign is read from the shifts of its
+    factors at the ray, or else queried on the reduced multiplier or
+    diagonal entry.  A witness value is built only for a refutation.
 
     Singularity is decided only when the test does not certify, and from
     the test's own rows.  The first pass applies unit lower-triangular row

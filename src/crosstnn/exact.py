@@ -219,7 +219,7 @@ class Poly:
         """Return q with q(u) = p(u + offset), by a Taylor shift over the integers.
 
         With offset = r/s and p of degree m, s^m * p(w/s) has integer
-        coefficients; shifting those by r in place and multiplying
+        coefficients; shifting those by r and multiplying
         coefficient k by s^k puts q over the denominator s^m.
         """
         offset = as_rational(offset)
@@ -227,10 +227,7 @@ class Poly:
         m = self.degree
         if m < 0:
             return self
-        a = [v * s ** (m - k) for k, v in enumerate(self.numerators)]
-        for i in range(m):
-            for j in range(m - 1, i - 1, -1):
-                a[j] += r * a[j + 1]
+        a = _int_taylor_shift([v * s ** (m - k) for k, v in enumerate(self.numerators)], r)
         return _poly([v * s**k for k, v in enumerate(a)], self.denominator * s**m)
 
     def derivative(self) -> "Poly":
@@ -389,6 +386,31 @@ def _int_root_bound(a: list) -> int:
         return 0
     biggest = max(abs(v) for v in a[:-1])
     return 1 - (-biggest // abs(a[-1]))
+
+
+def _int_taylor_shift(a: list, r: int) -> list:
+    """The coefficients of a(u + r), for integer coefficients a and integer r."""
+    a = list(a)
+    m = len(a) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            a[j] += r * a[j + 1]
+    return a
+
+
+def _int_sign_on_ray(a: list, beta: int) -> int:
+    """+1 or -1 if a is certified of that sign on [beta, inf), else 0.
+
+    The test reads the shift a(u + beta): a nonzero constant term and no
+    coefficient of the other sign certify the sign of that term on the
+    whole ray.  0 means undecided, not zero.
+    """
+    a = _int_taylor_shift(a, beta)
+    if a and a[0] > 0 and min(a) >= 0:
+        return 1
+    if a and a[0] < 0 and max(a) <= 0:
+        return -1
+    return 0
 
 
 def _int_pseudo_rem(a: list, b: list) -> list:
@@ -698,16 +720,14 @@ def sign_on_ray(f, beta: int) -> RaySign:
         g = f
     else:
         raise TypeError(f"not an exact scalar: {f!r}")
-    # The numerators of g(u + beta) over a positive denominator; the
-    # first is a positive multiple of g(beta).
-    cs = g.shift(beta).numerators
-    if cs[0] > 0 and all(c >= 0 for c in cs):
-        return RaySign(POSITIVE_ON_RAY)
-    if cs[0] < 0 and all(c <= 0 for c in cs):
-        return RaySign(NEGATIVE_ON_RAY)
+    # g's numerators over its positive denominator carry its sign.
+    fast = _int_sign_on_ray(g.numerators, beta)
+    if fast:
+        return RaySign(POSITIVE_ON_RAY if fast > 0 else NEGATIVE_ON_RAY)
     bound = _floor_largest_root_at_least(g, beta)
     if bound is None:
-        return RaySign(POSITIVE_ON_RAY if cs[0] > 0 else NEGATIVE_ON_RAY)
+        # No root at or above beta, so g(beta) != 0 has the ray's sign.
+        return RaySign(POSITIVE_ON_RAY if _int_eval(g.numerators, beta) > 0 else NEGATIVE_ON_RAY)
     return RaySign(MIXED, witness_bound=bound)
 
 

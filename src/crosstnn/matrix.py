@@ -22,7 +22,10 @@ from .exact import (
     SignUndecidedOnRay,
     _as_poly,
     _int_add,
+    _int_exact_div,
     _int_mul,
+    _int_poly_gcd,
+    _int_sign_on_ray,
     _int_sub,
     _numeric_reduce,
     _over_common_denominator,
@@ -168,10 +171,11 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # symmetry-preserving sweep, the Neville test, the determinant, the
 # certificate peel and path_matrix.  A numeric row is a list of ints over
 # a positive int.  A symbolic row is a list of integer coefficient lists
-# (ascending by degree, [] for zero) over one such list.  Both kinds share
-# the update formula, the pivot search and the mirrored row layout of the
-# sweep and the peel; only the ring operations and the common-factor
-# removal differ.  :func:`_row_kind` picks the kind.
+# (ascending by degree, [] for zero) over one such list.  Both kinds
+# divide P and B by gcd(P, B) before a row update, and share the update
+# formula, the pivot search and the mirrored row layout of the sweep and
+# the peel; only the ring operations and the common-factor removal
+# differ.  :func:`_row_kind` picks the kind.
 
 
 class _RowKernel:
@@ -180,7 +184,9 @@ class _RowKernel:
     ``start`` turns a row of matrix entries into (numerators, denominator),
     ``reduce`` removes the common factor of numerators and denominator,
     and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
-    numerator over a denominator.  This class is the symbolic kernel;
+    numerator over a denominator.  This class is the symbolic kernel: it
+    reads a sign from the shifts of numerator and denominator at the ray
+    when both are of one sign there, else from the reduced scalar.
     :class:`_NumericKernel` reads its signs from integers.
     """
 
@@ -190,7 +196,18 @@ class _RowKernel:
         self.mul, self.add, self.sub = mul, add, sub
         self.start, self.reduce, self.scalar = start, reduce, scalar
 
-    def combine(self, P, T: list, dT, B, S: list) -> tuple:
+    def cancel(self, P, B) -> tuple:
+        """P and B divided by their gcd (their primitive gcd, for polynomials).
+
+        :meth:`update` then forms smaller products and, since a reduced
+        row is unique, the same row.
+        """
+        g = _int_poly_gcd(P, B)
+        if len(g) > 1:
+            P, B = _int_exact_div(P, g), _int_exact_div(B, g)
+        return P, B
+
+    def update(self, P, T: list, dT, B, S: list) -> tuple:
         """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
 
         With P and B the numerators in one column of S and of T, this
@@ -199,6 +216,11 @@ class _RowKernel:
         """
         mul, sub = self.mul, self.sub
         return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
+
+    def combine(self, P, T: list, dT, B, S: list) -> tuple:
+        """:meth:`update` on P and B as :meth:`cancel` leaves them."""
+        P, B = self.cancel(P, B)
+        return self.update(P, T, dT, B, S)
 
     def split(self, value) -> tuple:
         """(numerator, denominator) of one lifted scalar."""
@@ -221,23 +243,24 @@ class _RowKernel:
         """Take c = (B*dens[s-1]) / (P*dens[s]) times row s from row s+1 (1-based).
 
         Row w0(s+1) loses c times row w0(s), which on cross-symmetric rows
-        is the first update reversed: row s+1 is one :meth:`combine`, and
+        is the first update reversed: row s+1 is one :meth:`update`, and
         its reverse is stored as row w0(s+1) (for n = 2s, row s, after it
         was read).  The odd middle row takes both updates, from row s plus
         its reverse.  Only columns lo..hi-1 are updated: the rows must be
-        zero outside them, a window symmetric for the middle row.
+        zero outside them, a window symmetric for the middle row.  Callers
+        pass P and B through :meth:`cancel` first, and may share its result.
         """
         n = len(rows)
         source = rows[s - 1][lo:hi]
         if 2 * s + 1 == n:
             source = [self.add(x, y) for x, y in zip(source, reversed(source))]
         row = rows[s]
-        row[lo:hi], dens[s] = self.combine(P, row[lo:hi], dens[s], B, source)
+        row[lo:hi], dens[s] = self.update(P, row[lo:hi], dens[s], B, source)
         rows[n - 1 - s], dens[n - 1 - s] = row[::-1], dens[s]
 
     def sign(self, num, den, ray) -> int:
         """Sign of num/den, on [ray, inf) for symbolic values."""
-        return scalar_sign(self.scalar(num, den), ray)
+        return _shift_sign((num, den), ray) or scalar_sign(self.scalar(num, den), ray)
 
     def ratio(self, B, dB, P, dP):
         """The reduced scalar (B/dB) / (P/dP)."""
@@ -245,7 +268,7 @@ class _RowKernel:
 
     def ratio_sign(self, B, dB, P, dP, ray) -> int:
         """Sign of :meth:`ratio`."""
-        return scalar_sign(self.ratio(B, dB, P, dP), ray)
+        return _shift_sign((B, dB, P, dP), ray) or scalar_sign(self.ratio(B, dB, P, dP), ray)
 
     def pivots(self, block: list):
         """Eliminate (row, denominator) pairs: None if singular, else (sign, pivots).
@@ -277,12 +300,11 @@ class _NumericKernel(_RowKernel):
 
     __slots__ = ()
 
-    def combine(self, P, T: list, dT, B, S: list) -> tuple:
-        # P and B divided by their gcd give smaller products and the same
-        # row, since a reduced row (denominator > 0) is unique.
+    def cancel(self, P, B) -> tuple:
         g = math.gcd(P, B)
-        if g != 1:
-            P, B = P // g, B // g
+        return (P // g, B // g) if g != 1 else (P, B)
+
+    def update(self, P, T: list, dT, B, S: list) -> tuple:
         return _numeric_reduce([P * x - B * y for x, y in zip(T, S)], dT * P)
 
     def sign(self, num, den, ray) -> int:
@@ -290,6 +312,16 @@ class _NumericKernel(_RowKernel):
 
     def ratio_sign(self, B, dB, P, dP, ray) -> int:
         return ((B > 0) - (B < 0)) * ((P > 0) - (P < 0))
+
+
+def _shift_sign(polys, ray) -> int:
+    # The product of the polynomials' signs on [ray, inf) if the shift test
+    # certifies each one, else 0.  Certified factors have no root on the
+    # ray, so the reduced quotient has none and this sign.  A ray that is
+    # not an integer >= 1 gives 0, so the reduced query raises.
+    if not isinstance(ray, int) or ray < 1:
+        return 0
+    return math.prod(_int_sign_on_ray(p, ray) for p in polys)
 
 
 def _symbolic_start(entries) -> tuple:

@@ -547,6 +547,18 @@ class TestSignOnRay:
         with pytest.raises(ValueError):
             sign_on_ray(B, 0)
 
+    @given(polys, st.integers(1, 12))
+    def test_one_sign_shift_test(self, p, beta):
+        # The inline test it replaced, on the coefficients of p(u + beta).
+        cs = reference_shift(p, beta).coeffs
+        if cs and cs[0] > 0 and all(c >= 0 for c in cs):
+            expected = 1
+        elif cs and cs[0] < 0 and all(c <= 0 for c in cs):
+            expected = -1
+        else:
+            expected = 0
+        assert exact._int_sign_on_ray(list(p.numerators), beta) == expected
+
     def test_agrees_with_integer_evaluation(self):
         mixed_seen = 0
         sturm_positive_seen = 0

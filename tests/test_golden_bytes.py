@@ -9,9 +9,10 @@ test and the determinant moved onto the row kernel, and the ``factor
 and the n = 40 ``check --method cross --trace`` ones before the numeric
 sweep decided its signs on integer numerators, and the symbolic ``factor
 --verify`` ones before ``--verify`` peeled the certificate off the input
-instead of re-multiplying it; each must print the same
-bytes.  Any change to a digest here is a change to the program's
-output.
+instead of re-multiplying it, and the reports for n = 11..14 and the
+certificates for n = 9..12 before the symbolic row update divided out
+gcd(P, B); each must print the same bytes.  Any change to a digest here
+is a change to the program's output.
 """
 
 import hashlib
@@ -37,6 +38,10 @@ REPORT_DIGESTS = {
     8: "71c5125bae3d366620064981c8ab3abdf6b8b16ba93a32cf6ca7eb191c2c163e",
     9: "de033e0c9b3aa4ad6f3677e19ec23840adcd1b5455ae4a55ed88fa2d8375d544",
     10: "717b14f5862363dafa33f21049c54a49d1c21df64ea8aa46a0b6bbdc4b0bbfcc",
+    11: "de3a1420c8cdab9ee9be5d22a5eab6ccbb2afca5ed4ec0e83c3ca5134b24452b",
+    12: "dd46c7ed83d878aecca30c7fa3deeaa710db23bebb0222bdc0fa08ebe51ed9bd",
+    13: "f28b0b868168175064fd08630b590b61813cb52ddf7792829904d45e6a77bb77",
+    14: "c91e7f01a83c2dd79c64588e71209d3e2fb4dcc4cf843193fa5a39d8528ec701",
 }
 
 CERTIFICATE_DIGESTS = {
@@ -46,6 +51,10 @@ CERTIFICATE_DIGESTS = {
     6: "e4722e751748c28121099c80643046a32a85ddf9542efbfebf3acb20dfc276cb",
     7: "11fd75b36ec009270d209e6d8177b04de5b6b6cb0685736523b655f088d1ea2f",
     8: "99c9e09f15fba50f75f88bff6b4215d268756b2609575b1e3a2db579f60cdafa",
+    9: "89596cdff925f3476ab58ead4b6b1b872d6df2f0a494f0517423e1cc195b4e31",
+    10: "d53d675f4d1d64611167f41b89eb586aba38ef0bc1a76d07635435530eb18bcb",
+    11: "9883d10e633fc0a54252c090023deb7b5eb3e23c61dcd930cf771091ebd9578e",
+    12: "0aa5ee51c4208b73ebe7076786d0c315b92a3cb5190c8b374cd6e74fdc0eab6e",
 }
 
 # check --method cross --trace on the n = 40 scaled carries matrices, and on

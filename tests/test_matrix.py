@@ -30,8 +30,18 @@ from crosstnn import (
     w0,
     zero_pattern_violation,
 )
-from crosstnn.exact import _numeric_reduce, format_scalar
-from crosstnn.matrix import _NUMERIC
+from crosstnn.exact import (
+    SignUndecidedOnRay,
+    _int_mul,
+    _int_poly_gcd,
+    _int_strip,
+    _int_sub,
+    _numeric_reduce,
+    _symbolic_reduce,
+    format_scalar,
+    scalar_sign,
+)
+from crosstnn.matrix import _NUMERIC, _SYMBOLIC
 from conftest import matrices_on_rays, random_matrix, reference_determinant
 
 B = Poly.variable()
@@ -253,6 +263,113 @@ class TestNumericCombine:
         T, S = [x for x, _ in pairs], [y for _, y in pairs]
         expected = _numeric_reduce([P * x - B * y for x, y in pairs], dT * P)
         assert _NUMERIC.combine(P, T, dT, B, S) == expected
+
+
+# Integer polynomials, ascending by degree, [] for zero.
+_ZPOLY = st.lists(st.integers(-30, 30), max_size=4).map(_int_strip)
+_NONZERO_ZPOLY = _ZPOLY.filter(bool)
+
+
+class TestSymbolicCombine:
+    """Cancelling gcd(P, B) first leaves the reduced row and the ratio unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _NONZERO_ZPOLY,
+        _NONZERO_ZPOLY,
+        _ZPOLY,
+        _NONZERO_ZPOLY,
+        st.lists(st.tuples(_ZPOLY, _ZPOLY), max_size=5),
+    )
+    def test_matches_the_update_reduced_once(self, g, p, q, dT, pairs):
+        P, B = _int_mul(g, p), _int_mul(g, q)
+        T, S = [x for x, _ in pairs], [y for _, y in pairs]
+        # The uncancelled update, reduced once: the kernel before it cancelled.
+        expected = _symbolic_reduce(
+            [_int_sub(_int_mul(P, x), _int_mul(B, y)) for x, y in pairs], _int_mul(dT, P)
+        )
+        assert _SYMBOLIC.combine(P, T, dT, B, S) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NONZERO_ZPOLY, _NONZERO_ZPOLY, _NONZERO_ZPOLY, _NONZERO_ZPOLY, _NONZERO_ZPOLY)
+    def test_ratio_of_the_cancelled_pair(self, g, p, q, dB, dP):
+        P, B = _int_mul(g, p), _int_mul(g, q)
+        Pc, Bc = _SYMBOLIC.cancel(P, B)
+        assert len(_int_poly_gcd(Pc, Bc)) == 1
+        expected = _SYMBOLIC.scalar(_int_mul(B, dP), _int_mul(P, dB))
+        assert _SYMBOLIC.ratio(Bc, dB, Pc, dP) == expected
+
+
+def _sign_or_bound(query):
+    # A sign, or the escalation bound of an undecided query.
+    try:
+        return query()
+    except SignUndecidedOnRay as exc:
+        return ("undecided", exc.witness_bound)
+
+
+def _product_of_linears(c, roots):
+    out = [c]
+    for r in roots:
+        out = _int_mul(out, [-r, 1])
+    return out
+
+
+# Polynomials with integer roots near the ray, so some have a root on it.
+_ROOTED_ZPOLY = st.builds(
+    _product_of_linears, st.integers(-5, 5).filter(bool), st.lists(st.integers(-4, 9), max_size=3)
+)
+
+_SIGN_ZPOLY = st.one_of(_ZPOLY, _ROOTED_ZPOLY)
+_SIGN_NONZERO_ZPOLY = _SIGN_ZPOLY.filter(bool)
+
+
+class TestKernelSign:
+    """Signs read from the shifts agree with the reduced scalar's sign query."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SIGN_ZPOLY, _SIGN_NONZERO_ZPOLY, st.integers(1, 8))
+    def test_sign(self, num, den, ray):
+        expected = _sign_or_bound(lambda: scalar_sign(_SYMBOLIC.scalar(num, den), ray))
+        assert _sign_or_bound(lambda: _SYMBOLIC.sign(num, den, ray)) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _SIGN_NONZERO_ZPOLY,
+        _SIGN_NONZERO_ZPOLY,
+        _SIGN_NONZERO_ZPOLY,
+        _SIGN_NONZERO_ZPOLY,
+        st.integers(1, 8),
+    )
+    def test_ratio_sign(self, B, dB, P, dP, ray):
+        expected = _sign_or_bound(lambda: scalar_sign(_SYMBOLIC.ratio(B, dB, P, dP), ray))
+        assert _sign_or_bound(lambda: _SYMBOLIC.ratio_sign(B, dB, P, dP, ray)) == expected
+
+    @pytest.mark.parametrize(
+        "num, den, ray, expected",
+        [
+            # one-signed shifts: read directly, negative leading denominator
+            ([1, 1], [-2, -1], 1, -1),
+            # u^2 - u + 1 after the shift to the ray 3: no real root, mixed signs
+            ([13, -7, 1], [1], 3, 1),
+            # a root at the ray start and one above it
+            ([3, -1], [1], 3, ("undecided", 3)),
+            ([-10, 7, -1], [5, 1], 1, ("undecided", 5)),
+            # the denominator's root above the ray
+            ([1], [-6, 1], 2, ("undecided", 6)),
+            ([], [-6, 1], 2, 0),
+        ],
+    )
+    def test_fallback_cases(self, num, den, ray, expected):
+        assert _sign_or_bound(lambda: _SYMBOLIC.sign(num, den, ray)) == expected
+        assert _sign_or_bound(lambda: _SYMBOLIC.ratio_sign(num, [1], den, [1], ray)) == expected
+
+    @pytest.mark.parametrize("ray", [None, 0])
+    def test_sign_needs_a_ray(self, ray):
+        with pytest.raises(ValueError):
+            _SYMBOLIC.sign([1, 1], [1], ray)
+        with pytest.raises(ValueError):
+            _SYMBOLIC.ratio_sign([1, 1], [1], [2, 1], [1], ray)
 
 
 class TestBruteForce:
