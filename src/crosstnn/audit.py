@@ -38,22 +38,22 @@ def peel_certificate(f, A) -> bool:
     peeled in certificate order with the certificate's own c, by the
     sweep's paired update: every atom inverse is cross-symmetric too, so
     row w0(i) stays row i reversed.  The result must be diag(diagonal)
-    exactly.  Weights are lifted by :func:`crosstnn.matrix._row_kind`, as
-    in :func:`crosstnn.network.path_matrix`.  Signs are not checked here;
-    see :func:`check_factorization_signs`.
+    exactly.  The kernel is chosen for the entries and weights together,
+    and takes each as it is.  Signs are not checked here; see
+    :func:`check_factorization_signs`.
     """
     if A.n != f.n:
         return False
     scalars = (A.rows[0][0], *f.diagonal, *(atom.c for atom in f.atoms))
-    kernel, lift = _row_kind(set(map(type, scalars)))
-    started = kernel.mirrored([list(map(lift, row)) for row in A.rows])
+    kernel = _row_kind(set(map(type, scalars)))[0]
+    started = kernel.mirrored(A.rows)
     if started is None:
         return False
     rows, dens = started
     for atom in f.atoms:
         # This P and B make the update's c = cn/cd; for a center atom the new
         # row s is row s minus c times row s+1, as [[1, -c], [-c, 1]] asks.
-        cn, cd = kernel.split(lift(atom.c))
+        cn, cd = kernel.split(atom.c)
         s = atom.s
         P, B = kernel.cancel(kernel.mul(cd, dens[s - 1]), kernel.mul(cn, dens[s]))
         kernel.paired_update(rows, dens, s, P, B)

@@ -243,7 +243,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     certified sweep proves det A = prod(diagonal) / prod(1 - c^2) != 0.
     On every other exit the swept rows are A times such steps, each row
     then scaled by a nonzero factor, so they are singular exactly when A
-    is; they are tested instead of A, and a singular matrix is
+    is.  The row kernel's pivot search decides that on them, as
+    :func:`neville_tnn_test` does on its rows, and a singular matrix is
     inapplicable, with no steps.
 
     For symbolic matrices, signs are decided on [ray, inf); an
@@ -255,11 +256,9 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     steps: list = []
 
     def finish(verdict: Verdict) -> EliminationRun:
-        # Not certified: only now is singularity worth deciding.  Columns
-        # 1..swept are zero below the diagonal, so the rows are singular iff
-        # a diagonal entry there is zero or the block past them is singular.
-        rest = [(row[swept:], den) for row, den in zip(rows[swept:], dens[swept:])]
-        if not all(rows[k][k] for k in range(swept)) or kernel.pivots(rest) is None:
+        # Not certified: only now is singularity worth deciding, on the
+        # swept rows, which are singular exactly when A is.
+        if kernel.pivots(list(zip(rows, dens))) is None:
             return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
         return EliminationRun(verdict, tuple(steps), A)
 
@@ -273,10 +272,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
         return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
     rows, dens = started
 
-    swept = 0  # columns 1..swept are cleared below the diagonal
     try:
         for t in range(1, n):
-            swept = t - 1
             for i in range(n, t, -1):
                 s = i - 1
                 B = rows[s][t - 1]
@@ -305,7 +302,6 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
                 kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
 
-        swept = n - 1
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
         for i, row in enumerate(rows):

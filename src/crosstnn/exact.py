@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -713,7 +715,8 @@ def sign_on_ray(f, beta: int) -> RaySign:
     if isinstance(f, RatFunc):
         if f.is_zero:
             return RaySign(ZERO_IDENTICALLY)
-        g = f.num * f.den
+        # num * den times a positive constant: the same signs and roots
+        g = _poly(_int_mul(f.num.numerators, f.den.numerators))
     elif isinstance(f, Poly):
         if f.is_zero:
             return RaySign(ZERO_IDENTICALLY)
@@ -759,17 +762,43 @@ def scalar_sign(x, ray: int | None = None) -> int:
 # Integers: 12      Rationals: p/q      Polynomials: [c0,c1,...,cd]
 # Rational functions: [n0,...]/[d0,...]
 # On input, whitespace inside brackets is tolerated; exponent notation
-# (1e5) is rejected.
+# (1e5) is rejected.  str() and int() refuse integers of more digits than
+# sys.get_int_max_str_digits() (4300 by default); Decimal converts them
+# exactly and without that limit, so such integers are read and written
+# through it, and smaller ones at no extra cost.
+
+
+def _long_rational_text(x: Fraction) -> str:
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else num + "/" + str(Decimal(x.denominator))
+
+
+def _long_rational(text: str, error: ValueError) -> Fraction:
+    # text as a rational whose integers were too long for int(); else error.
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise error
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        return _long_rational(text, exc)
 
 
 def format_scalar(x) -> str:
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            return _long_rational_text(x)
     if isinstance(x, Poly):
         coeffs = x.coeffs or (Fraction(0),)
-        return "[" + ",".join(str(c) for c in coeffs) + "]"
+        return "[" + ",".join(map(format_scalar, coeffs)) + "]"
     if isinstance(x, RatFunc):
         if x.den == Poly((1,)):
             return format_scalar(x.num)
@@ -784,7 +813,7 @@ def _parse_poly(text: str) -> Poly:
     inner = body[1:-1].strip()
     if not inner:
         return Poly()
-    return Poly(tuple(Fraction(part.strip()) for part in inner.split(",")))
+    return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -794,14 +823,20 @@ def parse_scalar(text: str) -> Scalar:
     # Plain integers, most entries of a numeric file, skip Fraction's regex.
     digits = t[1:] if t[0] in "+-" else t
     if digits.isascii() and digits.isdigit():
-        return Fraction(int(t))
+        try:
+            return Fraction(int(t))
+        except ValueError as exc:
+            return _long_rational(t, exc)
     # Fraction(str) reads exponents, and 1e601110 builds a 601,111-digit
     # integer; the scalar syntax has none.
     if "e" in t or "E" in t:
         raise ValueError(f"exponent notation in scalar {t!r}")
     try:
         if not t.startswith("["):
-            return Fraction(t)
+            try:
+                return Fraction(t)
+            except ValueError as exc:
+                return _long_rational(t, exc)
         depth = 0
         split_at = None
         for pos, ch in enumerate(t):

@@ -181,7 +181,9 @@ def is_cross_symmetric(A: Matrix) -> bool:
 class _RowKernel:
     """The ring operations of one row kind, and the row routines built on them.
 
-    ``start`` turns a row of matrix entries into (numerators, denominator),
+    ``start`` turns a row of exact scalars into (numerators, denominator):
+    ints and Fractions on either kernel, Polys and RatFuncs too on the
+    symbolic one, as they are, so no caller converts a scalar first.
     ``reduce`` removes the common factor of numerators and denominator,
     and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
     numerator over a denominator.  This class is the symbolic kernel: it
@@ -223,7 +225,7 @@ class _RowKernel:
         return self.update(P, T, dT, B, S)
 
     def split(self, value) -> tuple:
-        """(numerator, denominator) of one lifted scalar."""
+        """(numerator, denominator) of one scalar of any kind :attr:`start` takes."""
         (num,), den = self.start([value])
         return num, den
 
@@ -325,10 +327,14 @@ def _shift_sign(polys, ray) -> int:
 
 
 def _symbolic_start(entries) -> tuple:
-    # Entry k is p_k / (d_k * q_k): integer numerators p_k over the integer
-    # d_k, and q_k the entry's denominator in Z[b].  The row starts over
-    # lcm(d_k) times the product of the q_k.
-    parts = [(e, [1]) if isinstance(e, Poly) else (e.num, list(e.den.numerators)) for e in entries]
+    # Entries are int, Fraction, Poly or RatFunc; a rational is taken as a
+    # constant Poly.  Entry k is p_k / (d_k * q_k): integer numerators p_k
+    # over the integer d_k, and q_k the entry's denominator in Z[b].  The row
+    # starts over lcm(d_k) times the product of the q_k.
+    parts = [
+        (e.num, list(e.den.numerators)) if isinstance(e, RatFunc) else (_as_poly(e), [1])
+        for e in entries
+    ]
     d = math.lcm(*(p.denominator for p, _ in parts))
     nums, q_product = [], [1]
     for p, q in parts:
@@ -373,8 +379,8 @@ def _row_kind(kinds) -> tuple:
 
 def _det_rows(rows):
     # The routine behind determinant and minor; see determinant.
-    kernel, lift = _row_kind((type(rows[0][0]),))
-    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (1, [kernel.split(lift(0))])
+    kernel = _row_kind((type(rows[0][0]),))[0]
+    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (1, [kernel.split(0)])
     det = kernel.scalar(*pivots[0])
     for p, d in pivots[1:]:
         det = det * kernel.scalar(p, d)
@@ -453,44 +459,41 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     its last row over the (k-1) x (k-1) minors of the size before, kept
     in a flat list indexed by the ranks of the row set and the column
     set, so a minor costs at most k products and zero terms are skipped.
-    Numeric rows are first cleared to integers (row i times the lcm L_i
-    of its denominators), so each minor is an integer over the positive
-    product of its rows' L_i and the integer's sign is the minor's sign.
-    Polynomial matrices expand in the polynomial ring, rational-function
-    matrices in their field, both without division.  Two sizes of minors
-    are held at once, so memory grows as C(n, n // 2) ** 2.
+    The rows are started on the row kernel (see :class:`_RowKernel`): row
+    i is integer numerators over a denominator D_i (integer polynomials in
+    b for symbolic matrices), so a minor is a numerator summed with the
+    kernel's ring operations over the product of its rows' D_i, and never
+    divides.  The kernel reads the sign of each nonzero minor, and a
+    witness value is built only for the refuting one.  Two sizes of
+    minors are held at once, so memory grows as C(n, n // 2) ** 2.
     """
     n = A.n
-    kernel, lift = _row_kind((type(A.rows[0][0]),))
-    if kernel is _SYMBOLIC:
-        rows, one = A.rows, lift(1)
-        is_negative = lambda m: scalar_sign(m, ray) < 0  # noqa: E731
-    else:
-        rows, scales = zip(*map(_over_common_denominator, A.rows))
-        one = 1
-        is_negative = (0).__gt__  # an integer over a positive scale: 0 > m
-    zero = one - one
+    kernel = _row_kind((type(A.rows[0][0]),))[0]
+    mul, add, sub, sign = kernel.mul, kernel.add, kernel.sub, kernel.sign
+    rows, dens = zip(*map(kernel.start, A.rows))
+    one, zero = kernel.split(1)[0], kernel.split(0)[0]
     indices = range(1, n + 1)
-    prev_combos, prev = [()], [one]  # the empty minor
+    prev_combos, prev, prev_dens = [()], [one], [one]  # the empty minor, 1 over 1
     for size in indices:
         combos = list(itertools.combinations(indices, size))
         rank = {c: r for r, c in enumerate(prev_combos)}
         width = len(prev_combos)
         terms = _laplace_terms(combos, rank)
+        minor_dens = [mul(prev_dens[rank[c[:-1]]], dens[c[-1] - 1]) for c in combos]
         minors = []
-        for rows_idx in combos:
+        for rows_idx, den in zip(combos, minor_dens):
             last = rows[rows_idx[-1] - 1]
             base = rank[rows_idx[:-1]] * width
             for cols_idx, expansion in zip(combos, terms):
                 m = zero
-                for col, sub, negative in expansion:
+                for col, rest, negative in expansion:
                     a = last[col]
                     if a:
-                        b = prev[base + sub]
+                        b = prev[base + rest]
                         if b:
-                            m = m - a * b if negative else m + a * b
-                try:
-                    refuted = is_negative(m)
+                            m = sub(m, mul(a, b)) if negative else add(m, mul(a, b))
+                try:  # a zero minor needs no sign query
+                    refuted = m and sign(m, den, ray) < 0
                 except SignUndecidedOnRay as exc:
                     return Inapplicable(
                         INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -499,18 +502,12 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
                         cols=cols_idx,
                     )
                 if refuted:
+                    value = kernel.scalar(m, den)
                     return NotTnn(
-                        Witness(
-                            REASON_NEGATIVE_MINOR,
-                            rows=rows_idx,
-                            cols=cols_idx,
-                            value=as_ratfunc(m)
-                            if A.is_symbolic
-                            else Fraction(m, math.prod(scales[i - 1] for i in rows_idx)),
-                        )
+                        Witness(REASON_NEGATIVE_MINOR, rows=rows_idx, cols=cols_idx, value=value)
                     )
                 minors.append(m)
-        prev_combos, prev = combos, minors
+        prev_combos, prev, prev_dens = combos, minors, minor_dens
     return TotallyNonnegative()
 
 

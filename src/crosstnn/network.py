@@ -148,18 +148,18 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
     entry = (lambda num, den: _poly(num, den[0])) if lift is _as_poly else kernel.scalar
     mul, sub, combine, split = kernel.mul, kernel.sub, kernel.combine, kernel.split
     n = net.n
-    one = split(lift(1))[0]  # never mutated, nor is zero
-    zero = sub(one, one)
-    cols = [([one if i == j else zero for i in range(n)], one) for j in range(n)]
+    cols = [kernel.start([int(i == j) for i in range(n)]) for j in range(n)]
+    zero = split(0)[0]
     for scales, slants in chips:
         sources = [cols[p] for p, _, _ in slants]  # before any rewrite
         for q, h in scales:
-            hn, hd = split(lift(h))
+            hn, hd = split(h)
             X, d = cols[q]
             cols[q] = kernel.reduce([mul(hn, x) for x in X], mul(d, hd))
         for (_, q, w), (Xp, dp) in zip(slants, sources):
-            # Xq/dq + (wn/wd)(Xp/dp) is one combine, with B = -wn*dq.
-            wn, wd = split(lift(w))
+            # Xq/dq + (wn/wd)(Xp/dp) is one combine, with B = -wn*dq; negating
+            # the numerator is cheaper than negating a Fraction weight.
+            wn, wd = split(w)
             Xq, dq = cols[q]
             cols[q] = combine(mul(wd, dp), Xq, dq, sub(zero, mul(wn, dq)), Xp)
     return Matrix([[entry(X[i], d) for X, d in cols] for i in range(n)])

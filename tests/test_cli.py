@@ -3,6 +3,7 @@
 import json
 import time
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from crosstnn import (
     Matrix,
+    Poly,
+    RatFunc,
     TotallyNonnegative,
     amazing_matrix,
     amazing_matrix_symbolic,
@@ -24,6 +27,7 @@ from crosstnn import (
 )
 from crosstnn import cli
 from crosstnn.cli import main
+from crosstnn.exact import format_scalar, parse_scalar
 
 DEEPLY_NESTED = '{"n": ' + "[" * 100000 + "]" * 100000 + "}"
 
@@ -279,6 +283,43 @@ class TestVerifyAmazing:
         doc = json.loads(out.read_text())
         assert doc["overall"] == "certified"
         assert doc["ray"]["final_beta"] == 2
+
+
+class TestIntegersPastTheDigitLimit:
+    """Scalars whose integers have more digits than str() and int() convert by default."""
+
+    A = Matrix([[10**2500 + 7, 3], [3, 10**2500 + 7]])
+
+    def test_check_factor_and_network(self, tmp_path, capsys):
+        path = _write(tmp_path / "long.txt", matrix_to_text(self.A))
+        for method in ("cross", "neville", "minors"):
+            assert main(["check", path, "--method", method]) == 0
+            assert "verdict: totally-nonnegative" in capsys.readouterr().out
+        assert main(["check", path, "--trace"]) == 0
+        out = capsys.readouterr().out
+        # the diagonal entry (a^2 - 9)/a has a 5,001-digit numerator
+        assert "verdict: totally-nonnegative" in out and len(out) > 7500
+        cert = str(tmp_path / "long.cert.json")
+        assert main(["factor", path, "--verify", "--out", cert]) == 0
+        capsys.readouterr()
+        assert main(["network", cert, "--format", "doc"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert path_matrix(network_from_doc(doc)) == self.A
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(-(10**5000) - 1),
+            Fraction(10**4400 + 1, 10**4301 + 3),
+            Poly((Fraction(1, 10**4400 + 1), 0, -(10**4400))),
+            RatFunc(Poly((1, 10**4500)), Poly((10**4400, 1))),
+        ],
+        ids=["integer", "rational", "poly", "ratfunc"],
+    )
+    def test_scalars_round_trip(self, value):
+        text = format_scalar(value)
+        assert parse_scalar(text) == value
+        assert format_scalar(parse_scalar(text)) == text
 
 
 class TestErrorPaths:

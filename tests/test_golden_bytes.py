@@ -11,8 +11,10 @@ sweep decided its signs on integer numerators, and the symbolic ``factor
 --verify`` ones before ``--verify`` peeled the certificate off the input
 instead of re-multiplying it, and the reports for n = 11..14 and the
 certificates for n = 9..12 before the symbolic row update divided out
-gcd(P, B); each must print the same bytes.  Any change to a digest here
-is a change to the program's output.
+gcd(P, B), and the symbolic and ``RatFunc`` minors cases and the early
+singular sweeps before the minors moved onto the row kernel and the
+sweep decided singularity on its full rows; each must print the same
+bytes.  Any change to a digest here is a change to the program's output.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import pytest
 from crosstnn import amazing_matrix, amazing_matrix_symbolic, matrix_to_text
 from crosstnn.amazing import report_to_doc, verify_amazing
 from crosstnn.cli import main
-from crosstnn.exact import format_scalar
+from crosstnn.exact import Poly, RatFunc, format_scalar
 from crosstnn.matrix import Matrix, determinant
 
 REPORT_DIGESTS = {
@@ -90,6 +92,23 @@ MINORS_DIGESTS = {
     # the symbolic n = 5 matrix: indefinite at ray 2, certified at ray 5
     "symbolic-ray2": "3a95ee66f392ef09178bcf4341a92a35ae8ba4511301d92b9ac649f81d026688",
     "symbolic-ray5": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
+    # the symbolic n = 5 matrix with entry (4, 3) and its mirror (2, 3)
+    # negated: indefinite at ray 1, refuted by the 1x1 minor at ray 5
+    "symbolic-flipped-ray1": "3a95ee66f392ef09178bcf4341a92a35ae8ba4511301d92b9ac649f81d026688",
+    "symbolic-flipped-ray5": "1d3c7f53e87d363e864e25b8a1af4aa4f4a0f69349dfa015eb67ccdc99100823",
+    # [[(b+2)/(b+1), 1/(b+1)], [1/(b+1), (b+2)/(b+1)]], certified ...
+    "ratfunc-ray1": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
+    "ratfunc-ray5": "3c1f55a3b561c2787a3e2dc01bab84b99e781fc7ac205fe0c987408db47b5ff5",
+    # ... and its anti-diagonal swap, with determinant [-3,-1]/[1,1]
+    "ratfunc-swapped-ray1": "8c296130b9edf2328f348bc41ed41c0fc3a94337d5a1b67fcc3ecd6e8d40a1e6",
+    "ratfunc-swapped-ray5": "8c296130b9edf2328f348bc41ed41c0fc3a94337d5a1b67fcc3ecd6e8d40a1e6",
+}
+
+# check --method cross stdout on cross-symmetric singular matrices that
+# leave the sweep before it reaches the diagonal
+SINGULAR_CROSS_DIGESTS = {
+    "ones": "11ab5b790323c4b493024c4a8ac2f3050ec0826f5cce302d7a377d4c86f00e14",
+    "rank-two": "11ab5b790323c4b493024c4a8ac2f3050ec0826f5cce302d7a377d4c86f00e14",
 }
 
 # check --method neville stdout on the minors cases, one zero pivot above a
@@ -194,6 +213,9 @@ def _method_stdout(tmp_path, capsys, method: str, matrix: Matrix, *flags) -> str
 def _minors_case(name: str) -> tuple:
     carries = amazing_matrix(7, 10)
     symbolic = amazing_matrix_symbolic(5)
+    flipped = _negate_mirrored(symbolic, 3, 2)
+    b = Poly.variable()
+    p, q = RatFunc(b + 2, b + 1), RatFunc(Poly((1,)), b + 1)
     F = Fraction
     return {
         "carries": (carries,),
@@ -204,6 +226,12 @@ def _minors_case(name: str) -> tuple:
         ),
         "symbolic-ray2": (symbolic, "--ray", "2"),
         "symbolic-ray5": (symbolic, "--ray", "5"),
+        "symbolic-flipped-ray1": (flipped, "--ray", "1"),
+        "symbolic-flipped-ray5": (flipped, "--ray", "5"),
+        "ratfunc-ray1": (Matrix([[p, q], [q, p]]), "--ray", "1"),
+        "ratfunc-ray5": (Matrix([[p, q], [q, p]]), "--ray", "5"),
+        "ratfunc-swapped-ray1": (Matrix([[q, p], [p, q]]), "--ray", "1"),
+        "ratfunc-swapped-ray5": (Matrix([[q, p], [p, q]]), "--ray", "5"),
         "zero-pivot": (Matrix([[1, 2, 0], [2, 4, 1], [0, 3, 1]]),),
         "transposed-pass": (Matrix([[1, 2, 5], [0, 1, 1], [0, 0, 2]]),),
     }[name]
@@ -244,6 +272,16 @@ def test_minors_check_outputs(tmp_path, capsys, name):
     matrix, *flags = _minors_case(name)
     out = _method_stdout(tmp_path, capsys, "minors", matrix, *flags)
     assert _sha256(out) == MINORS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_CROSS_DIGESTS))
+def test_singular_cross_outputs(tmp_path, capsys, name):
+    matrix = {
+        "ones": Matrix([[1] * 3] * 3),
+        "rank-two": Matrix([[2, 0, 0, -2], [-2, 1, 1, -2], [-2, 1, 1, -2], [-2, 0, 0, 2]]),
+    }[name]
+    out = _method_stdout(tmp_path, capsys, "cross", matrix)
+    assert _sha256(out) == SINGULAR_CROSS_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", list(NEVILLE_DIGESTS))

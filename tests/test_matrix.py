@@ -32,12 +32,15 @@ from crosstnn import (
 )
 from crosstnn.exact import (
     SignUndecidedOnRay,
+    _as_poly,
     _int_mul,
     _int_poly_gcd,
     _int_strip,
     _int_sub,
     _numeric_reduce,
     _symbolic_reduce,
+    as_ratfunc,
+    as_rational,
     format_scalar,
     scalar_sign,
 )
@@ -298,6 +301,38 @@ class TestSymbolicCombine:
         assert len(_int_poly_gcd(Pc, Bc)) == 1
         expected = _SYMBOLIC.scalar(_int_mul(B, dP), _int_mul(P, dB))
         assert _SYMBOLIC.ratio(Bc, dB, Pc, dP) == expected
+
+
+_RATIONAL = st.one_of(
+    st.integers(-50, 50), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+)
+_POLY = st.lists(_RATIONAL, max_size=3).map(Poly)
+_SCALAR = st.one_of(
+    _RATIONAL,
+    _POLY,
+    st.builds(RatFunc, _POLY, st.sampled_from([(1,), (1, 1), (2, 1), (3, 2), (1, 0, 1)]).map(Poly)),
+)
+
+
+class TestKernelStart:
+    """start and split take each scalar as it is, and agree with the lifted scalar."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RATIONAL, min_size=1, max_size=5))
+    def test_numeric(self, row):
+        assert _NUMERIC.start(row) == _NUMERIC.start([as_rational(x) for x in row])
+        for x in row:
+            assert _NUMERIC.split(x) == _NUMERIC.split(as_rational(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SCALAR, min_size=1, max_size=5))
+    def test_symbolic(self, row):
+        lift = as_ratfunc if any(isinstance(x, RatFunc) for x in row) else _as_poly
+        assert _SYMBOLIC.start(row) == _SYMBOLIC.start([lift(x) for x in row])
+        for x in row:
+            assert _SYMBOLIC.split(x) == _SYMBOLIC.split(as_ratfunc(x))
+            if not isinstance(x, RatFunc):
+                assert _SYMBOLIC.split(x) == _SYMBOLIC.split(_as_poly(x))
 
 
 def _sign_or_bound(query):

@@ -153,6 +153,28 @@ def test_sweep_makes_no_minor_calls(monkeypatch):
     assert calls == []
 
 
+def test_sweep_makes_no_poly_or_ratfunc_arithmetic(monkeypatch):
+    # The minors are summed on the row kernel's integer polynomials, and a
+    # sign the shifts leave open is queried on the reduced scalar alone.
+    x, y = RatFunc(B + 2, B + 1), RatFunc(Poly((1,)), B + 1)
+    cases = [(amazing_matrix_symbolic(n), ray) for n in range(3, 7) for ray in (2, n)]
+    cases += [(Matrix(rows), ray) for rows in ([[x, y], [y, x]], [[y, x], [x, y]]) for ray in (1, 5)]
+    calls = []
+    for cls in (Poly, RatFunc):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+
+            def wrapper(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+    verdicts = [type(brute_force_tnn(A, ray)).__name__ for A, ray in cases]
+    assert calls == []
+    assert verdicts == ["Inapplicable", "TotallyNonnegative"] * 4 + ["TotallyNonnegative"] * 2 + [
+        "NotTnn"
+    ] * 2
+
+
 class TestWiderOracleCoverage:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_scaled_carries_matrices(self, n):
