@@ -19,6 +19,7 @@ that split, escalating the ray start past any indefinite sign query.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,49 +89,72 @@ def amazing_entry(n: int, b: int, i: int, j: int) -> Fraction:
     return Fraction(total, b**n)
 
 
+def _carry_weights(n: int) -> list:
+    """(-1)^r C(n+1, r) for r = 0..n, the weights of both generators' sums."""
+    return [(-1) ** r * math.comb(n + 1, r) for r in range(n + 1)]
+
+
+def _carry_sums(weights: list, low: int, table: list) -> list:
+    """sum_{k=low}^{j+1} weights[j+1-k] * table[k-low] for j = 0..n-1.
+
+    ``table`` holds the values for k = low..n, with n = len(weights) - 1
+    and low >= 1; entries with j + 1 < low are empty sums.
+    """
+    return [0] * (low - 1) + [
+        sum(map(operator.mul, weights[m::-1], table)) for m in range(len(table))
+    ]
+
+
 def amazing_matrix(n: int, b: int, scaled: bool = False) -> Matrix:
     """The n x n carries matrix for base b; scaled multiplies by b^n.
 
-    Row sums are exactly 1 (unscaled) or b^n (scaled), and the matrix is
+    Row i is built from its own table T_i[k] = C(n - 1 - i + k*b, n),
+    k = 1..n, zero for k <= floor(i/b): scaled entry (i, j) is
+    sum_{k=floor(i/b)+1}^{j+1} (-1)^(j+1-k) C(n+1, j+1-k) T_i[k], which is
+    :func:`amazing_entry` times b^n.  That is n binomials and O(n^2)
+    integer products per row, O(n^3) for the matrix.  Row sums are
+    exactly 1 (unscaled) or b^n (scaled), and the matrix is
     cross-symmetric.
     """
-    factor = b**n if scaled else 1
-    return Matrix(
-        [[amazing_entry(n, b, i, j) * factor for j in range(n)] for i in range(n)]
-    )
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if b < 2:
+        raise ValueError("b must be >= 2")
+    weights = _carry_weights(n)
+    scale = b**n
+    rows = []
+    for i in range(n):
+        low = i // b + 1
+        table = [math.comb(n - 1 - i + k * b, n) for k in range(low, n + 1)]
+        row = _carry_sums(weights, low, table)
+        rows.append([Fraction(v) for v in row] if scaled else [Fraction(v, scale) for v in row])
+    return Matrix(rows)
 
 
 def amazing_matrix_symbolic(n: int) -> Matrix:
     """Scaled entries b^n * p(i, j) as polynomials in b, valid for b >= n.
 
     In that regime floor(i/b) = 0, so entry (i, j) is
-    sum_{r=0}^{j} (-1)^r C(n+1, r) * C(n - 1 - i + (j + 1 - r) b, n)
-    with the binomial realized by :func:`binomial_poly`; each entry has
-    degree exactly n, and specializing at any integer b >= n reproduces
-    the numeric generator.
+    sum_{r=0}^{j} (-1)^r C(n+1, r) * C(n - 1 - i + (j + 1 - r) b, n),
+    each entry of degree exactly n; specializing at any integer b >= n
+    reproduces the numeric generator.  The base enters only through
+    k*b, k = j + 1 - r, so with G_a(x) = prod_{m<n} (a - m + x) and
+    S_j[t] = sum_{r<=j} (-1)^r C(n+1, r) (j+1-r)^t, coefficient t of
+    entry (i, j) is G_{n-1-i}[t] * S_j[t] / n!.  The n polynomials G_a
+    and the table S take O(n^3) integer operations, and each entry is
+    n + 1 integer products.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # Entry (i, j) uses the binomials with tops n-1-i + k*b for k = 1..j+1,
-    # all over the common denominator n!.  The n^2 distinct integer
-    # numerators are built once per call, each entry's sum is taken over
-    # the integers, and one Poly is built per entry.
-    numerators = {
-        (a, k): _falling_product(a, k, n) for a in range(n) for k in range(1, n + 1)
-    }
+    falling = [_falling_product(a, 1, n) for a in reversed(range(n))]
+    weights = _carry_weights(n)
+    # One weighted sum of the powers k^t per t gives S_j[t] for every j.
+    sums = [_carry_sums(weights, 1, [k**t for k in range(1, n + 1)]) for t in range(n + 1)]
+    columns = list(zip(*sums))
     denominator = math.factorial(n)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = [0] * (n + 1)
-            for r in range(j + 1):
-                weight = (-1) ** r * math.comb(n + 1, r)
-                term = numerators[n - 1 - i, j + 1 - r]
-                entry = [v + weight * x for v, x in zip(entry, term)]
-            row.append(_poly(entry, denominator))
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix(
+        [[_poly([g * s for g, s in zip(G, S)], denominator) for S in columns] for G in falling]
+    )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .elimination import (
     neville_tnn_test,
     random_certified_tnn,
 )
-from .exact import format_scalar
+from .exact import format_scalar, parse_json
 from .matrix import brute_force_tnn, matrix_from_payload, matrix_to_text
 from .network import export_dot, network_from_factorization, network_to_doc
 from .verdicts import Inapplicable, NotTnn, TotallyNonnegative, verdict_label
@@ -278,7 +278,7 @@ def _cmd_factor(args) -> int:
 def _cmd_network(args) -> int:
     text = _read(args.input)
     stripped = text.lstrip()
-    doc = json.loads(stripped) if stripped.startswith("{") else None
+    doc = parse_json(stripped) if stripped.startswith("{") else None
     if doc is not None and "atoms" in doc:
         fact = factorization_from_doc(doc)
         if fact.is_symbolic and args.ray is None:

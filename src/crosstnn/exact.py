@@ -25,6 +25,7 @@ points.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ __all__ = [
     "parse_scalar",
     "parse_int",
     "parse_list",
+    "parse_json",
     "split_scalar_tokens",
 ]
 
@@ -873,6 +875,23 @@ def parse_list(value, name: str, item=object) -> list:
     if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
         raise ValueError(f"{name} must be a list" + (" of objects" if item is dict else ""))
     return value
+
+
+def _json_int(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_json(text: str):
+    """A JSON document, with integer tokens that int() refuses kept as text.
+
+    Such tokens exceed the int/str digit limit; :func:`parse_scalar` reads
+    the text through Decimal, so a long integer written as a JSON number
+    reads as it does written as a JSON string.
+    """
+    return json.loads(text, parse_int=_json_int)
 
 
 def split_scalar_tokens(line: str) -> list:

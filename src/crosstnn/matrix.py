@@ -11,7 +11,6 @@ oracle and the plain-text / JSON-compatible matrix formats.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .exact import (
     as_rational,
     format_scalar,
     parse_int,
+    parse_json,
     parse_scalar,
     scalar_sign,
     split_scalar_tokens,
@@ -561,5 +561,5 @@ def matrix_from_payload(text: str) -> Matrix:
     """Accept either the plain-text format or the JSON document form."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return matrix_from_doc(json.loads(stripped))
+        return matrix_from_doc(parse_json(stripped))
     return matrix_from_text(text)

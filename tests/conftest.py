@@ -1,11 +1,13 @@
-"""Shared helpers for the test suites: random exact matrices and the reference determinant."""
+"""Shared helpers for the test suites: random exact matrices and reference constructions."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from crosstnn import Matrix, Poly, RatFunc, random_certified_tnn
-from crosstnn.exact import as_ratfunc
+from crosstnn import Matrix, Poly, RatFunc, amazing_entry, random_certified_tnn
+from crosstnn.amazing import _falling_product
+from crosstnn.exact import _poly, as_ratfunc
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=4) -> Fraction:
@@ -59,6 +61,35 @@ def reference_determinant(rows):
                     x - factor * y if y else x for x, y in zip(row[k + 1 :], top[k + 1 :])
                 ]
     return det
+
+
+def reference_amazing_matrix(n, b, scaled=False) -> Matrix:
+    """The carries matrix entry by entry: :func:`amazing_entry`, times b^n if scaled."""
+    factor = b**n if scaled else 1
+    return Matrix([[amazing_entry(n, b, i, j) * factor for j in range(n)] for i in range(n)])
+
+
+def reference_amazing_symbolic(n) -> Matrix:
+    """The symbolic carries matrix from one falling product per (a, k).
+
+    Entry (i, j) sums (-1)^r C(n+1, r) times the numerator of
+    C(n - 1 - i + k*b, n), k = j + 1 - r, over the integers, all over n!.
+    """
+    numerators = {
+        (a, k): _falling_product(a, k, n) for a in range(n) for k in range(1, n + 1)
+    }
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = [0] * (n + 1)
+            for r in range(j + 1):
+                weight = (-1) ** r * math.comb(n + 1, r)
+                term = numerators[n - 1 - i, j + 1 - r]
+                entry = [v + weight * x for v, x in zip(entry, term)]
+            row.append(_poly(entry, math.factorial(n)))
+        rows.append(row)
+    return Matrix(rows)
 
 
 _ENTRIES = {

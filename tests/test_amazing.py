@@ -1,9 +1,11 @@
 """Carries transition matrices, numeric and symbolic, and base coverage."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from conftest import reference_amazing_matrix, reference_amazing_symbolic
 
 from crosstnn import (
     Atom,
@@ -21,12 +23,57 @@ from crosstnn import (
     cross_symmetric_eliminate,
     factorization_product,
     is_cross_symmetric,
+    matrix_to_text,
     neville_tnn_test,
     report_to_doc,
     verify_amazing,
 )
+from crosstnn.cli import main
 
 B = Poly.variable()
+
+# sha256 of matrix_to_text, recorded on the generators that built one
+# falling product per (a, k) and one amazing_entry per numeric entry.
+SYMBOLIC_TEXT_DIGESTS = {
+    1: "33f5314a68f3159c74a2c70c466b5f5d3e847635bf4a70538a38e3c3b54db856",
+    2: "7e958d0237bb54f0954c6d42e7f7c5769227aa65d951b97fabfc1b294739d560",
+    3: "388a07d7963cacf5fc103a281888d20a9170543f2ed5a717da436ecb277d8920",
+    4: "a9e5a5787778c90b6cb05f6bc96b9f4bc65b778d11a2eff1b155e7b6e643e955",
+    5: "62c6250c431f2bb113398eba3b01f85779196234348bb5da9f185d27c7fa1ffc",
+    6: "c1336b9763c87a8f36d4ba6658afb20239ac26069f8c4674c8de63387c6adddb",
+    7: "8d71cf9e6509d761b79aaf4c32ab0f332deb78a5a50fefcfc014c5dec9796f99",
+    8: "4b4934a683a44615d6574c35e51ba3b089c8a606fefe8175010b09f034ea61a1",
+    9: "6bd35029c12a0837a27fffa1412c0c0f88236f23c2b213dbc576fecdd208da2e",
+    10: "496cb83c2a55c3da3a141cd0dac1c852a889a233371a9d8bcb4f3f1c582aad2c",
+    11: "e5b23a52f72d6affc25791ecabc4c46f2ad1c8bc9419bc0d47e45c682cb48e12",
+    12: "23a7fef3302e3583b6c9f406e49fd3c346739f7c95f18226ce1b1b544bfee6fc",
+    13: "73b696cdb4a12c580d824ee3b81c8b4c5eec415849add7b4699ca67aa83053ad",
+    14: "ccfea5a07713ea22a4bd8a1d2ad55de001971feaafa9aeac6baafdd59f8c4f6a",
+    15: "bd12314d1ae7076440ddcd4586c26c5c1976078b1eeda5c14f17406cc5eef5a6",
+    16: "7f6d2a9ef52ea0b16e0452b81d09214b217a1f6415d3ba9c3f60efc59b1b35e7",
+    17: "6d1417be891a22b6116905124fb0498a3aa803d40b9d7a4aacda3ad878271665",
+    18: "4643f10f5cda094f7e45b4ddcb1527b64ba051dd5abfb6f3ba51f541cc837cd8",
+    19: "f230bddc5dd00cf85d7869fc1626a0234976295d789927413ad1a723d0d08f11",
+    20: "96f6401d32c22852e6e1fcbbc8621f1818a0ee9db46c41e9275e83b7687dee74",
+    21: "b5d9c6e9bd5be6c75fca1405bc3457c30265c7fcfbed139fe9596e278eb69428",
+    22: "a48e197336f1e7354b69c665a80efebd45d89af6880499101d88468990d3b3f3",
+    23: "55dc5981ba40feaf57ed50f94af91797d9be75c4fdf6d0ae27d9664f86c38a7e",
+    24: "4b277e2ed07e66e7519e2890ea6f2f6f781429e67f6241d0cc505b0d62a182be",
+}
+
+SCALED_N40_TEXT_DIGESTS = {
+    2: "4f501d010bc5b106a1fd89d19db042bde84b0187ba2b586b2d36a55131425417",
+    3: "87271334a11075a64adc2afe9babc3abc6f0e2c537c34af751476e683b617c48",
+    10: "b906a1faab02594c85a141456061a8561450d52b46a5a2264adbffb88ffdf7ce",
+    39: "ee8910ecf083a096a26e0897870d29899651ae04e4ddbf231f3561538fb37ad9",
+}
+
+# stdout of `crosstnn gen --amazing 12 5` (unscaled)
+GEN_12_5_DIGEST = "f62d819a05317a7d535d64214ff8291f6bc653412ecac57b67e1237735d6c7f8"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestBinomialPoly:
@@ -169,6 +216,69 @@ class TestSymbolic:
             assert all(d > 0 for d in diagonal)
             specialized = Factorization(n=n, atoms=atoms, diagonal=diagonal)
             assert factorization_product(specialized) == amazing_matrix(n, b, scaled=True)
+
+
+class TestGenerators:
+    """The table-built generators against the per-entry constructions."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_numeric_matches_amazing_entry(self, n):
+        for b in range(2, n + 4):
+            for scaled in (True, False):
+                ours = amazing_matrix(n, b, scaled=scaled).rows
+                reference = reference_amazing_matrix(n, b, scaled=scaled).rows
+                assert ours == reference, (n, b, scaled)
+                assert all(type(x) is Fraction for row in ours for x in row)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_symbolic_matches_falling_products(self, n):
+        ours = amazing_matrix_symbolic(n).rows
+        reference = reference_amazing_symbolic(n).rows
+        for row, ref_row in zip(ours, reference):
+            for x, y in zip(row, ref_row):
+                assert type(x) is Poly
+                assert (x.numerators, x.denominator) == (y.numerators, y.denominator)
+
+    def test_rejects_bad_sizes_and_bases(self):
+        with pytest.raises(ValueError):
+            amazing_matrix(0, 3)
+        with pytest.raises(ValueError):
+            amazing_matrix(3, 1)
+        with pytest.raises(ValueError):
+            amazing_matrix_symbolic(0)
+
+    def test_symbolic_text_digests(self):
+        for n, digest in SYMBOLIC_TEXT_DIGESTS.items():
+            assert _sha256(matrix_to_text(amazing_matrix_symbolic(n))) == digest, f"n={n}"
+
+    def test_scaled_n40_text_digests(self):
+        for b, digest in SCALED_N40_TEXT_DIGESTS.items():
+            assert _sha256(matrix_to_text(amazing_matrix(40, b, scaled=True))) == digest, f"b={b}"
+
+    def test_gen_prints_the_recorded_bytes(self, capsys):
+        assert main(["gen", "--amazing", "12", "5"]) == 0
+        assert _sha256(capsys.readouterr().out) == GEN_12_5_DIGEST
+
+    def test_generators_stay_on_integers(self, monkeypatch):
+        # Both generators sum integers and build each entry once: no Poly,
+        # RatFunc or Fraction arithmetic.
+        calls = []
+        operators = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+        patched = [(cls, name) for cls in (Poly, RatFunc) for name in (*operators, "__truediv__")]
+        patched += [(Fraction, name) for name in ("__mul__", "__truediv__", "__add__")]
+        for cls, name in patched:
+
+            def wrapper(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+        for n in range(3, 9):
+            amazing_matrix_symbolic(n)
+            for b in (2, 3, n + 1):
+                amazing_matrix(n, b, scaled=True)
+                amazing_matrix(n, b)
+        assert calls == []
 
 
 class TestVerify:

@@ -307,6 +307,23 @@ class TestIntegersPastTheDigitLimit:
         assert path_matrix(network_from_doc(doc)) == self.A
 
     @pytest.mark.parametrize(
+        "command, template",
+        [
+            ("check", '{{"n": 1, "entries": [[{}]]}}'),
+            ("network", '{{"n": 1, "atoms": [], "diagonal": [{}]}}'),
+        ],
+        ids=["check", "network"],
+    )
+    def test_json_numbers_read_as_json_strings(self, tmp_path, capsys, command, template):
+        digits = "7" * 5001
+        outputs = []
+        for token in (digits, f'"{digits}"'):
+            path = _write(tmp_path / "doc.json", template.format(token))
+            assert main([command, path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
         "value",
         [
             Fraction(-(10**5000) - 1),

@@ -13,8 +13,10 @@ instead of re-multiplying it, and the reports for n = 11..14 and the
 certificates for n = 9..12 before the symbolic row update divided out
 gcd(P, B), and the symbolic and ``RatFunc`` minors cases and the early
 singular sweeps before the minors moved onto the row kernel and the
-sweep decided singularity on its full rows; each must print the same
-bytes.  Any change to a digest here is a change to the program's output.
+sweep decided singularity on its full rows, and the slow reports for
+n = 16..32 before the carries generators were built from per-row
+binomial tables; each must print the same bytes.  Any change to a digest
+here is a change to the program's output.
 """
 
 import hashlib
@@ -44,6 +46,14 @@ REPORT_DIGESTS = {
     12: "dd46c7ed83d878aecca30c7fa3deeaa710db23bebb0222bdc0fa08ebe51ed9bd",
     13: "f28b0b868168175064fd08630b590b61813cb52ddf7792829904d45e6a77bb77",
     14: "c91e7f01a83c2dd79c64588e71209d3e2fb4dcc4cf843193fa5a39d8528ec701",
+}
+
+# The same reports at larger n, several seconds in all: they run only with -m slow.
+SLOW_REPORT_DIGESTS = {
+    16: "601a75d2915298fe3902e5c2e645f239719de00d6efacac3a749885a7c0765f8",
+    20: "475ed1f20c537a6a28c9fe8f1b17d9dca66632af063adac05ad05db74ba69137",
+    24: "cd1a8cdf85e7dd5843042b76cab94eea5024cdeb2d618f6c937bd1f460b14ba5",
+    32: "069a3f42d9a8e01646f77ee253ad1b718bd42bf697dae8d3fc317727e182c969",
 }
 
 CERTIFICATE_DIGESTS = {
@@ -241,6 +251,13 @@ def test_verify_amazing_reports():
     for n, digest in REPORT_DIGESTS.items():
         text = json.dumps(report_to_doc(verify_amazing(n)), indent=2) + "\n"
         assert _sha256(text) == digest, f"report n={n}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(SLOW_REPORT_DIGESTS))
+def test_verify_amazing_reports_at_larger_n(n):
+    text = json.dumps(report_to_doc(verify_amazing(n)), indent=2) + "\n"
+    assert _sha256(text) == SLOW_REPORT_DIGESTS[n]
 
 
 def test_symbolic_certificates(tmp_path):
