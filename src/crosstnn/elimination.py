@@ -26,9 +26,9 @@ from .exact import (
     RatFunc,
     SignUndecidedOnRay,
     format_scalar,
+    parse_doc_scalar,
     parse_int,
     parse_list,
-    parse_scalar,
 )
 from .matrix import Matrix, _row_kind, w0
 from .network import network_from_factorization, path_matrix
@@ -457,10 +457,10 @@ def factorization_from_doc(doc: dict) -> Factorization:
     atom_docs = parse_list(doc["atoms"], "atoms", dict)
     diagonal_docs = parse_list(doc["diagonal"], "diagonal")
     atoms = tuple(
-        Atom(kind=a["kind"], n=n, s=parse_int(a["s"]), c=parse_scalar(str(a["c"])))
+        Atom(kind=a["kind"], n=n, s=parse_int(a["s"]), c=parse_doc_scalar(a["c"]))
         for a in atom_docs
     )
-    diagonal = tuple(parse_scalar(str(d)) for d in diagonal_docs)
+    diagonal = tuple(map(parse_doc_scalar, diagonal_docs))
     return Factorization(n=n, atoms=atoms, diagonal=diagonal)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
     "parse_int",
+    "parse_doc_scalar",
     "parse_list",
     "parse_json",
     "split_scalar_tokens",
@@ -822,13 +823,17 @@ def parse_scalar(text: str) -> Scalar:
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
-    # Plain integers, most entries of a numeric file, skip Fraction's regex.
+    # Plain integers, most entries of a numeric file, and plain p/q with
+    # q != 0 skip Fraction's regex.
     digits = t[1:] if t[0] in "+-" else t
-    if digits.isascii() and digits.isdigit():
-        try:
+    try:
+        if digits.isascii() and digits.isdigit():
             return Fraction(int(t))
-        except ValueError as exc:
-            return _long_rational(t, exc)
+        num, _, den = digits.partition("/")
+        if digits.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
+            return Fraction(int(t[: -len(den) - 1]), int(den))  # signed num over den
+    except ValueError as exc:
+        return _long_rational(t, exc)
     # Fraction(str) reads exponents, and 1e601110 builds a 601,111-digit
     # integer; the scalar syntax has none.
     if "e" in t or "E" in t:
@@ -870,9 +875,25 @@ def parse_int(value) -> int:
         raise ValueError(f"not an integer: {value!r}") from None
 
 
+def parse_doc_scalar(value) -> Scalar:
+    """A scalar field of a decoded JSON document; ValueError on any other shape.
+
+    Integers are read as they are, without a round trip through text that
+    the int/str digit limit would refuse; booleans are rejected; anything
+    else is read as the text ``str(value)``.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"not a scalar: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    return parse_scalar(str(value))
+
+
 def parse_list(value, name: str, item=object) -> list:
     """A list field of a decoded JSON document, of ``item`` instances; ValueError otherwise."""
-    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+    if not isinstance(value, list) or (
+        item is not object and not all(isinstance(x, item) for x in value)
+    ):
         raise ValueError(f"{name} must be a list" + (" of objects" if item is dict else ""))
     return value
 

@@ -33,6 +33,7 @@ from .exact import (
     as_ratfunc,
     as_rational,
     format_scalar,
+    parse_doc_scalar,
     parse_int,
     parse_json,
     parse_scalar,
@@ -553,7 +554,7 @@ def matrix_from_doc(doc: dict) -> Matrix:
     ):
         raise ValueError("entries do not form an n x n array")
     return Matrix(
-        [[parse_scalar(str(x)) for x in row] for row in entries]
+        [[parse_doc_scalar(x) for x in row] for row in entries]
     )
 
 

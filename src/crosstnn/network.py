@@ -34,6 +34,7 @@ from .exact import (
     _as_poly,
     _poly,
     format_scalar,
+    parse_doc_scalar,
     parse_int,
     parse_list,
     parse_scalar,
@@ -70,24 +71,47 @@ class Chip:
     slants: tuple
 
 
+def _per_row(f, chips) -> list:
+    """``[f(chip.horizontals) for chip in chips]``, calling f once per distinct row.
+
+    Rows are told apart by identity: chips that share a horizontals tuple
+    share its contents, so the result is exact, and no weight is hashed.
+    Nearly every chip of a certificate shares one row of unit weights.
+    """
+    rows = [chip.horizontals for chip in chips]
+    distinct = {id(row): row for row in rows}
+    done = {key: f(row) for key, row in distinct.items()}
+    return [done[id(row)] for row in rows]
+
+
+def _has_nonpositive(weights) -> bool:
+    # A Fraction's denominator is positive: the numerator has its sign.
+    return any(isinstance(w, (int, Fraction)) and w.numerator <= 0 for w in weights)
+
+
 @dataclass(frozen=True)
 class PlanarNetwork:
+    """n wires through a sequence of chips; every edge weight is positive.
+
+    Each chip's slants are checked on their own, and each distinct
+    horizontals tuple (length and signs) once, however many chips share it.
+    """
+
     n: int
     chips: tuple
 
     def __post_init__(self):
-        for chip in self.chips:
-            if len(chip.horizontals) != self.n:
+        rows = _per_row(lambda row: (len(row) == self.n, _has_nonpositive(row)), self.chips)
+        for chip, (full, nonpositive) in zip(self.chips, rows):
+            if not full:
                 raise ValueError("each chip needs exactly one horizontal per wire")
             for slant in chip.slants:
                 if abs(slant.src - slant.dst) != 1:
                     raise ValueError("slants must join adjacent wires")
                 if not (1 <= slant.src <= self.n and 1 <= slant.dst <= self.n):
                     raise ValueError("slant wire outside 1..n")
-            for weight in (*chip.horizontals, *(slant.weight for slant in chip.slants)):
-                # A Fraction's denominator is positive: the numerator has its sign.
-                if isinstance(weight, (int, Fraction)) and weight.numerator <= 0:
-                    raise ValueError("edge weights must be positive")
+            if nonpositive or _has_nonpositive(slant.weight for slant in chip.slants):
+                raise ValueError("edge weights must be positive")
             # Two slants cross iff their left and right endpoints are
             # oppositely ordered; sharing an endpoint is planar.
             for a in chip.slants:
@@ -135,14 +159,13 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
     denominator (integer coefficient lists when a weight is symbolic),
     and each entry becomes a reduced scalar once, at the end.  Entries
     are ``RatFunc`` if any applied weight is one, else ``Poly`` if any is
-    one, else ``Fraction``; a unit horizontal is not applied.
+    one, else ``Fraction``; a unit horizontal is not applied.  Each
+    distinct horizontals tuple is scanned for its non-unit weights once.
     """
+    row_scales = _per_row(lambda row: [(q, h) for q, h in enumerate(row) if h != 1], net.chips)
     chips = [
-        (
-            [(q, h) for q, h in enumerate(chip.horizontals) if h != 1],
-            [(s.src - 1, s.dst - 1, s.weight) for s in chip.slants],
-        )
-        for chip in net.chips
+        (scales, [(s.src - 1, s.dst - 1, s.weight) for s in chip.slants])
+        for chip, scales in zip(net.chips, row_scales)
     ]
     kernel, lift = _row_kind({type(w) for scales, slants in chips for *_, w in (*scales, *slants)})
     entry = (lambda num, den: _poly(num, den[0])) if lift is _as_poly else kernel.scalar
@@ -173,8 +196,8 @@ def reflect(net: PlanarNetwork) -> PlanarNetwork:
     """
     n = net.n
     chips = []
-    for chip in net.chips:
-        horizontals = tuple(reversed(chip.horizontals))
+    rows = _per_row(lambda row: tuple(reversed(row)), net.chips)
+    for chip, horizontals in zip(net.chips, rows):
         slants = tuple(
             sorted(
                 (Slant(w0(s.src, n), w0(s.dst, n), s.weight) for s in chip.slants),
@@ -183,6 +206,10 @@ def reflect(net: PlanarNetwork) -> PlanarNetwork:
         )
         chips.append(Chip(horizontals, slants))
     return PlanarNetwork(n=n, chips=tuple(chips))
+
+
+def _dot_label(weight) -> str:
+    return "" if weight == 1 else f' [label="{format_scalar(weight)}"]'
 
 
 def export_dot(net: PlanarNetwork) -> str:
@@ -209,43 +236,63 @@ def export_dot(net: PlanarNetwork) -> str:
             else:
                 lines.append(f"    {name};")
         lines.append("  }")
-    for col, chip in enumerate(net.chips):
-        for wire in range(1, n + 1):
-            weight = chip.horizontals[wire - 1]
-            label = "" if weight == 1 else f' [label="{format_scalar(weight)}"]'
+    rows = _per_row(lambda row: list(map(_dot_label, row)), net.chips)
+    for col, (chip, labels) in enumerate(zip(net.chips, rows)):
+        for wire, label in enumerate(labels, 1):
             lines.append(f"  c{col}w{wire} -> c{col + 1}w{wire}{label};")
         for slant in chip.slants:
-            label = "" if slant.weight == 1 else f' [label="{format_scalar(slant.weight)}"]'
+            label = _dot_label(slant.weight)
             lines.append(f"  c{col}w{slant.src} -> c{col + 1}w{slant.dst}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def network_to_doc(net: PlanarNetwork) -> dict:
+    """The network as a JSON-ready document, every weight in scalar syntax.
+
+    Each distinct horizontals tuple is formatted once; the chips that
+    share it share the one list of tokens.
+    """
+    rows = _per_row(lambda row: list(map(format_scalar, row)), net.chips)
     return {
         "n": net.n,
         "chips": [
             {
-                "horizontals": [format_scalar(h) for h in chip.horizontals],
+                "horizontals": row,
                 "slants": [
                     {"from": s.src, "to": s.dst, "weight": format_scalar(s.weight)}
                     for s in chip.slants
                 ],
             }
-            for chip in net.chips
+            for chip, row in zip(net.chips, rows)
         ],
     }
 
 
 def network_from_doc(doc: dict) -> PlanarNetwork:
     n = parse_int(doc["n"])
-    # Nearly every horizontal is "1": each distinct token is parsed once.
-    scalar = functools.cache(parse_scalar)
+    # Nearly every horizontal is "1": each distinct text token is parsed
+    # once, and rows of the same text tokens become one shared tuple, so
+    # the network's per-row work runs once per distinct row of the document.
+    text = functools.cache(parse_scalar)
+    rows = {}
+
+    def scalar(token):
+        return text(token) if type(token) is str else parse_doc_scalar(token)
+
+    def horizontals(tokens) -> tuple:
+        key = tuple(tokens)
+        if set(map(type, key)) != {str}:
+            return tuple(map(scalar, key))
+        if key not in rows:
+            rows[key] = tuple(map(text, key))
+        return rows[key]
+
     chips = tuple(
         Chip(
-            tuple(scalar(str(h)) for h in parse_list(chip["horizontals"], "horizontals")),
+            horizontals(parse_list(chip["horizontals"], "horizontals")),
             tuple(
-                Slant(parse_int(s["from"]), parse_int(s["to"]), scalar(str(s["weight"])))
+                Slant(parse_int(s["from"]), parse_int(s["to"]), scalar(s["weight"]))
                 for s in parse_list(chip["slants"], "slants", dict)
             ),
         )

@@ -19,6 +19,7 @@ from crosstnn import (
     amazing_matrix_symbolic,
     factorization_from_doc,
     factorization_product,
+    matrix_from_doc,
     matrix_from_text,
     matrix_to_doc,
     matrix_to_text,
@@ -337,6 +338,28 @@ class TestIntegersPastTheDigitLimit:
         text = format_scalar(value)
         assert parse_scalar(text) == value
         assert format_scalar(parse_scalar(text)) == text
+
+    # Decoded documents built in code may hold Python ints of any length,
+    # and a boolean is not a scalar however the document was decoded.
+    _READERS = {
+        "matrix": lambda x: matrix_from_doc({"n": 1, "entries": [[x]]}),
+        "factorization": lambda x: factorization_from_doc({"n": 1, "atoms": [], "diagonal": [x]}),
+        "network": lambda x: network_from_doc(
+            {"n": 1, "chips": [{"horizontals": [x], "slants": []}]}
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_decoded_long_ints_read_as_their_text(self, reader):
+        read = self._READERS[reader]
+        value = 10**5000 + 7  # 5,001 digits, past the limit of str()
+        assert read(value) == read(format_scalar(value))
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_decoded_booleans_are_not_scalars(self, reader):
+        with pytest.raises(ValueError) as exc:
+            self._READERS[reader](True)
+        assert "exponent" not in str(exc.value)
 
 
 class TestErrorPaths:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -629,6 +630,16 @@ class TestScalarSign:
         assert exc.value.witness_bound == 3
 
 
+def fraction_without_digit_limit(text: str) -> Fraction:
+    """Fraction(text), reading integers past the int/str digit limit too."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestTextSyntax:
     @pytest.mark.parametrize("text", ["12", "-7", "3/2", "-45/8", "0"])
     def test_rational_round_trip(self, text):
@@ -678,13 +689,22 @@ class TestTextSyntax:
     @example("3/0")
     @example("1e601110")
     @example("2E3")
+    @example("-3/4")
+    @example("+0007/0008")
+    @example("3/-4")
+    @example("1/0")
+    @example("-0/5")
+    @example("1_0/3")
+    @example("\u0663/4")
+    @example("3" * 4400 + "/7")
     def test_parse_scalar_matches_fraction(self, text):
-        # ASCII integers take a fast path; a token with an exponent is
-        # rejected, and every other token is Fraction's.
+        # ASCII integers and p/q take a fast path; a token with an exponent
+        # is rejected, and every other token is Fraction's, whose integers
+        # may be longer than the int/str digit limit.
         try:
             if "e" in text or "E" in text:
                 raise ValueError("exponent notation")
-            expected = Fraction(text)
+            expected = fraction_without_digit_limit(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError):
                 parse_scalar(text)

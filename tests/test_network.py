@@ -200,6 +200,21 @@ class TestConstruction:
                 ),
             )
 
+    # Rows are checked once per distinct tuple: a chip with a row of its own
+    # among 40 that share one is still checked, wherever it stands.
+    @pytest.mark.parametrize("where", [0, 20, 40])
+    @pytest.mark.parametrize(
+        "row",
+        [(Fraction(1), Fraction(0), Fraction(1)), (Fraction(1),) * 2],
+        ids=["zero-weight", "wrong-length"],
+    )
+    def test_validation_sees_every_row(self, where, row):
+        ones = (Fraction(1),) * 3
+        chips = [Chip(ones, (Slant(2, 1, Fraction(1, 2)),)) for _ in range(40)]
+        chips.insert(where, Chip(row, ()))
+        with pytest.raises(ValueError):
+            PlanarNetwork(3, tuple(chips))
+
 
 class TestPathMatrix:
     def test_single_slant(self):
@@ -406,6 +421,41 @@ class TestDocFormat:
         assert network_from_doc(doc) == net
         assert sorted(parsed) == sorted(set(tokens))
         assert len(parsed) < len(tokens) // 4
+
+    def test_each_distinct_row_is_formatted_and_read_once(self, monkeypatch):
+        import crosstnn.network as network
+
+        n = 12
+        net = network_from_factorization(
+            cross_symmetric_eliminate(amazing_matrix(n, 10, scaled=True)).factorization
+        )
+        rows = {id(chip.horizontals) for chip in net.chips}
+        slants = sum(len(chip.slants) for chip in net.chips)
+        calls = []
+        real = network.format_scalar
+        monkeypatch.setattr(network, "format_scalar", lambda x: calls.append(x) or real(x))
+        doc = network_to_doc(net)
+        assert len(calls) == n * len(rows) + slants
+        assert len(rows) < len(net.chips) // 4
+        token_rows = {tuple(chip["horizontals"]) for chip in doc["chips"]}
+        back = network_from_doc(doc)
+        assert back == net
+        assert len({id(chip.horizontals) for chip in back.chips}) == len(token_rows)
+
+    def test_one_bad_row_among_shared_rows_is_rejected(self):
+        chips = [{"horizontals": ["1", "1", "1"], "slants": []} for _ in range(40)]
+        chips[17] = {"horizontals": ["1", "0", "1"], "slants": []}
+        with pytest.raises(ValueError):
+            network_from_doc({"n": 3, "chips": chips})
+
+    def test_unhashable_tokens_read_as_their_text(self):
+        # A list token reads as the polynomial its text spells, a dict
+        # token is malformed; neither is looked up as a row key.
+        doc = {"n": 2, "chips": [{"horizontals": [[1], "1"], "slants": []}] * 2}
+        assert network_from_doc(doc).chips[0].horizontals == (Poly((1,)), Fraction(1))
+        doc["chips"] = [{"horizontals": ["1", {}], "slants": []}]
+        with pytest.raises(ValueError):
+            network_from_doc(doc)
 
     def test_doc_shape(self):
         fact = Factorization(n=2, atoms=(), diagonal=(Fraction(3, 2), Fraction(3, 2)))
