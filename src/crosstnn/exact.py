@@ -408,8 +408,14 @@ def _int_sign_on_ray(a: list, beta: int) -> int:
 
     The test reads the shift a(u + beta): a nonzero constant term and no
     coefficient of the other sign certify the sign of that term on the
-    whole ray.  0 means undecided, not zero.
+    whole ray.  0 means undecided, not zero.  For beta >= 1 a nonzero a
+    with no coefficient of the other sign is already of one sign on the
+    ray, as its shift would show, so it is read without shifting.
     """
+    if beta > 0 and a:
+        lo, hi = min(a), max(a)
+        if lo >= 0 or hi <= 0:
+            return (hi > 0) - (lo < 0)
     a = _int_taylor_shift(a, beta)
     if a and a[0] > 0 and min(a) >= 0:
         return 1
@@ -464,7 +470,8 @@ def _int_exact_div(a: list, b: list) -> list:
     return quo
 
 
-def _int_poly_gcd(a: list, b: list) -> list:
+def _int_prs_gcd(a: list, b: list) -> list:
+    """The primitive gcd of a and b by the primitive remainder sequence."""
     a = _int_primitive(a)
     b = _int_primitive(b)
     while b:
@@ -472,6 +479,48 @@ def _int_poly_gcd(a: list, b: list) -> list:
     if a and a[-1] < 0:
         a = [-v for v in a]
     return a
+
+
+def _int_poly_gcd(a: list, b: list) -> list:
+    """The primitive gcd of a and b in Z[x], with a positive leading coefficient.
+
+    Heuristic gcd, GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989): the balanced base-xi digits of gamma = gcd(a(xi), b(xi)), made
+    primitive, give a candidate h, kept only if it divides a and b.  That
+    check makes the answer exact.  Every xi tried is at least 2M + 2, for
+    M = min(|a|_inf, |b|_inf).  If h divides a and b, their gcd G is h
+    times some k, and since G(xi) divides gamma, |k(xi)| divides the
+    content of gamma's digits, which is at most xi/2.  Every root of k is
+    a common root, so it lies below 1 + M <= xi/2 in absolute value, and
+    a nonconstant k would have |k(xi)| > xi/2.  So h = G, and a constant
+    h means G = 1.  After six misses the remainder sequence decides;
+    constant and zero operands go to it at once.
+    """
+    a = _int_primitive(a)
+    b = _int_primitive(b)
+    if len(a) < 2 or len(b) < 2:
+        return _int_prs_gcd(a, b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        # gamma's balanced base-xi digits, each in (-xi/2, xi/2]; as gamma
+        # is positive, so is the last one
+        gamma, h = math.gcd(_int_eval(a, xi), _int_eval(b, xi)), []
+        while gamma:
+            gamma, digit = divmod(gamma, xi)
+            if 2 * digit > xi:
+                digit -= xi
+                gamma += 1
+            h.append(digit)
+        h = _int_primitive(h)
+        if len(h) == 1:
+            return [1]
+        try:
+            _int_exact_div(a, h)
+            _int_exact_div(b, h)
+            return h
+        except ValueError:
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return _int_prs_gcd(a, b)
 
 
 class RatFunc:

@@ -341,7 +341,8 @@ def _symbolic_start(entries) -> tuple:
     for p, q in parts:
         if q != [1]:
             nums = [_int_mul(v, q) for v in nums]
-        nums.append(_int_mul([v * (d // p.denominator) for v in p.numerators], q_product))
+        scaled = [v * (d // p.denominator) for v in p.numerators]
+        nums.append(scaled if q_product == [1] else _int_mul(scaled, q_product))
         q_product = _int_mul(q_product, q)
     return _symbolic_reduce(nums, [d * v for v in q_product])
 

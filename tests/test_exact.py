@@ -24,7 +24,16 @@ from crosstnn import (
     sign_on_ray,
 )
 from crosstnn import exact
-from crosstnn.exact import _int_exact_div, _int_pseudo_rem, _sturm_chain, split_scalar_tokens
+from crosstnn.exact import (
+    _int_exact_div,
+    _int_mul,
+    _int_poly_gcd,
+    _int_prs_gcd,
+    _int_pseudo_rem,
+    _int_strip,
+    _sturm_chain,
+    split_scalar_tokens,
+)
 
 B = Poly.variable()
 
@@ -33,6 +42,14 @@ rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 coefficients = st.one_of(rationals, st.fractions(max_denominator=10**12))
 polys = st.lists(coefficients, max_size=5).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+one_sign_polys = st.one_of(
+    st.lists(st.integers(0, 10**30), max_size=8), st.lists(st.integers(-(10**30), 0), max_size=8)
+).map(Poly)
+# Integer coefficient lists, stripped, with coefficients past 2**200; the
+# empty list is the zero polynomial.
+int_polys = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(2**210), 2**210)), max_size=6
+).map(_int_strip)
 
 
 def reference_mul(p, q):
@@ -417,6 +434,41 @@ class TestPoly:
         assert (p + q) - q == p
 
 
+# A coprime pair of degrees 34 and 39 from the symbolic sweep at n = 40, on
+# which six evaluation points of the heuristic gcd all miss.
+_FALLBACK_A = [
+    59968939206187425233834606592000000, 2745323559519327982956000470630400000,
+    58036691335092075064161026325872640000, 757273414098871298694966838351626240000,
+    6871977179541958518309089649045425356800, 46303587270941121507693611501736654274560,
+    241405256223553648219714737895730017959936, 1001590577373499910382367826012877949108224,
+    3374563102052035068825742144432384794381312,
+    9372264519123145217402047000832795047802880,
+    21702700228747935975851519122892384553682176,
+    42268388917681756002475809301494496017659904,
+    69704488125404935928985258365828828893192064,
+    97827559389413610699570945141921799280089344,
+    117288475283383687940495995781173887791811360,
+    120445974292108787442448598295670842452963456,
+    106118127690294037281774142086349316546513724,
+    80273021015492743338610657021183326502789944,
+    52129007345866009545174239501441913571308609,
+    29033278566224162655133634499317366085763440,
+    13842597132165376923607573461297053149505616,
+    5634297637967085958022693105658020016719744,
+    1950365668208524840872376579801752996100704, 571341857977169616270714781846854571505664,
+    140746250746069129951313293260479962807040, 28925093677972517260312003240661071958016,
+    4909527112043173737620921559306650489088, 679483568136746710435734382159660584960,
+    75428253310536527076483934849721966592, 6571383608390500828229535518494556160,
+    436145853302434689463220588775014400, 21127626404131060859920933847040000,
+    698573166449839819355998126080000, 13974838916129508043417190400000,
+    126513546505547170185216000000,
+]
+_FALLBACK_B = [
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 2, 39, 243, 486,
+]
+
+
 class TestIntegerKernels:
     """The integer-coefficient Poly and RatFunc kernels against the Fraction references."""
 
@@ -445,6 +497,28 @@ class TestIntegerKernels:
     @given(polys, st.one_of(st.integers(-20, 20), rationals))
     def test_shift_equals_horner(self, p, offset):
         assert p.shift(offset).coeffs == reference_shift(p, offset).coeffs
+
+    @given(int_polys, int_polys, int_polys, st.integers(-(2**40), 2**40).filter(bool))
+    @example([], [], [], 1)
+    @example([1], [0, 1], [3], -1)
+    @example([-2, 1], [], [3, 0, 1], -6)
+    @example([-(2**201), 1], [-5, 0, 7], [2**200, -1], 3)
+    @example([1], [-1, 1], [29, 1], 1)  # the first candidate, b - 1, divides a only
+    def test_heuristic_gcd_equals_remainder_sequence(self, g, p, q, content):
+        a, b = [content * v for v in _int_mul(g, p)], _int_mul(g, q)
+        assert _int_poly_gcd(a, b) == _int_prs_gcd(a, b)
+        assert _int_poly_gcd(b, a) == _int_prs_gcd(a, b)
+
+    def test_heuristic_gcd_falls_back_to_remainder_sequence(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _int_prs_gcd(a, b)
+
+        monkeypatch.setattr(exact, "_int_prs_gcd", counted)
+        assert _int_poly_gcd(_FALLBACK_A, _FALLBACK_B) == [1]
+        assert len(calls) == 1
 
     def test_exact_division_in_integer_polynomials(self):
         assert _int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
@@ -548,9 +622,10 @@ class TestSignOnRay:
         with pytest.raises(ValueError):
             sign_on_ray(B, 0)
 
-    @given(polys, st.integers(1, 12))
+    @given(st.one_of(polys, one_sign_polys), st.integers(1, 50))
     def test_one_sign_shift_test(self, p, beta):
-        # The inline test it replaced, on the coefficients of p(u + beta).
+        # The inline test it replaced, on the coefficients of p(u + beta);
+        # coefficients of one sign are read without the shift.
         cs = reference_shift(p, beta).coeffs
         if cs and cs[0] > 0 and all(c >= 0 for c in cs):
             expected = 1
@@ -559,6 +634,10 @@ class TestSignOnRay:
         else:
             expected = 0
         assert exact._int_sign_on_ray(list(p.numerators), beta) == expected
+
+    def test_shift_test_at_zero_leaves_a_root_at_zero_undecided(self):
+        assert exact._int_sign_on_ray([0, 1], 0) == 0
+        assert exact._int_sign_on_ray([0, 1], 1) == 1
 
     def test_agrees_with_integer_evaluation(self):
         mixed_seen = 0

@@ -15,7 +15,8 @@ gcd(P, B), and the symbolic and ``RatFunc`` minors cases and the early
 singular sweeps before the minors moved onto the row kernel and the
 sweep decided singularity on its full rows, and the slow reports for
 n = 16..32 before the carries generators were built from per-row
-binomial tables; each must print the same bytes.  Any change to a digest
+binomial tables, and those for n = 40 and 48 before the polynomial gcd
+became the heuristic gcd; each must print the same bytes.  Any change to a digest
 here is a change to the program's output.
 """
 
@@ -54,6 +55,8 @@ SLOW_REPORT_DIGESTS = {
     20: "475ed1f20c537a6a28c9fe8f1b17d9dca66632af063adac05ad05db74ba69137",
     24: "cd1a8cdf85e7dd5843042b76cab94eea5024cdeb2d618f6c937bd1f460b14ba5",
     32: "069a3f42d9a8e01646f77ee253ad1b718bd42bf697dae8d3fc317727e182c969",
+    40: "ab2170797e9e305edc100520352e7bdf27c62bb8165ced6597cd950a415523d0",
+    48: "1c85042f853538524da049c20ffd599ae1fb78409d2f1d0282261b2de2e1c20a",
 }
 
 CERTIFICATE_DIGESTS = {
