@@ -243,9 +243,12 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     certified sweep proves det A = prod(diagonal) / prod(1 - c^2) != 0.
     On every other exit the swept rows are A times such steps, each row
     then scaled by a nonzero factor, so they are singular exactly when A
-    is.  The row kernel's pivot search decides that on them, as
-    :func:`neville_tnn_test` does on its rows, and a singular matrix is
-    inapplicable, with no steps.
+    is.  The row kernel's ``singular`` decides that on them, as
+    :func:`neville_tnn_test` does on its rows: a pivot search on their
+    residues modulo a prime (symbolic entries evaluated at a fixed point
+    first) proves almost every nonsingular input so, and the exact pivot
+    search decides the rest, every singular input among them.  A singular
+    matrix is inapplicable, with no steps.
 
     For symbolic matrices, signs are decided on [ray, inf); an
     undecidable query yields an inapplicable verdict carrying the bound
@@ -258,7 +261,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     def finish(verdict: Verdict) -> EliminationRun:
         # Not certified: only now is singularity worth deciding, on the
         # swept rows, which are singular exactly when A is.
-        if kernel.pivots(list(zip(rows, dens))) is None:
+        if kernel.singular(rows, dens):
             return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
         return EliminationRun(verdict, tuple(steps), A)
 
@@ -354,19 +357,21 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
 
     Singularity is decided only when the test does not certify, and from
     the test's own rows.  The first pass applies unit lower-triangular row
-    operations, so its rows keep det A at every point: an exit there runs
-    the row kernel's pivot search on them.  An exit in the second pass
-    needs no check, because the first pass reached an upper triangular
-    matrix with a positive diagonal, which proves det A > 0.  A symbolic
-    matrix needs a ray: with ``ray=None`` the first sign query raises
-    ``ValueError``, singular matrices included.
+    operations, each row then scaled by a nonzero factor, so its rows are
+    singular exactly when A is: an exit there runs the row kernel's
+    ``singular`` on them, the residue test of the sweep with the exact
+    pivot search behind it.  An exit in the second pass needs no check,
+    because the first pass reached an upper triangular matrix with a
+    positive diagonal, which proves det A > 0.  A symbolic matrix needs a
+    ray: with ``ray=None`` the first sign query raises ``ValueError``,
+    singular matrices included.
     """
     kernel = _row_kind((type(A.rows[0][0]),))[0]
     for first, entries in ((True, A.rows), (False, zip(*A.rows))):
         rows, dens = map(list, zip(*map(kernel.start, entries)))
         verdict = _neville_pass(kernel, rows, dens, ray)
         if verdict is not None:
-            if first and kernel.pivots(list(zip(rows, dens))) is None:
+            if first and kernel.singular(rows, dens):
                 return Inapplicable(INAPPLICABLE_SINGULAR)
             return verdict
     return TotallyNonnegative()

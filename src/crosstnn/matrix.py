@@ -176,7 +176,9 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # divide P and B by gcd(P, B) before a row update, and share the update
 # formula, the pivot search and the mirrored row layout of the sweep and
 # the peel; only the ring operations and the common-factor removal
-# differ.  :func:`_row_kind` picks the kind.
+# differ.  :func:`_row_kind` picks the kind.  A third kind, rows of
+# residues modulo a fixed prime, runs only the pivot search: it lets
+# ``singular`` prove most rows independent before the exact search.
 
 
 class _RowKernel:
@@ -273,6 +275,32 @@ class _RowKernel:
         """Sign of :meth:`ratio`."""
         return _shift_sign((B, dB, P, dP), ray) or scalar_sign(self.ratio(B, dB, P, dP), ray)
 
+    def singular(self, rows: list, dens: list) -> bool:
+        """Whether the started rows are linearly dependent.
+
+        The rows are numerators over nonzero denominators, so they are
+        singular exactly when the scaled rows are.  Their determinant D is
+        an integer, or an integer polynomial in b for symbolic rows.  Each
+        numerator is first reduced modulo the prime p = ``_RESIDUE_PRIME``,
+        a polynomial after evaluation at b = xi = ``_RESIDUE_POINT``.  That
+        map is a ring homomorphism, so the residue matrix has determinant
+        D mod p (D(xi) mod p for symbolic rows), and :meth:`pivots` on the
+        residues, over the integers modulo p, finds a full set of nonzero
+        pivots only if that is nonzero, which proves D != 0 and the rows
+        independent.  A zero residue proves nothing: then, and so for
+        every singular input, the exact :meth:`pivots` on the rows
+        decides.  So the test is one-sided and the answer always exact
+        (S. Cabay and T. P. L. Lam, *ACM TOMS* 3, 1977; J. T. Schwartz,
+        *J. ACM* 27, 1980).
+        """
+        if _RESIDUE.pivots([(row, 1) for row in self.residues(rows)]) is not None:
+            return False
+        return self.pivots(list(zip(rows, dens))) is None
+
+    def residues(self, rows: list) -> list:
+        """Each numerator's value at ``_RESIDUE_POINT`` modulo ``_RESIDUE_PRIME``."""
+        return [[_poly_residue(coeffs) for coeffs in row] for row in rows]
+
     def pivots(self, block: list):
         """Eliminate (row, denominator) pairs: None if singular, else (sign, pivots).
 
@@ -316,6 +344,45 @@ class _NumericKernel(_RowKernel):
     def ratio_sign(self, B, dB, P, dP, ray) -> int:
         return ((B > 0) - (B < 0)) * ((P > 0) - (P < 0))
 
+    def residues(self, rows: list) -> list:
+        p = _RESIDUE_PRIME
+        return [[x % p for x in row] for row in rows]
+
+
+# The residue test's prime and point (see _RowKernel.singular): the largest
+# prime below 2^30, so that residues are one-digit CPython ints, and a point
+# at which no factor j*b + k with 1 <= j <= 1000 and |k| < 1,000,003 is zero
+# modulo the prime (0 < |j*xi + k| < p), which covers the small rational
+# roots of the carries determinants.
+_RESIDUE_PRIME = 2**30 - 35
+_RESIDUE_POINT = 1_000_003
+
+
+class _ResidueKernel(_RowKernel):
+    """Rows of residues modulo ``_RESIDUE_PRIME`` over 1, for the pivot search only.
+
+    An update scales row T by a pivot that is nonzero modulo the prime
+    and takes B times row S from it, so the rank of the rows over the
+    integers modulo the prime does not change.
+    """
+
+    __slots__ = ()
+
+    def cancel(self, P, B) -> tuple:
+        return P, B
+
+    def update(self, P, T: list, dT, B, S: list) -> tuple:
+        p = _RESIDUE_PRIME
+        return [(P * x - B * y) % p for x, y in zip(T, S)], 1
+
+
+def _poly_residue(coeffs) -> int:
+    # Horner's rule at the point, modulo the prime.
+    p, point, v = _RESIDUE_PRIME, _RESIDUE_POINT, 0
+    for a in reversed(coeffs):
+        v = (v * point + a) % p
+    return v
+
 
 def _shift_sign(polys, ray) -> int:
     # The product of the polynomials' signs on [ray, inf) if the shift test
@@ -355,6 +422,9 @@ _NUMERIC = _NumericKernel(
     reduce=_numeric_reduce,
     scalar=Fraction,
 )
+
+# Only the pivot search, which needs none of the ring operations, runs on it.
+_RESIDUE = _ResidueKernel(*[None] * 6)
 
 _SYMBOLIC = _RowKernel(
     mul=_int_mul,

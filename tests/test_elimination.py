@@ -34,7 +34,7 @@ from crosstnn import (
 )
 from crosstnn.elimination import EliminationRun, verdict_to_doc
 from crosstnn.exact import SignUndecidedOnRay, scalar_sign
-from crosstnn.matrix import _RowKernel
+from crosstnn.matrix import _ResidueKernel, _RowKernel
 from crosstnn.verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
     INAPPLICABLE_SINGULAR,
@@ -253,10 +253,24 @@ class TestSingularity:
         return calls
 
     @pytest.fixture
-    def pivot_calls(self, monkeypatch):
+    def singular_calls(self, monkeypatch):
+        calls = []
+        real = _RowKernel.singular
+        monkeypatch.setattr(_RowKernel, "singular", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.fixture
+    def exact_search_calls(self, monkeypatch):
+        # The exact pivot search, not its run on the residues.
         calls = []
         real = _RowKernel.pivots
-        monkeypatch.setattr(_RowKernel, "pivots", lambda *args: calls.append(args) or real(*args))
+
+        def pivots(kernel, block):
+            if not isinstance(kernel, _ResidueKernel):
+                calls.append(block)
+            return real(kernel, block)
+
+        monkeypatch.setattr(_RowKernel, "pivots", pivots)
         return calls
 
     def test_certified_runs_compute_no_determinant(self, determinant_calls):
@@ -272,22 +286,27 @@ class TestSingularity:
             assert isinstance(neville_tnn_test(A, ray=ray), TotallyNonnegative)
         assert determinant_calls == []
 
-    def test_neville_decides_singularity_from_its_own_rows(self, determinant_calls, pivot_calls):
+    def test_neville_decides_singularity_from_its_own_rows(
+        self, determinant_calls, singular_calls, exact_search_calls
+    ):
         # Upper triangular: the first pass certifies, which proves det A > 0,
         # so a refutation in the transposed pass needs no singularity check.
         verdict = neville_tnn_test(Matrix([[1, 2, 5], [0, 1, 1], [0, 0, 2]]))
         assert isinstance(verdict, NotTnn)
         assert (verdict.witness.s, verdict.witness.t) == (2, 2)
-        assert pivot_calls == []
-        # A first-pass exit searches the pass's rows for pivots instead.
+        assert singular_calls == []
+        # A first-pass exit decides singularity on the pass's rows instead.
         verdict = neville_tnn_test(Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]))
         assert isinstance(verdict, Inapplicable) and verdict.reason == INAPPLICABLE_SINGULAR
         assert isinstance(neville_tnn_test(Matrix([[1, 2], [3, 4]])), NotTnn)
-        assert len(pivot_calls) == 2
+        assert len(singular_calls) == 2
+        # The residues prove [[1, 2], [3, 4]] nonsingular; only the singular
+        # matrix reaches the exact search.
+        assert len(exact_search_calls) == 1
         assert determinant_calls == []
 
-    def test_certified_runs_eliminate_no_pivots(self, pivot_calls):
-        calls = pivot_calls
+    def test_certified_runs_eliminate_no_pivots(self, singular_calls, exact_search_calls):
+        calls = singular_calls
         assert verify_amazing(5).overall == "certified"
         for n in range(1, 6):
             for A in (amazing_matrix(n, 3, scaled=True), random_certified_tnn(n, seed=n)[0]):
@@ -299,6 +318,7 @@ class TestSingularity:
         assert isinstance(neville_tnn_test(Matrix([[1, 2], [3, 4]])), NotTnn)
         assert isinstance(eliminate_detailed(Matrix([[1, 2], [2, 1]])).verdict, NotTnn)
         assert len(calls) == 2
+        assert exact_search_calls == []
 
     @pytest.mark.parametrize("A, ray", SINGULAR)
     def test_singular_is_inapplicable_without_steps(self, A, ray):

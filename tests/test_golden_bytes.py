@@ -16,7 +16,10 @@ singular sweeps before the minors moved onto the row kernel and the
 sweep decided singularity on its full rows, and the slow reports for
 n = 16..32 before the carries generators were built from per-row
 binomial tables, and those for n = 40 and 48 before the polynomial gcd
-became the heuristic gcd; each must print the same bytes.  Any change to a digest
+became the heuristic gcd, and the symbolic ray-2 checks, the prime and
+point cases and the singular symbolic ones before the sweep and the
+Neville test decided singularity modulo a prime first; each must print
+the same bytes.  Any change to a digest
 here is a change to the program's output.
 """
 
@@ -203,6 +206,32 @@ SYMBOLIC_NETWORK_DIGESTS = {
     (6, "dot"): "ca305b2c32eeabdc3c3cf6a1d32a4f7487c49722e17c839a2978e3739a586a2a",
 }
 
+# check --ray 2 on the symbolic carries matrices, indefinite at that ray:
+# by cross with --trace, and by neville
+SYMBOLIC_RAY2_DIGESTS = {
+    (6, "cross"): "bb7c055ecf86952b98446830d766eee970b25ac2fc0903809447894079252474",
+    (6, "neville"): "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+    (8, "cross"): "c1ae1188e5cf4eb0356aa4092ed3f48a191357ede8d6e4d54743f857cf593f3f",
+    (8, "neville"): "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+    (10, "cross"): "f1d9ec000d09d50442a16aaa69d1f9ce6795e8febb517f9c76271893ae862ff9",
+    (10, "neville"): "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+    (12, "cross"): "24b7491a34ecc65e2d9aebb361f5f0203f3d453b8f31843a38c4432ac787ce57",
+    (12, "neville"): "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+}
+
+# check by cross (with --trace) and by neville on nonsingular matrices that
+# are singular modulo the prime 2^30 - 35, or at the point b = 1,000,003
+# modulo it, and on one singular symbolic matrix
+RESIDUE_CASE_DIGESTS = {
+    ("prime", "cross"): "8f6820283ca3b7ffb32dc09283c1dc1c98226041f36785a33680e87e4789d6a2",
+    ("prime", "neville"): "b3c899168bc0bdd65e8e39f5c7f5b1538ff3df085050859b5f992090c87f21ff",
+    ("point", "cross"): "7b418ee9ff7b84ebb40b4d6c551aa6dc1df59e4fbf133ba27d9416a3e4df3da9",
+    ("point", "neville"): "aea07f569734538a0cbb39c50d4fbfdf7bd39462bc0bc753a768a9233698ced5",
+    ("singular-symbolic", "cross"): "11ab5b790323c4b493024c4a8ac2f3050ec0826f5cce302d7a377d4c86f00e14",
+    ("singular-symbolic", "neville"): "262719e40d2c295dc6f1caaedcc03ad4328cf5e538b57a216888781694ea3688",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -354,3 +383,31 @@ def test_symbolic_networks(tmp_path, capsys):
         for fmt in ("doc", "dot"):
             out = _network_stdout(capsys, cert_path, fmt, "--ray", str(n))
             assert _sha256(out) == SYMBOLIC_NETWORK_DIGESTS[n, fmt], f"network n={n} {fmt}"
+
+
+@pytest.mark.parametrize("n, method", list(SYMBOLIC_RAY2_DIGESTS))
+def test_symbolic_checks_at_ray_two(tmp_path, capsys, n, method):
+    flags = ("--trace",) if method == "cross" else ()
+    out = _method_stdout(tmp_path, capsys, method, amazing_matrix_symbolic(n), "--ray", "2", *flags)
+    assert _sha256(out) == SYMBOLIC_RAY2_DIGESTS[n, method]
+
+
+def _residue_case(name: str) -> tuple:
+    p, xi, b = 2**30 - 35, 1_000_003, Poly.variable()
+    return {
+        # determinant p(p + 2), refuted by the negative multiplier
+        "prime": (Matrix([[p + 1, -1], [-1, p + 1]]),),
+        # determinant (b - xi)^2, indefinite at ray 2
+        "point": (Matrix([[b - xi, 0], [0, b - xi]]), "--ray", "2"),
+        # row 2 is row 1 plus row 3
+        "singular-symbolic": (Matrix([[b, 1, 2], [b + 2, 2, b + 2], [2, 1, b]]), "--ray", "2"),
+    }[name]
+
+
+@pytest.mark.parametrize("name, method", list(RESIDUE_CASE_DIGESTS))
+def test_residue_fallback_outputs(tmp_path, capsys, name, method):
+    matrix, *flags = _residue_case(name)
+    if method == "cross":
+        flags.append("--trace")
+    out = _method_stdout(tmp_path, capsys, method, matrix, *flags)
+    assert _sha256(out) == RESIDUE_CASE_DIGESTS[name, method]

@@ -44,7 +44,16 @@ from crosstnn.exact import (
     format_scalar,
     scalar_sign,
 )
-from crosstnn.matrix import _NUMERIC, _SYMBOLIC
+from crosstnn.cli import main
+from crosstnn.matrix import (
+    _NUMERIC,
+    _RESIDUE,
+    _RESIDUE_POINT,
+    _RESIDUE_PRIME,
+    _SYMBOLIC,
+    _ResidueKernel,
+    _RowKernel,
+)
 from conftest import matrices_on_rays, random_matrix, reference_determinant
 
 B = Poly.variable()
@@ -405,6 +414,94 @@ class TestKernelSign:
             _SYMBOLIC.sign([1, 1], [1], ray)
         with pytest.raises(ValueError):
             _SYMBOLIC.ratio_sign([1, 1], [1], [2, 1], [1], ray)
+
+
+def _drawn_rows(draw, entry) -> list:
+    # The rows of an n x n matrix, n = 1..7, from entries in a small range,
+    # with some rows made dependent: zero, repeated, or a combination.
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1:
+        order = draw(st.permutations(range(n)))
+        i, j, k = order[0], order[1], order[2 % n]  # k = i when n = 2
+        kind = draw(st.sampled_from(["none", "none", "none", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows[j] = [0] * n
+        elif kind == "repeat":
+            rows[j] = list(rows[i])
+        elif kind == "combination":
+            a, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[j] = [a * x + c * y for x, y in zip(rows[i], rows[k])]
+    return rows
+
+
+@st.composite
+def _started_numeric(draw):
+    entry = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    rows = _drawn_rows(draw, entry)
+    return _NUMERIC, *map(list, zip(*map(_NUMERIC.start, rows)))
+
+
+@st.composite
+def _started_symbolic(draw):
+    entry = st.lists(st.integers(-2, 2), max_size=3).map(Poly)
+    rows = _drawn_rows(draw, entry)
+    return _SYMBOLIC, *map(list, zip(*map(_SYMBOLIC.start, rows)))
+
+
+class TestSingular:
+    """The residue test proves rows independent; the exact search decides the rest."""
+
+    @staticmethod
+    def _singular_counting_exact_searches(kernel, rows, dens) -> tuple:
+        calls = []
+        real = _RowKernel.pivots
+
+        def pivots(self, block):
+            if not isinstance(self, _ResidueKernel):
+                calls.append(block)
+            return real(self, block)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_RowKernel, "pivots", pivots)
+            return kernel.singular(rows, dens), len(calls)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_started_numeric(), _started_symbolic()))
+    def test_agrees_with_the_exact_search(self, started):
+        kernel, rows, dens = started
+        expected = kernel.pivots(list(zip(rows, dens))) is None
+        singular, exact_searches = self._singular_counting_exact_searches(kernel, rows, dens)
+        assert singular == expected
+        # A singular input always reaches the exact search.
+        if singular:
+            assert exact_searches == 1
+
+    @pytest.mark.parametrize(
+        "kernel, entries",
+        [
+            # determinant p(p + 2), which is 0 modulo p
+            (_NUMERIC, [[_RESIDUE_PRIME + 1, -1], [-1, _RESIDUE_PRIME + 1]]),
+            # determinant b - xi, which is 0 at the point
+            (_SYMBOLIC, [[B - _RESIDUE_POINT, 0], [0, 1]]),
+        ],
+        ids=["prime", "point"],
+    )
+    def test_zero_residue_falls_back_to_the_exact_search(self, kernel, entries):
+        rows, dens = map(list, zip(*map(kernel.start, entries)))
+        assert _RESIDUE.pivots([(row, 1) for row in kernel.residues(rows)]) is None
+        assert self._singular_counting_exact_searches(kernel, rows, dens) == (False, 1)
+
+    @pytest.mark.parametrize("method", ["cross", "neville"])
+    @pytest.mark.parametrize(
+        "entry", [_RESIDUE_PRIME + 1, 10**5000 + 7], ids=["prime", "past-the-digit-limit"]
+    )
+    def test_check_refutes(self, tmp_path, capsys, method, entry):
+        path = tmp_path / "matrix.txt"
+        path.write_text(matrix_to_text(Matrix([[entry, -1], [-1, entry]])), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(path), "--method", method]) == 1
+        assert "verdict: not-totally-nonnegative" in capsys.readouterr().out
 
 
 class TestBruteForce:
