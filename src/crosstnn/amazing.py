@@ -112,7 +112,9 @@ def amazing_matrix(n: int, b: int, scaled: bool = False) -> Matrix:
     k = 1..n, zero for k <= floor(i/b): scaled entry (i, j) is
     sum_{k=floor(i/b)+1}^{j+1} (-1)^(j+1-k) C(n+1, j+1-k) T_i[k], which is
     :func:`amazing_entry` times b^n.  That is n binomials and O(n^2)
-    integer products per row, O(n^3) for the matrix.  Row sums are
+    integer products per row, O(n^3) for the matrix.  The matrix gets
+    these integers as they are (over b^n when unscaled), with no
+    ``Fraction`` per entry.  Row sums are
     exactly 1 (unscaled) or b^n (scaled), and the matrix is
     cross-symmetric.
     """
@@ -121,14 +123,12 @@ def amazing_matrix(n: int, b: int, scaled: bool = False) -> Matrix:
     if b < 2:
         raise ValueError("b must be >= 2")
     weights = _carry_weights(n)
-    scale = b**n
     rows = []
     for i in range(n):
         low = i // b + 1
         table = [math.comb(n - 1 - i + k * b, n) for k in range(low, n + 1)]
-        row = _carry_sums(weights, low, table)
-        rows.append([Fraction(v) for v in row] if scaled else [Fraction(v, scale) for v in row])
-    return Matrix(rows)
+        rows.append(_carry_sums(weights, low, table))
+    return Matrix(rows) if scaled else Matrix._from_integer_rows(rows, [b**n] * n)
 
 
 def amazing_matrix_symbolic(n: int) -> Matrix:

@@ -25,7 +25,7 @@ rests on.
 from __future__ import annotations
 
 from .exact import SignUndecidedOnRay, format_scalar, scalar_sign
-from .matrix import _row_kind
+from .matrix import _row_kind, is_cross_symmetric
 
 __all__ = ["peel_certificate", "check_factorization_signs"]
 
@@ -33,23 +33,23 @@ __all__ = ["peel_certificate", "check_factorization_signs"]
 def peel_certificate(f, A) -> bool:
     """True iff the matrix ``A`` equals the product the certificate ``f`` claims.
 
-    A is put on the row kernel and must be cross-symmetric: every atom and
-    the palindromic diagonal are, so their product is.  Each atom is then
-    peeled in certificate order with the certificate's own c, by the
-    sweep's paired update: every atom inverse is cross-symmetric too, so
-    row w0(i) stays row i reversed.  The result must be diag(diagonal)
-    exactly.  The kernel is chosen for the entries and weights together,
-    and takes each as it is.  Signs are not checked here; see
-    :func:`check_factorization_signs`.
+    A's started rows must be cross-symmetric: every atom and the
+    palindromic diagonal are, so their product is.  Each atom is then
+    peeled, from a copy of those rows, in certificate order with the
+    certificate's own c, by the sweep's paired update: every atom inverse
+    is cross-symmetric too, so row w0(i) stays row i reversed.  The result
+    must be diag(diagonal) exactly.  The kernel is chosen for the entries
+    and weights together (rational rows join a symbolic certificate as
+    constant polynomials), and takes each weight as it is.  Signs are not
+    checked here; see :func:`check_factorization_signs`.
     """
     if A.n != f.n:
         return False
-    scalars = (A.rows[0][0], *f.diagonal, *(atom.c for atom in f.atoms))
-    kernel = _row_kind(set(map(type, scalars)))[0]
-    started = kernel.mirrored(A.rows)
-    if started is None:
+    scalars = (*f.diagonal, *(atom.c for atom in f.atoms))
+    kernel = _row_kind({A.kind, *map(type, scalars)})[0]
+    if not is_cross_symmetric(A):
         return False
-    rows, dens = started
+    rows, dens = A.row_lists(kernel)
     for atom in f.atoms:
         # This P and B make the update's c = cn/cd; for a center atom the new
         # row s is row s minus c times row s+1, as [[1, -c], [-c, 1]] asks.

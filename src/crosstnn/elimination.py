@@ -30,7 +30,7 @@ from .exact import (
     parse_int,
     parse_list,
 )
-from .matrix import Matrix, _row_kind, w0
+from .matrix import Matrix, is_cross_symmetric, w0
 from .network import network_from_factorization, path_matrix
 from .verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
@@ -228,7 +228,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
       a(s+1, t) < a(s, t) strictly),
     * a nonpositive entry on the final diagonal.
 
-    Each row is held as integer numerators over one row denominator (see
+    The sweep updates a copy of the matrix's started rows, integer
+    numerators over one row denominator (see
     :class:`crosstnn.matrix._RowKernel`), on which cross-symmetry is also
     tested.  Every intermediate matrix is cross-symmetric, so row w0(s+1)
     is row s+1 reversed and only row s+1 is computed, on the columns where
@@ -268,12 +269,11 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     def refute(reason: str, **where) -> EliminationRun:
         return finish(NotTnn(Witness(reason, trace=tuple(steps), **where)))
 
-    kernel = _row_kind((type(A.rows[0][0]),))[0]
+    kernel = A.kernel
     scalar, sign = kernel.scalar, kernel.sign
-    started = kernel.mirrored(A.rows)
-    if started is None:
+    if not is_cross_symmetric(A):
         return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
-    rows, dens = started
+    rows, dens = A.row_lists(kernel)
 
     try:
         for t in range(1, n):
@@ -348,12 +348,14 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     is inapplicable.  No factorization is produced.  Witness positions
     for the second pass refer to the transposed matrix.
 
-    The steps are unpaired, but the rows are held and updated on the
-    sweep's row kernel.  A numeric multiplier's sign is the product of
-    the signs of its two numerators, and a numeric diagonal entry's sign
-    its numerator's; a symbolic sign is read from the shifts of its
-    factors at the ray, or else queried on the reduced multiplier or
-    diagonal entry.  A witness value is built only for a refutation.
+    The steps are unpaired, but the rows are updated on the sweep's row
+    kernel: a copy of the matrix's started rows, then the transpose's
+    rows, formed from them over a common denominator.  A numeric
+    multiplier's sign is the product of the signs of its two numerators,
+    and a numeric diagonal entry's sign its numerator's; a symbolic sign
+    is read from the shifts of its factors at the ray, or else queried on
+    the reduced multiplier or diagonal entry.  A witness value is built
+    only for a refutation.
 
     Singularity is decided only when the test does not certify, and from
     the test's own rows.  The first pass applies unit lower-triangular row
@@ -366,15 +368,13 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
     ray: with ``ray=None`` the first sign query raises ``ValueError``,
     singular matrices included.
     """
-    kernel = _row_kind((type(A.rows[0][0]),))[0]
-    for first, entries in ((True, A.rows), (False, zip(*A.rows))):
-        rows, dens = map(list, zip(*map(kernel.start, entries)))
-        verdict = _neville_pass(kernel, rows, dens, ray)
-        if verdict is not None:
-            if first and kernel.singular(rows, dens):
-                return Inapplicable(INAPPLICABLE_SINGULAR)
-            return verdict
-    return TotallyNonnegative()
+    kernel = A.kernel
+    rows, dens = A.row_lists(kernel)
+    verdict = _neville_pass(kernel, rows, dens, ray)
+    if verdict is not None:
+        return Inapplicable(INAPPLICABLE_SINGULAR) if kernel.singular(rows, dens) else verdict
+    rows, dens = kernel.transposed(A.nums, A.dens)
+    return _neville_pass(kernel, rows, dens, ray) or TotallyNonnegative()
 
 
 def _neville_pass(kernel, rows: list, dens: list, ray: int | None) -> Verdict | None:

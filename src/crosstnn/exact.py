@@ -868,21 +868,49 @@ def _parse_poly(text: str) -> Poly:
     return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
 
 
+def _rational_row(tokens: list):
+    """(ints, d) with tokens[k] == ints[k] / d if every token is a plain rational, else None.
+
+    A plain rational is an optional sign and ASCII digits, then optionally
+    "/" and ASCII digits that are not all zero.  Tokens are nonempty and
+    hold no whitespace; d is the lcm of the denominators, and nothing is
+    reduced.  Most entries of a numeric file are plain, and reading them
+    skips Fraction's regex; a row of unsigned integers is checked at once.
+    """
+    text = "".join(tokens)
+    if not text.isascii():
+        return None
+    if text.isdigit():
+        return _ints(tokens), 1
+    nums, dens = [], []
+    for t in tokens:
+        digits = t[1:] if t[0] in "+-" else t
+        num, slash, den = digits.partition("/")
+        if not num.isdigit() or (slash and not (den.isdigit() and den.strip("0"))):
+            return None
+        nums.append(t[: len(t) - len(den) - len(slash)])  # the signed numerator
+        dens.append(den or "1")
+    nums, dens = _ints(nums), _ints(dens)
+    d = math.lcm(*dens)
+    return (nums if d == 1 else [p * (d // q) for p, q in zip(nums, dens)]), d
+
+
+def _ints(texts: list) -> list:
+    # Signed ASCII digit strings as ints, through Decimal past the digit limit.
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return [int(Decimal(t)) for t in texts]
+
+
 def parse_scalar(text: str) -> Scalar:
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
-    # Plain integers, most entries of a numeric file, and plain p/q with
-    # q != 0 skip Fraction's regex.
-    digits = t[1:] if t[0] in "+-" else t
-    try:
-        if digits.isascii() and digits.isdigit():
-            return Fraction(int(t))
-        num, _, den = digits.partition("/")
-        if digits.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
-            return Fraction(int(t[: -len(den) - 1]), int(den))  # signed num over den
-    except ValueError as exc:
-        return _long_rational(t, exc)
+    plain = _rational_row([t])
+    if plain is not None:
+        (p,), q = plain
+        return Fraction(p, q)
     # Fraction(str) reads exponents, and 1e601110 builds a 601,111-digit
     # integer; the scalar syntax has none.
     if "e" in t or "E" in t:

@@ -10,6 +10,7 @@ oracle and the plain-text / JSON-compatible matrix formats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -29,6 +30,7 @@ from .exact import (
     _numeric_reduce,
     _over_common_denominator,
     _poly,
+    _rational_row,
     _symbolic_reduce,
     as_ratfunc,
     as_rational,
@@ -71,13 +73,23 @@ __all__ = [
 class Matrix:
     """Immutable dense square matrix over exact scalars.
 
-    Entries are coerced to a homogeneous scalar kind at construction:
-    plain integers become rationals, and the presence of any polynomial
-    (or rational-function) entry lifts the whole matrix to that kind.
-    Any other entry, a float included, raises ``TypeError``.
+    A matrix is held in the row kernel's started form (see
+    :class:`_RowKernel`): ``nums[i]`` is row i's tuple of integer
+    numerators (integer coefficient lists for symbolic rows) over the
+    reduced row denominator ``dens[i]``, with ``kernel`` the kernel those
+    rows run on and ``kind`` the scalar kind of the entries: ``Fraction``,
+    ``Poly`` or ``RatFunc``.  Every elimination, determinant and minor
+    oracle reads these rows, so none converts a scalar first.  Plain
+    integers start as they are; the presence of any polynomial (or
+    rational-function) entry lifts the whole matrix to that kind.  Any
+    other entry, a float included, raises ``TypeError``.
+
+    :attr:`rows` is the tuple of entries of that kind.  It is kept as
+    given when every entry already has the kind, else built from the
+    started rows when first read.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "kind", "kernel", "nums", "dens", "_rows")
 
     def __init__(self, rows):
         rows = [tuple(r) for r in rows]
@@ -85,11 +97,48 @@ class Matrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with n >= 1")
         kinds = set(map(type, itertools.chain.from_iterable(rows)))
-        if kinds != {Fraction}:
-            lift = _row_kind(kinds)[1]
-            rows = [tuple(map(lift, r)) for r in rows]
-        self.n = n
-        self.rows = tuple(rows)
+        kernel, kind = _row_kind(kinds)
+        if kinds <= {int, Fraction}:
+            # Integers start as they are, and rows with them are built on demand.
+            kept = rows if kinds == {Fraction} else None
+        else:
+            if kinds != {kind}:
+                rows = [tuple(map(_LIFTS[kind], r)) for r in rows]
+            kept = rows
+        self._set(kernel, kind, map(kernel.start, rows), kept)
+
+    @classmethod
+    def _from_integer_rows(cls, nums, dens) -> "Matrix":
+        """The rational matrix with row i the integers nums[i] over dens[i] > 0."""
+        self = cls.__new__(cls)
+        self._set(_NUMERIC, Fraction, map(_numeric_reduce, nums, dens), None)
+        return self
+
+    def _set(self, kernel, kind, started, rows) -> None:
+        nums, dens = zip(*started)
+        self.n, self.kernel, self.kind = len(nums), kernel, kind
+        self.nums, self.dens = tuple(map(tuple, nums)), dens
+        self._rows = None if rows is None else tuple(rows)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries, row by row, as ``Fraction``, ``Poly`` or ``RatFunc``."""
+        if self._rows is None:
+            # Only rational rows are built here: the constructor keeps symbolic ones.
+            self._rows = tuple(
+                tuple(Fraction(x, d) for x in row) for row, d in zip(self.nums, self.dens)
+            )
+        return self._rows
+
+    def row_lists(self, kernel) -> tuple:
+        """A copy of the started rows as (rows, dens) lists, to update in place.
+
+        ``kernel`` is :attr:`kernel` or, for rational rows, the symbolic
+        kernel, on which an integer is a constant coefficient list.
+        """
+        if kernel is self.kernel:
+            return [list(r) for r in self.nums], list(self.dens)
+        return [[[x] if x else [] for x in r] for r in self.nums], [[d] for d in self.dens]
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -109,7 +158,7 @@ class Matrix:
 
     @property
     def is_symbolic(self) -> bool:
-        return isinstance(self.rows[0][0], (Poly, RatFunc))
+        return self.kind is not Fraction
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
@@ -127,9 +176,12 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        if self.n != other.n:
+            return False
+        # A reduced row is unique, so rows on one kernel compare as started.
+        if self.kernel is other.kernel:
+            return self.nums == other.nums and self.dens == other.dens
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -160,25 +212,35 @@ def tau(A: Matrix) -> Matrix:
 
 
 def is_cross_symmetric(A: Matrix) -> bool:
-    """True iff the matrix equals its half-turn rotation, exactly."""
-    flat = [x for r in A.rows for x in r]
-    half = len(flat) // 2
-    return flat[:half] == flat[: -half - 1 : -1]
+    """True iff the matrix equals its half-turn rotation, exactly.
+
+    A row's start commutes with reversal, so the test is that each started
+    row is its mirror row reversed, over the same denominator.
+    """
+    rows, dens = A.nums, A.dens
+    return all(
+        dens[i] == dens[-1 - i] and rows[i] == rows[-1 - i][::-1]
+        for i in range((len(rows) + 1) // 2)
+    )
 
 
 # -- the row kernel ----------------------------------------------------
 #
 # Every elimination in the package runs on one row kernel: the
 # symmetry-preserving sweep, the Neville test, the determinant, the
-# certificate peel and path_matrix.  A numeric row is a list of ints over
-# a positive int.  A symbolic row is a list of integer coefficient lists
-# (ascending by degree, [] for zero) over one such list.  Both kinds
-# divide P and B by gcd(P, B) before a row update, and share the update
-# formula, the pivot search and the mirrored row layout of the sweep and
-# the peel; only the ring operations and the common-factor removal
-# differ.  :func:`_row_kind` picks the kind.  A third kind, rows of
-# residues modulo a fixed prime, runs only the pivot search: it lets
-# ``singular`` prove most rows independent before the exact search.
+# all-minors oracle, the certificate peel and path_matrix.  A numeric row
+# is a list of ints over a positive int.  A symbolic row is a list of
+# integer coefficient lists (ascending by degree, [] for zero) over one
+# such list.  A Matrix holds its rows in this started form, reduced, from
+# construction on: integer text and integer generators hand it their
+# integers without a Fraction per entry, and each consumer copies the
+# rows it updates in place.  Both kinds divide P and B by gcd(P, B)
+# before a row update, and share the update formula, the pivot search and
+# the mirrored row layout of the sweep and the peel; only the ring
+# operations and the common-factor removal differ.  :func:`_row_kind`
+# picks the kind.  A third kind, rows of residues modulo a fixed prime,
+# runs only the pivot search: it lets ``singular`` prove most rows
+# independent before the exact search.
 
 
 class _RowKernel:
@@ -232,17 +294,22 @@ class _RowKernel:
         (num,), den = self.start([value])
         return num, den
 
-    def mirrored(self, entries):
-        """The started rows as (rows, dens) lists, or None if not cross-symmetric.
+    def transposed(self, rows, dens) -> tuple:
+        """The started rows of the transpose, as (rows, dens) lists.
 
-        A row's start commutes with reversal, so the test is that each row
-        is its mirror row reversed, over the same denominator.
+        Column j's entries rows[i][j] / dens[i] are brought over one common
+        denominator of the rows and reduced, which gives the same reduced
+        row as starting the column's scalars.
         """
-        rows, dens = map(list, zip(*map(self.start, entries)))
-        for i in range((len(rows) + 1) // 2):
-            if dens[i] != dens[-1 - i] or rows[i] != rows[-1 - i][::-1]:
-                return None
-        return rows, dens
+        common, scales = self.common(dens)
+        mul, reduce = self.mul, self.reduce
+        columns = [reduce(list(map(mul, column, scales)), common) for column in zip(*rows)]
+        return [list(c) for c, _ in columns], [d for _, d in columns]
+
+    def common(self, dens) -> tuple:
+        """(D, [D / d for d in dens]) for a common multiple D of the denominators."""
+        D = functools.reduce(self.mul, {tuple(d): d for d in dens}.values())
+        return D, [_int_exact_div(D, d) for d in dens]
 
     def paired_update(self, rows: list, dens: list, s: int, P, B, lo: int = 0, hi=None) -> None:
         """Take c = (B*dens[s-1]) / (P*dens[s]) times row s from row s+1 (1-based).
@@ -334,6 +401,10 @@ class _NumericKernel(_RowKernel):
     def cancel(self, P, B) -> tuple:
         g = math.gcd(P, B)
         return (P // g, B // g) if g != 1 else (P, B)
+
+    def common(self, dens) -> tuple:
+        D = math.lcm(*dens)
+        return D, [D // d for d in dens]
 
     def update(self, P, T: list, dT, B, S: list) -> tuple:
         return _numeric_reduce([P * x - B * y for x, y in zip(T, S)], dT * P)
@@ -437,22 +508,26 @@ _SYMBOLIC = _RowKernel(
 
 
 def _row_kind(kinds) -> tuple:
-    """(kernel, lift) for scalars whose types are in ``kinds``.
+    """(kernel, kind) for scalars whose types are in ``kinds``.
 
-    Any ``RatFunc`` lifts all to ``RatFunc``, else any ``Poly`` to ``Poly``,
-    both on the symbolic kernel; else all are rationals on the numeric one.
+    Any ``RatFunc`` makes the kind ``RatFunc``, else any ``Poly`` makes it
+    ``Poly``, both on the symbolic kernel; else all are rationals
+    (``Fraction``) on the numeric one.  ``_LIFTS[kind]`` lifts a scalar.
     """
     if RatFunc in kinds:
-        return _SYMBOLIC, as_ratfunc
+        return _SYMBOLIC, RatFunc
     if Poly in kinds:
-        return _SYMBOLIC, _as_poly
-    return _NUMERIC, as_rational
+        return _SYMBOLIC, Poly
+    return _NUMERIC, Fraction
 
 
-def _det_rows(rows):
-    # The routine behind determinant and minor; see determinant.
-    kernel = _row_kind((type(rows[0][0]),))[0]
-    sign, pivots = kernel.pivots(list(map(kernel.start, rows))) or (1, [kernel.split(0)])
+_LIFTS = {Fraction: as_rational, Poly: _as_poly, RatFunc: as_ratfunc}
+
+
+def _det_rows(kernel, block):
+    # The routine behind determinant and minor, on a list of started
+    # (row, denominator) pairs; see determinant.
+    sign, pivots = kernel.pivots(block) or (1, [kernel.split(0)])
     det = kernel.scalar(*pivots[0])
     for p, d in pivots[1:]:
         det = det * kernel.scalar(p, d)
@@ -470,7 +545,7 @@ def determinant(A: Matrix):
     give a reduced ``RatFunc``, whose denominator is 1 whenever the
     entries are polynomials.  :func:`minor` uses the same routine.
     """
-    return _det_rows(A.rows)
+    return _det_rows(A.kernel, list(zip(A.nums, A.dens)))
 
 
 def _check_index_set(indices, n: int) -> tuple:
@@ -490,8 +565,11 @@ def minor(A: Matrix, row_indices, col_indices):
     cols_idx = _check_index_set(col_indices, A.n)
     if len(rows_idx) != len(cols_idx):
         raise ValueError("index sets must have the same size")
-    sub = [[A.rows[i - 1][j - 1] for j in cols_idx] for i in rows_idx]
-    return _det_rows(sub)
+    # A row's numerators in the chosen columns, over its denominator, are
+    # that row of the submatrix, perhaps not reduced, which pivots allows.
+    nums, dens = A.nums, A.dens
+    block = [([nums[i - 1][j - 1] for j in cols_idx], dens[i - 1]) for i in rows_idx]
+    return _det_rows(A.kernel, block)
 
 
 def zero_pattern_violation(A: Matrix) -> tuple | None:
@@ -531,18 +609,17 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     its last row over the (k-1) x (k-1) minors of the size before, kept
     in a flat list indexed by the ranks of the row set and the column
     set, so a minor costs at most k products and zero terms are skipped.
-    The rows are started on the row kernel (see :class:`_RowKernel`): row
-    i is integer numerators over a denominator D_i (integer polynomials in
-    b for symbolic matrices), so a minor is a numerator summed with the
-    kernel's ring operations over the product of its rows' D_i, and never
-    divides.  The kernel reads the sign of each nonzero minor, and a
+    The minors are summed from the matrix's started rows (see
+    :class:`_RowKernel`): row i is integer numerators over a denominator
+    D_i (integer polynomials in b for symbolic matrices), so a minor is a
+    numerator summed with the kernel's ring operations over the product of
+    its rows' D_i, and never divides.  The kernel reads the sign of each nonzero minor, and a
     witness value is built only for the refuting one.  Two sizes of
     minors are held at once, so memory grows as C(n, n // 2) ** 2.
     """
     n = A.n
-    kernel = _row_kind((type(A.rows[0][0]),))[0]
+    kernel, rows, dens = A.kernel, A.nums, A.dens
     mul, add, sub, sign = kernel.mul, kernel.add, kernel.sub, kernel.sign
-    rows, dens = zip(*map(kernel.start, A.rows))
     one, zero = kernel.split(1)[0], kernel.split(0)[0]
     indices = range(1, n + 1)
     prev_combos, prev, prev_dens = [()], [one], [one]  # the empty minor, 1 over 1
@@ -595,19 +672,33 @@ def matrix_to_text(A: Matrix) -> str:
 
 
 def matrix_from_text(text: str) -> Matrix:
+    """Read :func:`matrix_to_text`'s format: n, then exactly n rows of n scalars.
+
+    Blank lines are skipped.  A row of plain integer or p/q tokens is read
+    as integers over one denominator, by the rule :func:`parse_scalar`
+    applies first, so a matrix of such rows reaches its started rows
+    without a ``Fraction`` per entry.  Any other row is read by
+    :func:`parse_scalar`, token by token.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     n = int(lines[0].strip())
-    if len(lines) < n + 1:
+    if n < 1:
+        raise ValueError("matrix must be square with n >= 1")
+    if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for ln in lines[1 : n + 1]:
+    for ln in lines[1:]:
         tokens = split_scalar_tokens(ln)
         if len(tokens) != n:
             raise ValueError(f"expected {n} entries per row, found {len(tokens)}")
-        rows.append([parse_scalar(tok) for tok in tokens])
-    return Matrix(rows)
+        rows.append(_rational_row(tokens) or [parse_scalar(tok) for tok in tokens])
+    if all(type(row) is tuple for row in rows):
+        return Matrix._from_integer_rows(*zip(*rows))
+    return Matrix(
+        [[Fraction(p, row[1]) for p in row[0]] if type(row) is tuple else row for row in rows]
+    )
 
 
 def matrix_to_doc(A: Matrix) -> dict:
@@ -624,8 +715,9 @@ def matrix_from_doc(doc: dict) -> Matrix:
         not isinstance(r, list) or len(r) != n for r in entries
     ):
         raise ValueError("entries do not form an n x n array")
+    # A decoded integer starts as it is; parse_doc_scalar rejects booleans.
     return Matrix(
-        [[parse_doc_scalar(x) for x in row] for row in entries]
+        [[x if type(x) is int else parse_doc_scalar(x) for x in row] for row in entries]
     )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    _as_poly,
+    Poly,
     _poly,
     format_scalar,
     parse_doc_scalar,
@@ -157,8 +157,10 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
     The columns start from the identity and run on the row kernel of
     :mod:`crosstnn.matrix`: each is held as integer numerators over one
     denominator (integer coefficient lists when a weight is symbolic),
-    and each entry becomes a reduced scalar once, at the end.  Entries
-    are ``RatFunc`` if any applied weight is one, else ``Poly`` if any is
+    and at the end rational columns become the matrix's started rows,
+    over a common denominator, with no ``Fraction`` per entry, while each
+    symbolic entry becomes a reduced scalar once.  Entries are
+    ``RatFunc`` if any applied weight is one, else ``Poly`` if any is
     one, else ``Fraction``; a unit horizontal is not applied.  Each
     distinct horizontals tuple is scanned for its non-unit weights once.
     """
@@ -167,8 +169,7 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
         (scales, [(s.src - 1, s.dst - 1, s.weight) for s in chip.slants])
         for chip, scales in zip(net.chips, row_scales)
     ]
-    kernel, lift = _row_kind({type(w) for scales, slants in chips for *_, w in (*scales, *slants)})
-    entry = (lambda num, den: _poly(num, den[0])) if lift is _as_poly else kernel.scalar
+    kernel, kind = _row_kind({type(w) for scales, slants in chips for *_, w in (*scales, *slants)})
     mul, sub, combine, split = kernel.mul, kernel.sub, kernel.combine, kernel.split
     n = net.n
     cols = [kernel.start([int(i == j) for i in range(n)]) for j in range(n)]
@@ -185,6 +186,9 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
             wn, wd = split(w)
             Xq, dq = cols[q]
             cols[q] = combine(mul(wd, dp), Xq, dq, sub(zero, mul(wn, dq)), Xp)
+    if kind is Fraction:
+        return Matrix._from_integer_rows(*kernel.transposed(*zip(*cols)))
+    entry = (lambda num, den: _poly(num, den[0])) if kind is Poly else kernel.scalar
     return Matrix([[entry(X[i], d) for X, d in cols] for i in range(n)])
 
 

@@ -261,7 +261,8 @@ class TestGenerators:
 
     def test_generators_stay_on_integers(self, monkeypatch):
         # Both generators sum integers and build each entry once: no Poly,
-        # RatFunc or Fraction arithmetic.
+        # RatFunc or Fraction arithmetic.  The numeric one hands the matrix
+        # its integers, so no Fraction is built at all.
         calls = []
         operators = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
         patched = [(cls, name) for cls in (Poly, RatFunc) for name in (*operators, "__truediv__")]
@@ -273,12 +274,25 @@ class TestGenerators:
                 return _original(*args)
 
             monkeypatch.setattr(cls, name, wrapper)
+        real_new = Fraction.__dict__["__new__"]
+        built = {"scaled": 0, "unscaled": 0, "symbolic": 0}
+
+        def generate(kind, make):
+            def counting_new(cls, *args, **kwargs):
+                built[kind] += 1
+                return real_new.__func__(cls, *args, **kwargs)
+
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            make()
+            monkeypatch.setattr(Fraction, "__new__", real_new)
+
         for n in range(3, 9):
-            amazing_matrix_symbolic(n)
+            generate("symbolic", lambda: amazing_matrix_symbolic(n))
             for b in (2, 3, n + 1):
-                amazing_matrix(n, b, scaled=True)
-                amazing_matrix(n, b)
+                generate("scaled", lambda: amazing_matrix(n, b, scaled=True))
+                generate("unscaled", lambda: amazing_matrix(n, b))
         assert calls == []
+        assert built == {"scaled": 0, "unscaled": 0, "symbolic": 0}
 
 
 class TestVerify:

@@ -405,6 +405,21 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "text",
+        ["2\n1 0\n0 1\nhello world\n", "2\n1 0\n0 1\n1 0\n", "2\n1 0\n\n0 1\n\n1 0\n\n"],
+        ids=["text-line", "numeric-row", "between-blank-lines"],
+    )
+    def test_rows_after_the_nth_exit_65(self, tmp_path, capsys, text):
+        path = _write(tmp_path / "extra.txt", text)
+        assert main(["check", path]) == 65
+        assert capsys.readouterr().err == "malformed input: expected 2 rows, found 3\n"
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path, capsys):
+        path = _write(tmp_path / "blank.txt", "2\n1 0\n0 1\n\n  \n\t\n")
+        assert main(["check", path]) == 0
+        assert "verdict: totally-nonnegative" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text",
         [
             pytest.param("2\n1e6011100 0\n0 1\n", id="text"),
             pytest.param('{"n": 2, "entries": [["1E6011100", 0], [0, 1]]}', id="json"),

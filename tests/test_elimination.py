@@ -28,10 +28,12 @@ from crosstnn import (
     is_cross_symmetric,
     materialize_atom,
     materialize_elementary,
+    matrix_to_text,
     neville_tnn_test,
     random_certified_tnn,
     verify_amazing,
 )
+from crosstnn.cli import main
 from crosstnn.elimination import EliminationRun, verdict_to_doc
 from crosstnn.exact import SignUndecidedOnRay, scalar_sign
 from crosstnn.matrix import _ResidueKernel, _RowKernel
@@ -804,6 +806,29 @@ class TestIntegerSigns:
             Fraction.__new__ = real
         assert isinstance(run.verdict, TotallyNonnegative)
         assert len(built) <= len(run.steps) + A.n
+
+    def test_check_builds_one_fraction_per_atom_and_diagonal_entry(self, tmp_path, capsys):
+        # An integer file reaches the sweep's rows without a Fraction per
+        # entry: the whole command builds only the atoms' c and the diagonal.
+        n = 12
+        path = tmp_path / "carries.txt"
+        path.write_text(matrix_to_text(amazing_matrix(n, 10, scaled=True)), encoding="utf-8")
+        real = Fraction.__dict__["__new__"]
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            code = main(["check", str(path), "--method", "cross"])
+        finally:
+            Fraction.__new__ = real
+        out = capsys.readouterr().out
+        assert code == 0
+        atoms = int(out.split("atoms: ")[1].split()[0])
+        assert len(built) <= atoms + n
 
 
 class TestNevilleAgainstReference:

@@ -1,5 +1,7 @@
 """Matrix core: rotation calculus, minors, determinants, brute-force oracle."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 
@@ -14,10 +16,12 @@ from crosstnn import (
     Poly,
     RatFunc,
     TotallyNonnegative,
+    amazing_entry,
     amazing_matrix,
     amazing_matrix_symbolic,
     brute_force_tnn,
     determinant,
+    eliminate_detailed,
     exchange_matrix,
     is_cross_symmetric,
     matrix_from_doc,
@@ -26,6 +30,8 @@ from crosstnn import (
     matrix_to_doc,
     matrix_to_text,
     minor,
+    neville_tnn_test,
+    peel_certificate,
     tau,
     w0,
     zero_pattern_violation,
@@ -42,8 +48,10 @@ from crosstnn.exact import (
     as_ratfunc,
     as_rational,
     format_scalar,
+    parse_scalar,
     scalar_sign,
 )
+from crosstnn.elimination import verdict_to_doc
 from crosstnn.cli import main
 from crosstnn.matrix import (
     _NUMERIC,
@@ -600,6 +608,124 @@ class TestFormats:
             matrix_from_text("2\n1 2\n")
         with pytest.raises(ValueError):
             matrix_from_text("2\n1 2 3\n4 5 6\n")
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            *("7", "+7", "-0", "007", "3/4", "-3/4", "+0007/0008", "2/4"),
+            *("1/0", "1_0", "\u0663", "1e5", "[1]"),
+            pytest.param("7" * 5001, id="past-the-digit-limit"),
+        ],
+    )
+    def test_text_reads_a_token_as_parse_scalar_does(self, tmp_path, capsys, token):
+        # Integer rows take the reader's integer route; a token alone and in
+        # a row of integers must still read as parse_scalar reads it.
+        try:
+            value, message = parse_scalar(token), None
+        except ValueError as exc:
+            value, message = None, str(exc)
+        for n, entries in ((1, [[token]]), (2, [[token, "0"], ["0", token]])):
+            text = f"{n}\n" + "".join(" ".join(row) + "\n" for row in entries)
+            if message is None:
+                rows = matrix_from_text(text).rows
+                assert rows == tuple(tuple(value if x == token else 0 for x in r) for r in entries)
+                assert {type(x) for r in rows for x in r} == {type(value)}
+            else:
+                with pytest.raises(ValueError) as info:
+                    matrix_from_text(text)
+                assert str(info.value) == message
+            # The same matrix with its tokens as JSON strings reads through
+            # parse_scalar alone: the command gives the same exit and output.
+            outputs = []
+            doc = json.dumps({"n": n, "entries": entries})
+            for name, payload in (("m.txt", text), ("m.json", doc)):
+                path = tmp_path / name
+                path.write_text(payload, encoding="utf-8")
+                code = main(["check", str(path), "--ray", "1"])
+                outputs.append((code, *capsys.readouterr()))
+            assert outputs[0] == outputs[1]
+            if message is not None:
+                assert outputs[0] == (65, "", f"malformed input: {message}\n")
+
+
+_B1 = RatFunc(Poly((1,)), B + 1)
+_HALF = Fraction(1, 2)
+
+
+def _started_cases():
+    # (name, matrix, ray, kind of .rows): 3 x 3 cross-symmetric matrices the
+    # sweep certifies, built every way a Matrix is built.
+    ints = [[4, 1, 0], [1, 6, 1], [0, 1, 4]]
+    entries = [[2, "1/2", 0], ["1/2", 3, "1/2"], [0, "1/2", 2]]
+    symbolic = amazing_matrix_symbolic(3)
+    return [
+        ("int", Matrix(ints), None, Fraction),
+        ("fraction", Matrix([[Fraction(x, 2) for x in r] for r in ints]), None, Fraction),
+        ("mixed", Matrix([[2, _HALF, 0], [_HALF, 3, _HALF], [0, _HALF, 2]]), None, Fraction),
+        ("text", matrix_from_text("3\n2 1/2 0\n1/2 3 1/2\n0 1/2 2\n"), None, Fraction),
+        ("json", matrix_from_doc({"n": 3, "entries": entries}), None, Fraction),
+        ("generated", amazing_matrix(3, 3), None, Fraction),
+        ("poly", symbolic, 3, Poly),
+        ("ratfunc", Matrix([[_B1 * x for x in r] for r in symbolic.rows]), 3, RatFunc),
+    ]
+
+
+def _consumer_results(A, ray) -> tuple:
+    run = eliminate_detailed(A, ray)
+    return (
+        verdict_to_doc(run.verdict),
+        run.steps,
+        peel_certificate(run.verdict.factorization, A),
+        verdict_to_doc(neville_tnn_test(A, ray)),
+        verdict_to_doc(brute_force_tnn(A, ray)),
+        determinant(A),
+        minor(A, (1, 3), (1, 2)),
+    )
+
+
+class TestStartedRows:
+    """A Matrix holds its started rows; .rows, ==, hash and the consumers read as before."""
+
+    @pytest.mark.parametrize("case", _started_cases(), ids=lambda case: case[0])
+    def test_consumers_leave_the_matrix_as_it_was(self, case):
+        _, A, ray, kind = case
+        started = copy.deepcopy((A.nums, A.dens))
+        first = _consumer_results(A, ray)
+        assert first[0]["verdict"] == "totally-nonnegative" and first[2] is True
+        assert _consumer_results(A, ray) == first
+        assert (A.nums, A.dens) == started
+        assert {type(x) for r in A.rows for x in r} == {kind}
+        assert _consumer_results(A, ray) == first
+
+    def test_rows_keep_their_values_and_types(self):
+        cases = {name: A for name, A, _, _ in _started_cases()}
+        expected = ((2, _HALF, 0), (_HALF, 3, _HALF), (0, _HALF, 2))
+        for name in ("mixed", "text", "json"):
+            assert cases[name].rows == expected
+        assert cases["int"].rows == ((4, 1, 0), (1, 6, 1), (0, 1, 4))
+        assert cases["fraction"].rows == expected
+        assert cases["generated"].rows == tuple(
+            tuple(amazing_entry(3, 3, i, j) for j in range(3)) for i in range(3)
+        )
+        kept = [[B, Fraction(1, 3)], [Fraction(1, 3), B]]
+        A = Matrix(kept)
+        assert A.rows == tuple(tuple(_as_poly(x) for x in r) for r in kept)
+
+    def test_equality_and_hash(self):
+        cases = {name: A for name, A, _, _ in _started_cases()}
+        twins = [cases[name] for name in ("fraction", "mixed", "text", "json")]
+        twins.append(Matrix([[Poly((x,)) for x in r] for r in cases["mixed"].rows]))
+        twins.append(Matrix([[as_ratfunc(x) for x in r] for r in cases["mixed"].rows]))
+        for A in twins:
+            for C in twins:
+                assert A == C and hash(A) == hash(C)
+        assert cases["int"] == Matrix([[Poly((x,)) for x in r] for r in cases["int"].rows])
+        poly, ratfunc = cases["poly"], cases["ratfunc"]
+        assert poly == Matrix([[as_ratfunc(x) for x in r] for r in poly.rows])
+        assert hash(poly) == hash(Matrix([[as_ratfunc(x) for x in r] for r in poly.rows]))
+        assert poly != ratfunc and poly != amazing_matrix(3, 3, scaled=True)
+        assert cases["mixed"] != cases["int"] and cases["int"] != Matrix([[4, 1], [1, 6]])
+        assert len({cases["mixed"], *twins}) == 1
 
 
 class TestMatrixClass:
