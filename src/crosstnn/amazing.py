@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elimination import cross_symmetric_eliminate, verdict_to_doc
-from .exact import Poly, _int_mul, _over_common_denominator, _poly, as_rational
+from .exact import _int_mul, _poly
 from .matrix import Matrix
 from .verdicts import (
     INAPPLICABLE_SYMBOLIC_INDEFINITE,
@@ -35,7 +35,6 @@ from .verdicts import (
 )
 
 __all__ = [
-    "binomial_poly",
     "amazing_entry",
     "amazing_matrix",
     "amazing_matrix_symbolic",
@@ -47,25 +46,11 @@ __all__ = [
 ]
 
 
-def binomial_poly(alpha, beta, k: int) -> Poly:
-    """The degree-k polynomial (1/k!) * prod_{m=0}^{k-1} (alpha + beta*b - m).
-
-    This is the falling-factorial extension of the binomial coefficient
-    C(alpha + beta*b, k); for integer tops in 0..k-1 a factor vanishes,
-    matching the combinatorial convention C(m, k) = 0 for m < k.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    # alpha = a / d and beta = c / d, so each factor is (a - m*d + c*b) / d.
-    (a, c), d = _over_common_denominator((as_rational(alpha), as_rational(beta)))
-    return _poly(_falling_product(a, c, k, d), d**k * math.factorial(k))
-
-
-def _falling_product(alpha: int, beta: int, k: int, unit: int = 1) -> list:
-    """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m*unit)."""
+def _falling_product(alpha: int, beta: int, k: int) -> list:
+    """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m)."""
     out = [1]
     for m in range(k):
-        out = _int_mul(out, [alpha - m * unit, beta])
+        out = _int_mul(out, [alpha - m, beta])
     return out
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -171,11 +170,6 @@ class Poly:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("polynomial divided by zero scalar")
-            nums = [v * other.denominator for v in self.numerators]
-            return _poly(nums, self.denominator * other.numerator)
         if isinstance(other, Poly):
             return RatFunc(self, other)
         return NotImplemented
@@ -220,21 +214,6 @@ class Poly:
 
     __call__ = eval
 
-    def shift(self, offset) -> "Poly":
-        """Return q with q(u) = p(u + offset), by a Taylor shift over the integers.
-
-        With offset = r/s and p of degree m, s^m * p(w/s) has integer
-        coefficients; shifting those by r and multiplying
-        coefficient k by s^k puts q over the denominator s^m.
-        """
-        offset = as_rational(offset)
-        r, s = offset.numerator, offset.denominator
-        m = self.degree
-        if m < 0:
-            return self
-        a = _int_taylor_shift([v * s ** (m - k) for k, v in enumerate(self.numerators)], r)
-        return _poly([v * s**k for k, v in enumerate(a)], self.denominator * s**m)
-
     def derivative(self) -> "Poly":
         return _poly([k * v for k, v in enumerate(self.numerators) if k], self.denominator)
 
@@ -249,10 +228,6 @@ class Poly:
         if g.degree <= 0:
             return self
         return self.divide_exact(g)
-
-    def root_bound_int(self) -> int:
-        """Integer M with every real root of self in [-M, M] (Cauchy bound)."""
-        return _int_root_bound(self.numerators)
 
     # -- comparisons ---------------------------------------------------
 
@@ -743,8 +718,9 @@ def _floor_largest_root_at_least(g: Poly, beta: int) -> int | None:
 
 
 def sign_on_ray(f, beta: int) -> RaySign:
-    """Decide the sign of f over the whole real ray [beta, inf).
+    """Decide the sign of a Poly or RatFunc f over the whole real ray [beta, inf).
 
+    Rationals are decided by :func:`scalar_sign` and never reach here.
     The sign of num/den matches the sign of num*den wherever it is
     defined, so the query reduces to one polynomial g.  Fast path: after
     the substitution u = x - beta, nonnegative coefficients with a
@@ -756,14 +732,6 @@ def sign_on_ray(f, beta: int) -> RaySign:
     """
     if not isinstance(beta, int) or beta < 1:
         raise ValueError("beta must be an integer >= 1")
-    if isinstance(f, int):
-        f = Fraction(f)
-    if isinstance(f, Fraction):
-        if f > 0:
-            return RaySign(POSITIVE_ON_RAY)
-        if f < 0:
-            return RaySign(NEGATIVE_ON_RAY)
-        return RaySign(ZERO_IDENTICALLY)
     if isinstance(f, RatFunc):
         if f.is_zero:
             return RaySign(ZERO_IDENTICALLY)
@@ -774,7 +742,7 @@ def sign_on_ray(f, beta: int) -> RaySign:
             return RaySign(ZERO_IDENTICALLY)
         g = f
     else:
-        raise TypeError(f"not an exact scalar: {f!r}")
+        raise TypeError(f"not a Poly or RatFunc: {f!r}")
     # g's numerators over its positive denominator carry its sign.
     fast = _int_sign_on_ray(g.numerators, beta)
     if fast:
@@ -825,19 +793,13 @@ def _long_rational_text(x: Fraction) -> str:
     return num if x.denominator == 1 else num + "/" + str(Decimal(x.denominator))
 
 
-def _long_rational(text: str, error: ValueError) -> Fraction:
-    # text as a rational whose integers were too long for int(); else error.
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
-        raise error
-    num, _, den = text.partition("/")
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-
-
 def _parse_rational(text: str) -> Fraction:
-    try:
+    # A plain rational at any length by the row rule, else Fraction's syntax.
+    row = _rational_row([text]) if text else None
+    if row is None:
         return Fraction(text)
-    except ValueError as exc:
-        return _long_rational(text, exc)
+    (p,), q = row
+    return Fraction(p, q)
 
 
 def format_scalar(x) -> str:
@@ -865,7 +827,11 @@ def _parse_poly(text: str) -> Poly:
     inner = body[1:-1].strip()
     if not inner:
         return Poly()
-    return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
+    parts = [part.strip() for part in inner.split(",")]
+    row = _rational_row(parts) if all(parts) else None
+    if row is not None:
+        return _poly(*row)
+    return Poly(tuple(map(_parse_rational, parts)))
 
 
 def _rational_row(tokens: list):
@@ -907,20 +873,13 @@ def parse_scalar(text: str) -> Scalar:
     t = text.strip()
     if not t:
         raise ValueError("empty scalar")
-    plain = _rational_row([t])
-    if plain is not None:
-        (p,), q = plain
-        return Fraction(p, q)
     # Fraction(str) reads exponents, and 1e601110 builds a 601,111-digit
     # integer; the scalar syntax has none.
     if "e" in t or "E" in t:
         raise ValueError(f"exponent notation in scalar {t!r}")
     try:
         if not t.startswith("["):
-            try:
-                return Fraction(t)
-            except ValueError as exc:
-                return _long_rational(t, exc)
+            return _parse_rational(t)
         depth = 0
         split_at = None
         for pos, ch in enumerate(t):

@@ -60,7 +60,6 @@ __all__ = [
     "exchange_matrix",
     "minor",
     "determinant",
-    "zero_pattern_violation",
     "brute_force_tnn",
     "matrix_to_text",
     "matrix_from_text",
@@ -570,22 +569,6 @@ def minor(A: Matrix, row_indices, col_indices):
     nums, dens = A.nums, A.dens
     block = [([nums[i - 1][j - 1] for j in cols_idx], dens[i - 1]) for i in rows_idx]
     return _det_rows(A.kernel, block)
-
-
-def zero_pattern_violation(A: Matrix) -> tuple | None:
-    """First pair (s, t) with row s zero through column t but a nonzero entry below.
-
-    An invertible totally nonnegative matrix admits no such pair, so this
-    is a cheap pre-filter before the full test.
-    """
-    n = A.n
-    for s in range(1, n):
-        for t in range(1, n + 1):
-            if A.entry(s, t) != 0:
-                break
-            if A.entry(s + 1, t) != 0:
-                return (s, t)
-    return None
 
 
 def _laplace_terms(combos, rank: dict) -> list:

@@ -1,6 +1,7 @@
 """Carries transition matrices, numeric and symbolic, and base coverage."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -12,13 +13,13 @@ from crosstnn import (
     Factorization,
     Inapplicable,
     Matrix,
+    NotTnn,
     Poly,
     RatFunc,
     TotallyNonnegative,
     amazing_entry,
     amazing_matrix,
     amazing_matrix_symbolic,
-    binomial_poly,
     brute_force_tnn,
     cross_symmetric_eliminate,
     factorization_product,
@@ -28,7 +29,9 @@ from crosstnn import (
     report_to_doc,
     verify_amazing,
 )
+from crosstnn.amazing import _falling_product
 from crosstnn.cli import main
+from crosstnn.exact import _poly
 
 B = Poly.variable()
 
@@ -77,34 +80,12 @@ def _sha256(text: str) -> str:
 
 
 class TestBinomialPoly:
-    def test_empty_product_is_one(self):
-        assert binomial_poly(0, 0, 0) == Poly((1,))
-
-    def test_matches_integer_binomial(self):
-        # top = 1 + 2b; at b = 2 this is C(5, 2)
-        assert binomial_poly(1, 2, 2).eval(2) == math.comb(5, 2) == 10
-
-    def test_vanishes_at_small_integer_tops(self):
-        # top = 3 + b; at b = 1 the top is 4 < k = 5, a factor vanishes
-        assert binomial_poly(3, 1, 5).eval(1) == 0
-        assert binomial_poly(3, 1, 5).eval(0) == 0
-
-    def test_degree(self):
-        assert binomial_poly(2, 1, 4).degree == 4
-
-    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None])
-    def test_rejects_inexact_arguments(self, bad):
-        with pytest.raises(TypeError):
-            binomial_poly(bad, 1, 1)
-        with pytest.raises(TypeError):
-            binomial_poly(1, bad, 1)
-
     def test_matches_comb_on_a_grid(self):
         # math.comb(top, k) is 0 for 0 <= top < k, matching the vanishing factor
         for alpha in range(0, 5):
             for beta in range(1, 4):
                 for k in range(0, 6):
-                    p = binomial_poly(alpha, beta, k)
+                    p = _poly(_falling_product(alpha, beta, k), math.factorial(k))
                     for b in range(0, 6):
                         assert p.eval(b) == math.comb(alpha + beta * b, k)
 
@@ -295,6 +276,23 @@ class TestGenerators:
         assert built == {"scaled": 0, "unscaled": 0, "symbolic": 0}
 
 
+def _verify_stand_in(monkeypatch, rows, n=2, escalation_cap=3):
+    """verify_amazing(n), with the matrix family rows (Poly entries) for the carries matrix."""
+    monkeypatch.setattr("crosstnn.amazing.amazing_matrix_symbolic", lambda n: Matrix(rows))
+    monkeypatch.setattr(
+        "crosstnn.amazing.amazing_matrix",
+        lambda n, b, scaled=False: Matrix([[p.eval(b) for p in row] for row in rows]),
+    )
+    return verify_amazing(n, escalation_cap=escalation_cap)
+
+
+def _cli_report(tmp_path, *flags, n=2):
+    """(exit code, decoded report) of the verify-amazing command."""
+    out = tmp_path / "report.json"
+    code = main(["verify-amazing", "--n", str(n), *flags, "-o", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
 class TestVerify:
     def test_n1_trivially_certified(self):
         report = verify_amazing(1)
@@ -332,12 +330,61 @@ class TestVerify:
         assert [entry["b"] for entry in parsed["bases"]] == [2]
         assert parsed["ray"]["rounds"][0]["verdict"] == "totally-nonnegative"
 
-    def test_escalation_cap_reports_partial(self):
-        report = verify_amazing(2, escalation_cap=0)
-        # n=2 needs no escalation, so the cap never triggers here; exercise
-        # the bookkeeping by asserting the certified run used zero raises
+    def test_escalation_certifies_past_an_indefinite_ray(self, monkeypatch, tmp_path):
+        # (b - 3)^2 touches zero at b = 3: ray 2 is indefinite up to 3, the
+        # bases 2 and 3 are checked numerically and ray 4 certifies.
+        P, Q = B * B + 10, (B - 3) * (B - 3)
+        report = _verify_stand_in(monkeypatch, [[P, Q], [Q, P]])
+        assert [r.beta for r in report.ray_rounds] == [2, 4]
+        first, last = (r.verdict for r in report.ray_rounds)
+        assert isinstance(first, Inapplicable) and first.bound == 3
+        assert isinstance(last, TotallyNonnegative)
+        assert [c.b for c in report.residual_checks] == [2, 3]
+        assert all(isinstance(c.verdict, TotallyNonnegative) for c in report.residual_checks)
         assert report.overall == "certified"
-        assert len(report.ray_rounds) == 1
+        assert _cli_report(tmp_path) == (0, report_to_doc(report))
+
+    def test_escalation_cap_reports_partial(self, monkeypatch, tmp_path):
+        P, Q = B * B + 10, (B - 3) * (B - 3)
+        report = _verify_stand_in(monkeypatch, [[P, Q], [Q, P]], escalation_cap=0)
+        assert [r.beta for r in report.ray_rounds] == [2]
+        assert report.residual_checks == ()
+        assert report.overall == "partial"
+        assert _cli_report(tmp_path, "--escalation-cap", "0") == (2, report_to_doc(report))
+
+    def test_escalation_reports_a_refuted_residual_base(self, monkeypatch, tmp_path):
+        # b - 3 is negative at the residual base 2, so its first step refutes.
+        P, Q = B * B + 10, B - 3
+        report = _verify_stand_in(monkeypatch, [[P, Q], [Q, P]])
+        assert [c.b for c in report.residual_checks] == [2, 3]
+        assert isinstance(report.residual_checks[0].verdict, NotTnn)
+        assert report.overall == "refuted"
+        code, doc = _cli_report(tmp_path)
+        assert (code, doc) == (1, report_to_doc(report))
+        assert doc["residual_bases"][0] == {
+            "b": 2,
+            "verdict": "not-totally-nonnegative",
+            "witness": {"reason": "negative-multiplier", "s": 1, "t": 1, "value": "-1"},
+        }
+
+    def test_refuted_residual_base_reports_its_trace(self, monkeypatch, tmp_path):
+        # (b - 4)^2 is indefinite on the ray from 3 up to 5; at b = 3 the
+        # middle pivot is 1 - 1 - 1 after one bridge step.
+        zero, one = Poly(), Poly((1,))
+        rows = [[one, one, zero], [one, (B - 4) * (B - 4), one], [zero, one, one]]
+        report = _verify_stand_in(monkeypatch, rows, n=3)
+        assert [r.beta for r in report.ray_rounds] == [3, 6]
+        assert [c.b for c in report.residual_checks] == [3, 4, 5]
+        assert report.overall == "refuted"
+        code, doc = _cli_report(tmp_path, n=3)
+        assert (code, doc) == (1, report_to_doc(report))
+        assert doc["residual_bases"][0]["witness"] == {
+            "reason": "nonpositive-pivot",
+            "s": 2,
+            "t": 2,
+            "value": "-1",
+            "trace": [{"s": 1, "t": 1, "c": "1", "center": False}],
+        }
 
 
 class TestOracleAgreementOnCarriesMatrices:

@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used or re-exported.
+"""Every module-level import in the package is used or re-exported, and
+every module-level private helper is read.
 
 No linter is assumed: each module under ``src/crosstnn`` is parsed with
 ``ast``, and an import must bind a name that the module reads somewhere
-or lists in ``__all__``.  A refactor that leaves an import dead fails here.
+or lists in ``__all__``.  A private function, class or constant must be
+read by some module of the package.  A refactor that leaves an import
+dead, or a helper that nothing calls any more, fails here.
 """
 
 import ast
@@ -43,3 +46,43 @@ def test_the_check_finds_a_dead_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set:
+    """Module-level private names a module defines: functions, classes and constants."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Names a module reads, imports from another module or reads as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_check_finds_an_orphaned_private_helper():
+    source = "_LIMIT = 3\n_SEEN: set = set()\n\ndef _used():\n    return _LIMIT\n\ndef _orphan():\n" \
+             "    pass\n\nclass _Kept:\n    pass\n\nprint(_used(), _Kept)\n"
+    assert private_definitions(source) - names_read(source) == {"_orphan", "_SEEN"}
+    assert "_orphan" in names_read("from .helpers import _orphan\n")
+
+
+def test_every_private_helper_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(names_read, sources))
+    defined = set().union(*map(private_definitions, sources))
+    assert defined, "no private helpers found"
+    assert sorted(defined - read) == []

@@ -34,7 +34,6 @@ from crosstnn import (
     peel_certificate,
     tau,
     w0,
-    zero_pattern_violation,
 )
 from crosstnn.exact import (
     SignUndecidedOnRay,
@@ -563,17 +562,6 @@ class TestBruteForce:
             assert determinant(A) != 0
             assert isinstance(brute_force_tnn(A), TotallyNonnegative)
             assert all(A.entry(i, i) > 0 for i in range(1, n + 1))
-
-
-class TestZeroPattern:
-    def test_detects_violation(self):
-        assert zero_pattern_violation(Matrix([[0, 1], [1, 0]])) == (1, 1)
-
-    def test_identity_clean(self):
-        assert zero_pattern_violation(Matrix.identity(3)) is None
-
-    def test_scaled_carries_matrix_clean(self):
-        assert zero_pattern_violation(amazing_matrix(4, 3, scaled=True)) is None
 
 
 class TestFormats:
