@@ -827,11 +827,7 @@ def _parse_poly(text: str) -> Poly:
     inner = body[1:-1].strip()
     if not inner:
         return Poly()
-    parts = [part.strip() for part in inner.split(",")]
-    row = _rational_row(parts) if all(parts) else None
-    if row is not None:
-        return _poly(*row)
-    return Poly(tuple(map(_parse_rational, parts)))
+    return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
 
 
 def _rational_row(tokens: list):

@@ -334,6 +334,13 @@ class TestPoly:
         with pytest.raises(ValueError):
             (B * B + 1).divide_exact(B - 1)
 
+    @pytest.mark.parametrize("r", [2, Fraction(1, 2)])
+    def test_no_division_by_a_rational(self, r):
+        # Only a Poly divides a Poly; a rational divides by a Poly.
+        with pytest.raises(TypeError):
+            (B + 1) / r
+        assert r / (B + 1) == RatFunc(Poly((r,)), B + 1)
+
     def test_no_fraction_division_path(self):
         for name in ("__divmod__", "__floordiv__", "__mod__"):
             assert not hasattr(Poly, name)
@@ -576,6 +583,13 @@ class TestSignOnRay:
     def test_linear_positive(self):
         assert sign_on_ray(B - 1, 2) == RaySign(POSITIVE_ON_RAY)
 
+    @pytest.mark.parametrize("r", [2, Fraction(-1, 2)])
+    def test_rejects_rationals(self, r):
+        # scalar_sign decides rationals; sign_on_ray takes Poly and RatFunc.
+        with pytest.raises(TypeError, match="not a Poly or RatFunc"):
+            sign_on_ray(r, 2)
+        assert scalar_sign(r, 2) == (1 if r > 0 else -1)
+
     def test_mixed_with_root_witness(self):
         rs = sign_on_ray(B * B - 3 * B, 2)
         assert rs.verdict == MIXED
@@ -712,7 +726,6 @@ def fraction_without_digit_limit(text: str) -> Fraction:
 
 # A 5,001-digit integer, past the int/str digit limit of 4,300 digits.
 _L = "1" + "0" * 4999 + "7"
-_DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
 
 # (token, type, format_scalar bytes or exception message)
 PARSE_RECORD = [
@@ -724,9 +737,6 @@ PARSE_RECORD = [
     ("٣", Fraction, "3"),
     (_L, Fraction, _L),
     (f"-{_L}/3", Fraction, f"-{_L}/3"),
-    (f"{_L}/0", ValueError,
-     f"{_DIGIT_LIMIT}: value has 5001 digits; use sys.set_int_max_str_digits() to increase"
-     " the limit"),
     ("1/-2", ValueError, "Invalid literal for Fraction: '1/-2'"),
     (f"[{_L},0.5]", Poly, f"[{_L},1/2]"),
     (f"[1,{_L}]/[{_L},1]", RatFunc, f"[1,{_L}]/[{_L},1]"),
