@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elimination import cross_symmetric_eliminate, verdict_to_doc
-from .exact import _int_mul, _poly
-from .matrix import Matrix
+from .exact import Poly, _int_mul
+from .matrix import _NUMERIC, _SYMBOLIC, Matrix
 from .verdicts import (
     INAPPLICABLE_SYMBOLIC_INDEFINITE,
     Inapplicable,
@@ -113,7 +113,7 @@ def amazing_matrix(n: int, b: int, scaled: bool = False) -> Matrix:
         low = i // b + 1
         table = [math.comb(n - 1 - i + k * b, n) for k in range(low, n + 1)]
         rows.append(_carry_sums(weights, low, table))
-    return Matrix(rows) if scaled else Matrix._from_integer_rows(rows, [b**n] * n)
+    return Matrix._from_rows(_NUMERIC, Fraction, rows, [1 if scaled else b**n] * n)
 
 
 def amazing_matrix_symbolic(n: int) -> Matrix:
@@ -136,10 +136,8 @@ def amazing_matrix_symbolic(n: int) -> Matrix:
     # One weighted sum of the powers k^t per t gives S_j[t] for every j.
     sums = [_carry_sums(weights, 1, [k**t for k in range(1, n + 1)]) for t in range(n + 1)]
     columns = list(zip(*sums))
-    denominator = math.factorial(n)
-    return Matrix(
-        [[_poly([g * s for g, s in zip(G, S)], denominator) for S in columns] for G in falling]
-    )
+    rows = [[[g * s for g, s in zip(G, S)] for S in columns] for G in falling]
+    return Matrix._from_rows(_SYMBOLIC, Poly, rows, [[math.factorial(n)]] * n)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .elimination import (
     random_certified_tnn,
 )
 from .exact import format_scalar, parse_json
-from .matrix import brute_force_tnn, matrix_from_payload, matrix_to_text
+from .matrix import brute_force_tnn, matrix_from_doc, matrix_from_payload, matrix_to_text
 from .network import export_dot, network_from_factorization, network_to_doc
 from .verdicts import Inapplicable, NotTnn, TotallyNonnegative, verdict_label
 
@@ -210,30 +210,28 @@ def _cmd_gen(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _load_matrix(text, ray):
-    """Parse a matrix file's text, plain or JSON."""
-    matrix = matrix_from_payload(text)
+def _needs_ray(matrix, ray):
+    """The matrix read from a file, which must come with a sign ray if symbolic."""
     if matrix.is_symbolic and ray is None:
         raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
     return matrix
 
 
-def _certify(text, ray):
-    """Load a matrix and eliminate it; returns (matrix, verdict).
+def _certify(matrix, ray):
+    """Eliminate a matrix read from a file and return the verdict.
 
     A verdict that is not certified is reported on stderr.
     """
-    matrix = _load_matrix(text, ray)
-    verdict = eliminate_detailed(matrix, ray=ray).verdict
+    verdict = eliminate_detailed(_needs_ray(matrix, ray), ray=ray).verdict
     if isinstance(verdict, NotTnn):
         print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
     elif isinstance(verdict, Inapplicable):
         print(f"inapplicable: {verdict.reason}", file=sys.stderr)
-    return matrix, verdict
+    return verdict
 
 
 def _cmd_check(args) -> int:
-    matrix = _load_matrix(_read(args.path), args.ray)
+    matrix = _needs_ray(matrix_from_payload(_read(args.path)), args.ray)
     print(f"method: {args.method}")
     if args.method != "cross":
         oracle = brute_force_tnn if args.method == "minors" else neville_tnn_test
@@ -265,7 +263,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    matrix, verdict = _certify(_read(args.path), args.ray)
+    matrix = matrix_from_payload(_read(args.path))
+    verdict = _certify(matrix, args.ray)
     if not isinstance(verdict, TotallyNonnegative):
         return _verdict_exit(verdict)
     fact = verdict.factorization
@@ -285,7 +284,8 @@ def _cmd_network(args) -> int:
             raise _UsageError("symbolic certificate: pass --ray to fix the sign ray")
         check_factorization_signs(fact, args.ray)
     else:
-        _, verdict = _certify(text, args.ray)
+        matrix = matrix_from_payload(text) if doc is None else matrix_from_doc(doc)
+        verdict = _certify(matrix, args.ray)
         if not isinstance(verdict, TotallyNonnegative):
             return _verdict_exit(verdict)
         fact = verdict.factorization

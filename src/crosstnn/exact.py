@@ -799,6 +799,8 @@ def _parse_rational(text: str) -> Fraction:
     if row is None:
         return Fraction(text)
     (p,), q = row
+    if not q:  # Fraction(p, 0) would format p, which the digit limit refuses
+        raise ZeroDivisionError
     return Fraction(p, q)
 
 
@@ -834,9 +836,9 @@ def _rational_row(tokens: list):
     """(ints, d) with tokens[k] == ints[k] / d if every token is a plain rational, else None.
 
     A plain rational is an optional sign and ASCII digits, then optionally
-    "/" and ASCII digits that are not all zero.  Tokens are nonempty and
-    hold no whitespace; d is the lcm of the denominators, and nothing is
-    reduced.  Most entries of a numeric file are plain, and reading them
+    "/" and ASCII digits.  Tokens are nonempty and hold no whitespace; d
+    is the lcm of the denominators, 0 if one of them is zero, and nothing
+    is reduced.  Most entries of a numeric file are plain, and reading them
     skips Fraction's regex; a row of unsigned integers is checked at once.
     """
     text = "".join(tokens)
@@ -848,13 +850,13 @@ def _rational_row(tokens: list):
     for t in tokens:
         digits = t[1:] if t[0] in "+-" else t
         num, slash, den = digits.partition("/")
-        if not num.isdigit() or (slash and not (den.isdigit() and den.strip("0"))):
+        if not num.isdigit() or (slash and not den.isdigit()):
             return None
         nums.append(t[: len(t) - len(den) - len(slash)])  # the signed numerator
         dens.append(den or "1")
     nums, dens = _ints(nums), _ints(dens)
     d = math.lcm(*dens)
-    return (nums if d == 1 else [p * (d // q) for p, q in zip(nums, dens)]), d
+    return (nums if d <= 1 else [p * (d // q) for p, q in zip(nums, dens)]), d
 
 
 def _ints(texts: list) -> list:

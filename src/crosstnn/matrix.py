@@ -97,20 +97,16 @@ class Matrix:
             raise ValueError("matrix must be square with n >= 1")
         kinds = set(map(type, itertools.chain.from_iterable(rows)))
         kernel, kind = _row_kind(kinds)
-        if kinds <= {int, Fraction}:
-            # Integers start as they are, and rows with them are built on demand.
-            kept = rows if kinds == {Fraction} else None
-        else:
-            if kinds != {kind}:
-                rows = [tuple(map(_LIFTS[kind], r)) for r in rows]
-            kept = rows
-        self._set(kernel, kind, map(kernel.start, rows), kept)
+        if kinds - {int, kind}:
+            # Integers start as they are; a bool or a lower kind is lifted, a float raises.
+            rows = [tuple(map(_LIFTS[kind], r)) for r in rows]
+        self._set(kernel, kind, map(kernel.start, rows), rows if kinds == {kind} else None)
 
     @classmethod
-    def _from_integer_rows(cls, nums, dens) -> "Matrix":
-        """The rational matrix with row i the integers nums[i] over dens[i] > 0."""
+    def _from_rows(cls, kernel, kind, nums, dens) -> "Matrix":
+        """The matrix of kind ``kind`` with row i the kernel's numerators nums[i] over dens[i]."""
         self = cls.__new__(cls)
-        self._set(_NUMERIC, Fraction, map(_numeric_reduce, nums, dens), None)
+        self._set(kernel, kind, map(kernel.reduce, nums, dens), None)
         return self
 
     def _set(self, kernel, kind, started, rows) -> None:
@@ -123,9 +119,9 @@ class Matrix:
     def rows(self) -> tuple:
         """The entries, row by row, as ``Fraction``, ``Poly`` or ``RatFunc``."""
         if self._rows is None:
-            # Only rational rows are built here: the constructor keeps symbolic ones.
+            entry = (lambda x, d: _poly(x, d[0])) if self.kind is Poly else self.kernel.scalar
             self._rows = tuple(
-                tuple(Fraction(x, d) for x in row) for row, d in zip(self.nums, self.dens)
+                tuple(entry(x, d) for x in row) for row, d in zip(self.nums, self.dens)
             )
         return self._rows
 
@@ -231,15 +227,13 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # is a list of ints over a positive int.  A symbolic row is a list of
 # integer coefficient lists (ascending by degree, [] for zero) over one
 # such list.  A Matrix holds its rows in this started form, reduced, from
-# construction on: integer text and integer generators hand it their
-# integers without a Fraction per entry, and each consumer copies the
-# rows it updates in place.  Both kinds divide P and B by gcd(P, B)
+# construction on: integer text, both generators and path_matrix hand it
+# their integer rows without a scalar per entry, and each consumer copies
+# the rows it updates in place.  Both kinds divide P and B by gcd(P, B)
 # before a row update, and share the update formula, the pivot search and
 # the mirrored row layout of the sweep and the peel; only the ring
 # operations and the common-factor removal differ.  :func:`_row_kind`
-# picks the kind.  A third kind, rows of residues modulo a fixed prime,
-# runs only the pivot search: it lets ``singular`` prove most rows
-# independent before the exact search.
+# picks the kind.
 
 
 class _RowKernel:
@@ -350,16 +344,16 @@ class _RowKernel:
         numerator is first reduced modulo the prime p = ``_RESIDUE_PRIME``,
         a polynomial after evaluation at b = xi = ``_RESIDUE_POINT``.  That
         map is a ring homomorphism, so the residue matrix has determinant
-        D mod p (D(xi) mod p for symbolic rows), and :meth:`pivots` on the
-        residues, over the integers modulo p, finds a full set of nonzero
-        pivots only if that is nonzero, which proves D != 0 and the rows
-        independent.  A zero residue proves nothing: then, and so for
-        every singular input, the exact :meth:`pivots` on the rows
+        D mod p (D(xi) mod p for symbolic rows), and an elimination of the
+        residues modulo p (:func:`_residues_independent`) finds a full set
+        of nonzero pivots only if that is nonzero, which proves D != 0 and
+        the rows independent.  A zero residue proves nothing: then, and so
+        for every singular input, the exact :meth:`pivots` on the rows
         decides.  So the test is one-sided and the answer always exact
         (S. Cabay and T. P. L. Lam, *ACM TOMS* 3, 1977; J. T. Schwartz,
         *J. ACM* 27, 1980).
         """
-        if _RESIDUE.pivots([(row, 1) for row in self.residues(rows)]) is not None:
+        if _residues_independent(self.residues(rows)):
             return False
         return self.pivots(list(zip(rows, dens))) is None
 
@@ -428,22 +422,20 @@ _RESIDUE_PRIME = 2**30 - 35
 _RESIDUE_POINT = 1_000_003
 
 
-class _ResidueKernel(_RowKernel):
-    """Rows of residues modulo ``_RESIDUE_PRIME`` over 1, for the pivot search only.
+def _residues_independent(rows: list) -> bool:
+    """Whether rows of residues are independent modulo ``_RESIDUE_PRIME``; uses them up.
 
-    An update scales row T by a pivot that is nonzero modulo the prime
-    and takes B times row S from it, so the rank of the rows over the
-    integers modulo the prime does not change.
+    :meth:`_RowKernel.pivots` modulo the prime: scaling a row by a nonzero
+    pivot and taking a multiple of the pivot row keeps the rank.
     """
-
-    __slots__ = ()
-
-    def cancel(self, P, B) -> tuple:
-        return P, B
-
-    def update(self, P, T: list, dT, B, S: list) -> tuple:
-        p = _RESIDUE_PRIME
-        return [(P * x - B * y) % p for x, y in zip(T, S)], 1
+    p = _RESIDUE_PRIME
+    while rows:
+        k = next((k for k, T in enumerate(rows) if T[0]), None)
+        if k is None:
+            return False
+        P, *S = rows.pop(k)
+        rows = [[(P * x - B * y) % p for x, y in zip(T, S)] if B else T for B, *T in rows]
+    return True
 
 
 def _poly_residue(coeffs) -> int:
@@ -492,9 +484,6 @@ _NUMERIC = _NumericKernel(
     reduce=_numeric_reduce,
     scalar=Fraction,
 )
-
-# Only the pivot search, which needs none of the ring operations, runs on it.
-_RESIDUE = _ResidueKernel(*[None] * 6)
 
 _SYMBOLIC = _RowKernel(
     mul=_int_mul,
@@ -660,8 +649,8 @@ def matrix_from_text(text: str) -> Matrix:
     Blank lines are skipped.  A row of plain integer or p/q tokens is read
     as integers over one denominator, by the rule :func:`parse_scalar`
     applies first, so a matrix of such rows reaches its started rows
-    without a ``Fraction`` per entry.  Any other row is read by
-    :func:`parse_scalar`, token by token.
+    without a ``Fraction`` per entry.  Any other row, and a row with a
+    zero denominator, is read by :func:`parse_scalar`, token by token.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -676,9 +665,10 @@ def matrix_from_text(text: str) -> Matrix:
         tokens = split_scalar_tokens(ln)
         if len(tokens) != n:
             raise ValueError(f"expected {n} entries per row, found {len(tokens)}")
-        rows.append(_rational_row(tokens) or [parse_scalar(tok) for tok in tokens])
+        row = _rational_row(tokens)
+        rows.append(row if row and row[1] else [parse_scalar(tok) for tok in tokens])
     if all(type(row) is tuple for row in rows):
-        return Matrix._from_integer_rows(*zip(*rows))
+        return Matrix._from_rows(_NUMERIC, Fraction, *zip(*rows))
     return Matrix(
         [[Fraction(p, row[1]) for p in row[0]] if type(row) is tuple else row for row in rows]
     )

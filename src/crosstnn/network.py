@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    Poly,
-    _poly,
     format_scalar,
     parse_doc_scalar,
     parse_int,
@@ -157,9 +155,8 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
     The columns start from the identity and run on the row kernel of
     :mod:`crosstnn.matrix`: each is held as integer numerators over one
     denominator (integer coefficient lists when a weight is symbolic),
-    and at the end rational columns become the matrix's started rows,
-    over a common denominator, with no ``Fraction`` per entry, while each
-    symbolic entry becomes a reduced scalar once.  Entries are
+    and at the end the columns become the matrix's started rows, over a
+    common denominator, with no scalar per entry.  Entries are
     ``RatFunc`` if any applied weight is one, else ``Poly`` if any is
     one, else ``Fraction``; a unit horizontal is not applied.  Each
     distinct horizontals tuple is scanned for its non-unit weights once.
@@ -186,10 +183,7 @@ def path_matrix(net: PlanarNetwork) -> Matrix:
             wn, wd = split(w)
             Xq, dq = cols[q]
             cols[q] = combine(mul(wd, dp), Xq, dq, sub(zero, mul(wn, dq)), Xp)
-    if kind is Fraction:
-        return Matrix._from_integer_rows(*kernel.transposed(*zip(*cols)))
-    entry = (lambda num, den: _poly(num, den[0])) if kind is Poly else kernel.scalar
-    return Matrix([[entry(X[i], d) for X, d in cols] for i in range(n)])
+    return Matrix._from_rows(kernel, kind, *kernel.transposed(*zip(*cols)))
 
 
 def reflect(net: PlanarNetwork) -> PlanarNetwork:

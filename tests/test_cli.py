@@ -1,5 +1,6 @@
 """Command-line front end: commands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -27,6 +28,7 @@ from crosstnn import (
     path_matrix,
 )
 from crosstnn import cli
+from crosstnn import matrix as matrix_module
 from crosstnn.cli import main
 from crosstnn.exact import format_scalar, parse_scalar
 
@@ -231,6 +233,40 @@ class TestNetwork:
         assert text_out == json_out
         assert bool(text_out) == (code == 0)
 
+    # sha256 of network's stdout on the JSON form of each matrix, recorded
+    # when the command still parsed the document twice.
+    JSON_MATRIX_NETWORK_DIGESTS = {
+        ("numeric", "dot"): "387e9a767122924223738dd6f4d32d27de821e4d2ca3c8a024c7cff2218ea57b",
+        ("numeric", "doc"): "2dffddb10cdedadacc331e724cfb71c1b11094f1d88c4ad3736b77d4bf6c4450",
+        ("symbolic", "dot"): "18005967c84f09d4d792ea546dd2ecef134161fc42c5e17a62a61ecaef49074c",
+        ("symbolic", "doc"): "a02895df54ce4834746df9db36108d25d70afae3c6ef8eee7234a55f17de593a",
+    }
+
+    @pytest.mark.parametrize("fmt", ["dot", "doc"])
+    @pytest.mark.parametrize(
+        "name, matrix, flags",
+        [
+            ("numeric", amazing_matrix(4, 3, scaled=True), []),
+            ("symbolic", amazing_matrix_symbolic(4), ["--ray", "4"]),
+        ],
+        ids=["numeric", "symbolic"],
+    )
+    def test_json_matrix_is_parsed_once(
+        self, tmp_path, capsys, monkeypatch, name, matrix, flags, fmt
+    ):
+        calls = []
+        for module in (cli, matrix_module):
+            real = module.parse_json
+            monkeypatch.setattr(
+                module, "parse_json", lambda text, real=real: calls.append(text) or real(text)
+            )
+        path = _write(tmp_path / "m.json", json.dumps(matrix_to_doc(matrix)))
+        assert main(["network", path, "--format", fmt, *flags]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.JSON_MATRIX_NETWORK_DIGESTS[name, fmt]
+
     @pytest.mark.parametrize(
         "cert",
         [
@@ -338,6 +374,19 @@ class TestIntegersPastTheDigitLimit:
         text = format_scalar(value)
         assert parse_scalar(text) == value
         assert format_scalar(parse_scalar(text)) == text
+
+    @pytest.mark.parametrize(
+        "token", ["1" * 4401 + "/0", "[" + "1" * 4401 + "/0]"], ids=["rational", "poly"]
+    )
+    def test_zero_denominator_under_a_long_numerator(self, tmp_path, capsys, token):
+        # Reported as the short form 3/0 is, not as the digit limit.
+        message = f"zero denominator in scalar {token!r}"
+        with pytest.raises(ValueError) as exc:
+            parse_scalar(token)
+        assert str(exc.value) == message
+        path = _write(tmp_path / "zero.txt", f"2\n1 {token}\n0 1\n")
+        assert main(["check", path]) == 65
+        assert capsys.readouterr().err == f"malformed input: {message}\n"
 
     # Decoded documents built in code may hold Python ints of any length,
     # and a boolean is not a scalar however the document was decoded.

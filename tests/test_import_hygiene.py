@@ -3,9 +3,10 @@ every module-level private helper is read.
 
 No linter is assumed: each module under ``src/crosstnn`` is parsed with
 ``ast``, and an import must bind a name that the module reads somewhere
-or lists in ``__all__``.  A private function, class or constant must be
-read by some module of the package.  A refactor that leaves an import
-dead, or a helper that nothing calls any more, fails here.
+or lists in ``__all__``.  A private function, class, constant or method
+must be read by some module of the package.  A refactor that leaves an
+import dead, or a helper or constructor that nothing calls any more,
+fails here.
 """
 
 import ast
@@ -49,7 +50,7 @@ def test_module_imports_are_used(path):
 
 
 def private_definitions(source: str) -> set:
-    """Module-level private names a module defines: functions, classes and constants."""
+    """Private names a module defines: functions, classes, constants and class methods."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -57,6 +58,12 @@ def private_definitions(source: str) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
@@ -78,6 +85,17 @@ def test_the_check_finds_an_orphaned_private_helper():
              "    pass\n\nclass _Kept:\n    pass\n\nprint(_used(), _Kept)\n"
     assert private_definitions(source) - names_read(source) == {"_orphan", "_SEEN"}
     assert "_orphan" in names_read("from .helpers import _orphan\n")
+
+
+def test_the_check_finds_an_orphaned_private_method():
+    source = (
+        "class Table:\n"
+        "    def __len__(self):\n        return self._size()\n"
+        "    def _size(self):\n        return 0\n"
+        "    @classmethod\n    def _from_rows(cls, rows):\n        return cls()\n"
+    )
+    assert private_definitions(source) - names_read(source) == {"_from_rows"}
+    assert "_from_rows" in names_read("Table._from_rows([])\n")
 
 
 def test_every_private_helper_is_read():

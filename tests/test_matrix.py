@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosstnn import (
+    Chip,
     Inapplicable,
     Matrix,
     NotTnn,
+    PlanarNetwork,
     Poly,
     RatFunc,
+    Slant,
     TotallyNonnegative,
     amazing_entry,
     amazing_matrix,
@@ -31,6 +34,7 @@ from crosstnn import (
     matrix_to_text,
     minor,
     neville_tnn_test,
+    path_matrix,
     peel_certificate,
     tau,
     w0,
@@ -54,12 +58,11 @@ from crosstnn.elimination import verdict_to_doc
 from crosstnn.cli import main
 from crosstnn.matrix import (
     _NUMERIC,
-    _RESIDUE,
     _RESIDUE_POINT,
     _RESIDUE_PRIME,
     _SYMBOLIC,
-    _ResidueKernel,
     _RowKernel,
+    _residues_independent,
 )
 from conftest import matrices_on_rays, random_matrix, reference_determinant
 
@@ -465,8 +468,7 @@ class TestSingular:
         real = _RowKernel.pivots
 
         def pivots(self, block):
-            if not isinstance(self, _ResidueKernel):
-                calls.append(block)
+            calls.append(block)
             return real(self, block)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -496,7 +498,7 @@ class TestSingular:
     )
     def test_zero_residue_falls_back_to_the_exact_search(self, kernel, entries):
         rows, dens = map(list, zip(*map(kernel.start, entries)))
-        assert _RESIDUE.pivots([(row, 1) for row in kernel.residues(rows)]) is None
+        assert not _residues_independent(kernel.residues(rows))
         assert self._singular_counting_exact_searches(kernel, rows, dens) == (False, 1)
 
     @pytest.mark.parametrize("method", ["cross", "neville"])
@@ -714,6 +716,45 @@ class TestStartedRows:
         assert poly != ratfunc and poly != amazing_matrix(3, 3, scaled=True)
         assert cases["mixed"] != cases["int"] and cases["int"] != Matrix([[4, 1], [1, 6]])
         assert len({cases["mixed"], *twins}) == 1
+
+
+def _network_with(weight) -> PlanarNetwork:
+    # Three wires whose second chip scales wire 1 and adds a slant of ``weight``.
+    return PlanarNetwork(
+        3,
+        (
+            Chip((1, Fraction(1, 2), 3), (Slant(2, 1, Fraction(3, 4)), Slant(3, 2, 2))),
+            Chip((weight, 1, 1), (Slant(1, 2, weight),)),
+        ),
+    )
+
+
+def _producer_cases():
+    doc = {"n": 2, "entries": [[1, "1/2"], ["[0,1]", 3]]}
+    return [
+        ("amazing-scaled", amazing_matrix(5, 3, scaled=True)),
+        ("amazing-unscaled", amazing_matrix(5, 3)),
+        ("amazing-symbolic", amazing_matrix_symbolic(5)),
+        ("path-fraction", path_matrix(_network_with(Fraction(5, 2)))),
+        ("path-poly", path_matrix(_network_with(B + Fraction(1, 2)))),
+        ("path-ratfunc", path_matrix(_network_with(RatFunc(B + 2, B + 1)))),
+        ("text-int", matrix_from_text("2\n4 1\n1 6\n")),
+        ("text-rational", matrix_from_text("2\n1/2 -2/3\n3/4 5\n")),
+        ("text-poly-row", matrix_from_text("2\n1/2 [1,1/3]\n3 4\n")),
+        ("doc", matrix_from_doc(doc)),
+    ]
+
+
+class TestProducers:
+    """Every way into a Matrix gives what the public constructor makes of its entries."""
+
+    @pytest.mark.parametrize("case", _producer_cases(), ids=lambda case: case[0])
+    def test_agrees_with_the_constructor(self, case):
+        _, M = case
+        assert all(type(x) is M.kind for row in M.rows for x in row)
+        again = Matrix(M.rows)
+        assert M == again
+        assert (M.nums, M.dens, M.kind) == (again.nums, again.dens, again.kind)
 
 
 class TestMatrixClass:
