@@ -46,6 +46,7 @@ from .verdicts import (
     TotallyNonnegative,
     Verdict,
     Witness,
+    verdict_label,
 )
 
 __all__ = [
@@ -497,19 +498,17 @@ def _witness_to_doc(witness: Witness) -> dict:
 
 
 def verdict_to_doc(verdict: Verdict) -> dict:
+    doc: dict = {"verdict": verdict_label(verdict)}
     if isinstance(verdict, TotallyNonnegative):
-        doc: dict = {"verdict": "totally-nonnegative"}
         if verdict.factorization is not None:
             doc["factorization"] = factorization_to_doc(verdict.factorization)
-        return doc
-    if isinstance(verdict, NotTnn):
-        return {"verdict": "not-totally-nonnegative", "witness": _witness_to_doc(verdict.witness)}
-    if isinstance(verdict, Inapplicable):
-        doc = {"verdict": "inapplicable", "reason": verdict.reason}
+    elif isinstance(verdict, NotTnn):
+        doc["witness"] = _witness_to_doc(verdict.witness)
+    else:
+        doc["reason"] = verdict.reason
         if verdict.bound is not None:
             doc["bound"] = verdict.bound
         if verdict.rows is not None:
             doc["rows"] = list(verdict.rows)
             doc["cols"] = list(verdict.cols)
-        return doc
-    raise TypeError(f"not a verdict: {verdict!r}")
+    return doc

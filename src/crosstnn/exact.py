@@ -681,40 +681,38 @@ def _sign_variations(chain: list, x: int) -> int:
 def _floor_largest_root_at_least(g: Poly, beta: int) -> int | None:
     """Floor of the largest real root of g in [beta, inf), or None.
 
-    Roots are isolated on the integer numerators of g's square-free part,
-    a positive multiple of it.  Integer probe points that turn out to be
-    roots are deflated exactly, so Sturm counts are only ever taken at
-    non-roots.
+    Roots are isolated on one Sturm chain of the integer numerators a of
+    g's square-free part, a positive multiple of it.  With zeros skipped,
+    the count V(x) of sign variations in the chain is right-continuous:
+    at an inner zero of the chain its neighbours have opposite signs
+    either side, and at a root of a, where a and a' change from opposite
+    to equal signs, V drops by one after x, not before.  So V(x) - V(y)
+    counts the roots of a in (x, y] even when x or y is one (Sturm's
+    theorem in its (x, y] form; S. Basu, R. Pollack and M.-F. Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2).  For hi the larger
+    of beta and the Cauchy bound, above every root, a has a root in
+    [x, hi] iff a(x) = 0 or V(x) > V(hi), and bisection on that test
+    finds the floor without dividing out the roots it lands on.
     """
     a = list(g.squarefree_part().numerators)
-    floors = []  # deflated integer roots, then the floor of the largest other root
-    while len(a) >= 2:
-        if _int_eval(a, beta) == 0:
-            floors.append(beta)
-            a = _int_exact_div(a, [-beta, 1])
-            continue
-        # bound is beta, no root, or the Cauchy bound, above every root.
-        bound = max(beta, _int_root_bound(a))
-        chain = _sturm_chain(a)
-        at_bound = _sign_variations(chain, bound)
-        if _sign_variations(chain, beta) - at_bound == 0:
-            break
-        lo, hi = beta, bound
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _int_eval(a, mid) == 0:
-                floors.append(mid)
-                a = _int_exact_div(a, [-mid, 1])
-                break
-            if _sign_variations(chain, mid) - at_bound > 0:
-                lo = mid
-            else:
-                hi = mid
+    if len(a) < 2:
+        return None
+    chain = _sturm_chain(a)
+    lo, hi = beta, max(beta, _int_root_bound(a))
+    at_hi = _sign_variations(chain, hi)
+
+    def rooted(x: int) -> bool:
+        return _int_eval(a, x) == 0 or _sign_variations(chain, x) > at_hi
+
+    if not rooted(lo):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rooted(mid):
+            lo = mid
         else:
-            # The remaining largest root lies strictly inside (lo, lo+1).
-            floors.append(lo)
-            break
-    return max(floors, default=None)
+            hi = mid
+    return lo
 
 
 def sign_on_ray(f, beta: int) -> RaySign:

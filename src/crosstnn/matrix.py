@@ -229,63 +229,45 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # such list.  A Matrix holds its rows in this started form, reduced, from
 # construction on: integer text, both generators and path_matrix hand it
 # their integer rows without a scalar per entry, and each consumer copies
-# the rows it updates in place.  Both kinds divide P and B by gcd(P, B)
-# before a row update, and share the update formula, the pivot search and
-# the mirrored row layout of the sweep and the peel; only the ring
-# operations and the common-factor removal differ.  :func:`_row_kind`
-# picks the kind.
+# the rows it updates in place.  _RowKernel holds the routines both kinds
+# share: the start, the gcd-cancelled update, the transpose, the mirrored
+# row layout of the sweep and the peel, and the pivot search.  Its two
+# siblings, _NumericKernel and _SymbolicKernel, each give their ring as
+# class attributes, and their own split, common-factor removal, signs and
+# residues.  :func:`_row_kind` picks the kind.
 
 
 class _RowKernel:
-    """The ring operations of one row kind, and the row routines built on them.
+    """The row routines of both kinds, on the ring a subclass gives.
 
-    ``start`` turns a row of exact scalars into (numerators, denominator):
-    ints and Fractions on either kernel, Polys and RatFuncs too on the
-    symbolic one, as they are, so no caller converts a scalar first.
-    ``reduce`` removes the common factor of numerators and denominator,
-    and ``scalar`` builds the reduced ``Fraction`` or ``RatFunc`` of one
-    numerator over a denominator.  This class is the symbolic kernel: it
-    reads a sign from the shifts of numerator and denominator at the ray
-    when both are of one sign there, else from the reduced scalar.
-    :class:`_NumericKernel` reads its signs from integers.
+    A kind gives ``mul``, ``add`` and ``sub`` on numerators; ``split``, the
+    reduced (numerator, denominator) of one scalar of any kind it takes;
+    ``common``, a common denominator of a row; ``reduce``, which removes
+    the common factor of numerators and denominator; ``scalar``, the
+    reduced ``Fraction`` or ``RatFunc`` of one numerator over a
+    denominator; ``cancel`` and ``update`` for :meth:`combine`; and the
+    ``sign``, ``ratio_sign`` and ``residues`` queries.
     """
 
-    __slots__ = ("mul", "add", "sub", "start", "reduce", "scalar")
+    __slots__ = ()
 
-    def __init__(self, mul, add, sub, start, reduce, scalar):
-        self.mul, self.add, self.sub = mul, add, sub
-        self.start, self.reduce, self.scalar = start, reduce, scalar
+    def start(self, entries) -> tuple:
+        """(numerators, denominator) of a row of scalars, each taken as it is, reduced."""
+        nums, dens = zip(*map(self.split, entries))
+        common, scales = self.common(dens)
+        return self.reduce(list(map(self.mul, nums, scales)), common)
 
-    def cancel(self, P, B) -> tuple:
-        """P and B divided by their gcd (their primitive gcd, for polynomials).
-
-        :meth:`update` then forms smaller products and, since a reduced
-        row is unique, the same row.
-        """
-        g = _int_poly_gcd(P, B)
-        if len(g) > 1:
-            P, B = _int_exact_div(P, g), _int_exact_div(B, g)
-        return P, B
-
-    def update(self, P, T: list, dT, B, S: list) -> tuple:
+    def combine(self, P, T: list, dT, B, S: list) -> tuple:
         """Row T/dT minus (B/P) times row S: P*T - B*S over dT*P, reduced.
 
         With P and B the numerators in one column of S and of T, this
         clears that column of T whatever the denominator of S.  Columns
         where T and S are both zero may be left out: they stay zero.
+        ``cancel`` first divides P and B by their gcd, so ``update`` forms
+        smaller products and, since a reduced row is unique, the same row.
         """
-        mul, sub = self.mul, self.sub
-        return self.reduce([sub(mul(P, x), mul(B, y)) for x, y in zip(T, S)], mul(dT, P))
-
-    def combine(self, P, T: list, dT, B, S: list) -> tuple:
-        """:meth:`update` on P and B as :meth:`cancel` leaves them."""
         P, B = self.cancel(P, B)
         return self.update(P, T, dT, B, S)
-
-    def split(self, value) -> tuple:
-        """(numerator, denominator) of one scalar of any kind :attr:`start` takes."""
-        (num,), den = self.start([value])
-        return num, den
 
     def transposed(self, rows, dens) -> tuple:
         """The started rows of the transpose, as (rows, dens) lists.
@@ -298,11 +280,6 @@ class _RowKernel:
         mul, reduce = self.mul, self.reduce
         columns = [reduce(list(map(mul, column, scales)), common) for column in zip(*rows)]
         return [list(c) for c, _ in columns], [d for _, d in columns]
-
-    def common(self, dens) -> tuple:
-        """(D, [D / d for d in dens]) for a common multiple D of the denominators."""
-        D = functools.reduce(self.mul, {tuple(d): d for d in dens}.values())
-        return D, [_int_exact_div(D, d) for d in dens]
 
     def paired_update(self, rows: list, dens: list, s: int, P, B, lo: int = 0, hi=None) -> None:
         """Take c = (B*dens[s-1]) / (P*dens[s]) times row s from row s+1 (1-based).
@@ -323,17 +300,9 @@ class _RowKernel:
         row[lo:hi], dens[s] = self.update(P, row[lo:hi], dens[s], B, source)
         rows[n - 1 - s], dens[n - 1 - s] = row[::-1], dens[s]
 
-    def sign(self, num, den, ray) -> int:
-        """Sign of num/den, on [ray, inf) for symbolic values."""
-        return _shift_sign((num, den), ray) or scalar_sign(self.scalar(num, den), ray)
-
     def ratio(self, B, dB, P, dP):
         """The reduced scalar (B/dB) / (P/dP)."""
         return self.scalar(self.mul(B, dP), self.mul(P, dB))
-
-    def ratio_sign(self, B, dB, P, dP, ray) -> int:
-        """Sign of :meth:`ratio`."""
-        return _shift_sign((B, dB, P, dP), ray) or scalar_sign(self.ratio(B, dB, P, dP), ray)
 
     def singular(self, rows: list, dens: list) -> bool:
         """Whether the started rows are linearly dependent.
@@ -356,10 +325,6 @@ class _RowKernel:
         if _residues_independent(self.residues(rows)):
             return False
         return self.pivots(list(zip(rows, dens))) is None
-
-    def residues(self, rows: list) -> list:
-        """Each numerator's value at ``_RESIDUE_POINT`` modulo ``_RESIDUE_PRIME``."""
-        return [[_poly_residue(coeffs) for coeffs in row] for row in rows]
 
     def pivots(self, block: list):
         """Eliminate (row, denominator) pairs: None if singular, else (sign, pivots).
@@ -390,6 +355,12 @@ class _NumericKernel(_RowKernel):
     """Rows of ints over a positive int: integer updates, signs from numerators."""
 
     __slots__ = ()
+    mul, add, sub, scalar = operator.mul, operator.add, operator.sub, Fraction
+    reduce = staticmethod(_numeric_reduce)
+    start = staticmethod(_over_common_denominator)
+
+    def split(self, value) -> tuple:
+        return value.numerator, value.denominator
 
     def cancel(self, P, B) -> tuple:
         g = math.gcd(P, B)
@@ -411,6 +382,57 @@ class _NumericKernel(_RowKernel):
     def residues(self, rows: list) -> list:
         p = _RESIDUE_PRIME
         return [[x % p for x in row] for row in rows]
+
+
+class _SymbolicKernel(_RowKernel):
+    """Rows of integer polynomials: exact gcds, signs on the ray [ray, inf).
+
+    A sign is read from the shifts of numerator and denominator at the ray
+    when both are of one sign there, else from the reduced scalar.
+    """
+
+    __slots__ = ()
+    mul, add, sub = staticmethod(_int_mul), staticmethod(_int_add), staticmethod(_int_sub)
+    reduce = staticmethod(_symbolic_reduce)
+
+    @staticmethod
+    def scalar(num, den):
+        return RatFunc(_poly(num), _poly(den))
+
+    def split(self, value) -> tuple:
+        # The canonical forms of Poly and RatFunc make each pair reduced.
+        if isinstance(value, RatFunc):
+            num = value.num
+            return list(num.numerators), [num.denominator * v for v in value.den.numerators]
+        if isinstance(value, Poly):
+            return list(value.numerators), [value.denominator]
+        return [value.numerator] if value else [], [value.denominator]
+
+    def cancel(self, P, B) -> tuple:
+        g = _int_poly_gcd(P, B)
+        if len(g) > 1:
+            P, B = _int_exact_div(P, g), _int_exact_div(B, g)
+        return P, B
+
+    def common(self, dens) -> tuple:
+        D = functools.reduce(_int_mul, {tuple(d): d for d in dens}.values())
+        return D, [_int_exact_div(D, d) for d in dens]
+
+    def update(self, P, T: list, dT, B, S: list) -> tuple:
+        products = [_int_sub(_int_mul(P, x), _int_mul(B, y)) for x, y in zip(T, S)]
+        return _symbolic_reduce(products, _int_mul(dT, P))
+
+    def sign(self, num, den, ray) -> int:
+        """Sign of num/den on [ray, inf)."""
+        return _shift_sign((num, den), ray) or scalar_sign(self.scalar(num, den), ray)
+
+    def ratio_sign(self, B, dB, P, dP, ray) -> int:
+        """Sign of :meth:`ratio`."""
+        return _shift_sign((B, dB, P, dP), ray) or scalar_sign(self.ratio(B, dB, P, dP), ray)
+
+    def residues(self, rows: list) -> list:
+        """Each numerator's value at ``_RESIDUE_POINT`` modulo ``_RESIDUE_PRIME``."""
+        return [[_poly_residue(coeffs) for coeffs in row] for row in rows]
 
 
 # The residue test's prime and point (see _RowKernel.singular): the largest
@@ -456,43 +478,8 @@ def _shift_sign(polys, ray) -> int:
     return math.prod(_int_sign_on_ray(p, ray) for p in polys)
 
 
-def _symbolic_start(entries) -> tuple:
-    # Entries are int, Fraction, Poly or RatFunc; a rational is taken as a
-    # constant Poly.  Entry k is p_k / (d_k * q_k): integer numerators p_k
-    # over the integer d_k, and q_k the entry's denominator in Z[b].  The row
-    # starts over lcm(d_k) times the product of the q_k.
-    parts = [
-        (e.num, list(e.den.numerators)) if isinstance(e, RatFunc) else (_as_poly(e), [1])
-        for e in entries
-    ]
-    d = math.lcm(*(p.denominator for p, _ in parts))
-    nums, q_product = [], [1]
-    for p, q in parts:
-        if q != [1]:
-            nums = [_int_mul(v, q) for v in nums]
-        scaled = [v * (d // p.denominator) for v in p.numerators]
-        nums.append(scaled if q_product == [1] else _int_mul(scaled, q_product))
-        q_product = _int_mul(q_product, q)
-    return _symbolic_reduce(nums, [d * v for v in q_product])
-
-
-_NUMERIC = _NumericKernel(
-    mul=operator.mul,
-    add=operator.add,
-    sub=operator.sub,
-    start=_over_common_denominator,
-    reduce=_numeric_reduce,
-    scalar=Fraction,
-)
-
-_SYMBOLIC = _RowKernel(
-    mul=_int_mul,
-    add=_int_add,
-    sub=_int_sub,
-    start=_symbolic_start,
-    reduce=_symbolic_reduce,
-    scalar=lambda num, den: RatFunc(_poly(num), _poly(den)),
-)
+_NUMERIC = _NumericKernel()
+_SYMBOLIC = _SymbolicKernel()
 
 
 def _row_kind(kinds) -> tuple:

@@ -1,5 +1,6 @@
 """Exact scalars: rationals, polynomials, rational functions, ray signs."""
 
+import itertools
 import math
 import random
 import sys
@@ -696,6 +697,112 @@ class TestSignOnRay:
 
         monkeypatch.setattr(exact, "Fraction", NoFraction)
         assert [exact._floor_largest_root_at_least(g, beta) for g, beta in cases] == expected
+
+
+def poly_from_roots(roots, extra=(1,)):
+    """The polynomial with the given rational roots, times the factor ``extra``."""
+    g = Poly(extra)
+    for r in map(Fraction, roots):
+        g = g * Poly((-r.numerator, r.denominator))
+    return g
+
+
+def largest_root_floor(roots, beta):
+    """The floor of the largest chosen root at least beta, or None."""
+    return max((math.floor(r) for r in map(Fraction, roots) if r >= beta), default=None)
+
+
+def probed_points(g, beta):
+    """The integers at which _floor_largest_root_at_least evaluates g's chain."""
+    points = set()
+    real = exact._int_eval
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_int_eval", lambda a, x: points.add(x) or real(a, x))
+        exact._floor_largest_root_at_least(g, beta)
+    return points
+
+
+class TestFloorLargestRoot:
+    """One Sturm chain and a plain bisection find the floor the deflating search finds."""
+
+    @staticmethod
+    def assert_floor(roots, beta, extra=(1,)):
+        g = poly_from_roots(roots, extra)
+        expected = largest_root_floor(roots, beta)
+        assert exact._floor_largest_root_at_least(g, beta) == expected, (roots, beta)
+        assert reference_floor_largest_root(g, beta) == expected, (roots, beta)
+
+    @pytest.mark.parametrize("beta", [1, 2, 5, 17, 64])
+    @pytest.mark.parametrize("others", [(), (-3,), (0, -7), (Fraction(1, 2),)])
+    def test_integer_root_at_beta(self, beta, others):
+        self.assert_floor((beta, *others), beta)
+        self.assert_floor((beta, *others), beta, extra=(1, 0, 1))  # and b^2 + 1
+
+    def test_integer_roots_at_bisection_midpoints(self):
+        # Every root set of 1..3 roots from 1..40 with beta 1, 2 or 5: keep
+        # those with a root, the largest or another, at a probe point.
+        on_probe = largest_on_probe = 0
+        for size in (1, 2, 3):
+            for roots in itertools.combinations(range(1, 41, 3), size):
+                for beta in (1, 2, 5):
+                    g = poly_from_roots(roots)
+                    hit = set(roots) & (probed_points(g, beta) - {beta})
+                    if hit:
+                        on_probe += 1
+                        largest_on_probe += max(roots) in hit
+                        self.assert_floor(roots, beta)
+        assert on_probe > 100 and largest_on_probe > 20
+
+    @pytest.mark.parametrize("r", [1, 2, 9, 40, 1001])
+    def test_roots_just_below_the_cauchy_bound(self, r):
+        for roots in ([r], [r, 0], [r, Fraction(-1, 2)]):
+            g = poly_from_roots(roots)
+            assert _int_root_bound(list(g.squarefree_part().numerators)) - max(roots) <= 1
+            for beta in (1, r, r + 1):
+                self.assert_floor(roots, beta)
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            (3, 3),
+            (3, 3, 7, 7, 7),
+            (Fraction(5, 2),) * 2 + (6,),
+            (1, 4, 4, 4, 4, Fraction(9, 2)),
+            (Fraction(-1, 3),) * 3 + (11,) * 2,
+        ],
+    )
+    @pytest.mark.parametrize("beta", [1, 3, 4, 5, 7, 8])
+    def test_repeated_roots(self, roots, beta):
+        self.assert_floor(roots, beta)
+
+    def test_rational_roots_between_two_integers(self):
+        for q in range(2, 6):
+            for p in range(q + 1, 12 * q):
+                if math.gcd(p, q) == 1:
+                    for beta in {1, p // q, p // q + 1}:
+                        self.assert_floor((Fraction(p, q),), beta)
+                        self.assert_floor((Fraction(p, q), 2), beta)
+                        self.assert_floor((Fraction(p, q), Fraction(p + 1, q), -5), beta)
+
+    @pytest.mark.parametrize(
+        "roots, extra",
+        [((), (5,)), ((), (1, 0, 1)), ((2,), (1,)), ((-4, 0, Fraction(7, 2)), (2, 1, 3))],
+    )
+    @pytest.mark.parametrize("beta", [4, 9])
+    def test_no_root_at_or_above_beta(self, roots, extra, beta):
+        self.assert_floor(roots, beta, extra)
+
+    def test_one_chain_and_one_squarefree_part_per_search(self, monkeypatch):
+        chains, parts = [], []
+        real_chain, real_part = exact._sturm_chain, Poly.squarefree_part
+        monkeypatch.setattr(exact, "_sturm_chain", lambda a: chains.append(a) or real_chain(a))
+        monkeypatch.setattr(Poly, "squarefree_part", lambda p: parts.append(p) or real_part(p))
+        # roots on probe points and at beta, which the deflating search divided out
+        for roots, beta in [((1,), 1), ((3, 3, 7), 3), ((1, 7, 21, 40), 1), ((2, 5, 5), 9)]:
+            chains.clear()
+            parts.clear()
+            exact._floor_largest_root_at_least(poly_from_roots(roots), beta)
+            assert (len(chains), len(parts)) == (1, 1), (roots, beta)
 
 
 class TestScalarSign:

@@ -353,6 +353,52 @@ class TestKernelStart:
             if not isinstance(x, RatFunc):
                 assert _SYMBOLIC.split(x) == _SYMBOLIC.split(_as_poly(x))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.booleans(), _SCALAR))
+    def test_split_is_the_start_of_one_entry(self, x):
+        # The numeric kernel takes rationals only; the symbolic one takes every kind.
+        for kernel in (_SYMBOLIC,) if isinstance(x, (Poly, RatFunc)) else (_NUMERIC, _SYMBOLIC):
+            (num,), den = kernel.start([x])
+            assert kernel.split(x) == (num, den)
+
+    def test_rows_over_distinct_denominators(self):
+        # Pinned from the incremental-product start this one replaced.
+        rows = [
+            [RatFunc(B + 1, B + 2), RatFunc(Poly((Fraction(1, 2),)), B * B + 1), 3 * B / (2 * B + 3)],
+            [(B * B - 1) / (B + 2), Fraction(2, 3), B / (B * B + 1), B + Fraction(1, 4)],
+            [
+                Poly((Fraction(2, 3), 1)) / (B + 1),
+                B / (B + 2),
+                Poly((0, 0, Fraction(5, 6))) / Poly((1, 0, 3)),
+                0,
+            ],
+        ]
+        assert [_SYMBOLIC.start(row) for row in rows] == [
+            ([[6, 10, 10, 10, 4], [6, 7, 2], [0, 12, 6, 12, 6]], [12, 14, 16, 14, 4]),
+            (
+                [[-12, 0, 0, 0, 12], [16, 8, 16, 8], [0, 24, 12], [6, 27, 18, 27, 12]],
+                [24, 12, 24, 12],
+            ),
+            ([[8, 16, 30, 48, 18], [0, 6, 6, 18, 18], [0, 0, 10, 15, 5], []], [12, 18, 42, 54, 18]),
+        ]
+
+
+class TestKernelShape:
+    """The shared routines live on _RowKernel, each kind's ring and queries on its own class."""
+
+    OWN = "mul add sub reduce scalar split cancel update common sign ratio_sign residues".split()
+    SHARED = "start combine transposed paired_update ratio singular pivots".split()
+
+    @pytest.mark.parametrize("kernel", [_NUMERIC, _SYMBOLIC], ids=["numeric", "symbolic"])
+    def test_each_kind_defines_its_own(self, kernel):
+        assert type(kernel).__bases__ == (_RowKernel,)
+        assert set(self.OWN) <= set(vars(type(kernel)))
+
+    def test_the_base_holds_only_shared_routines(self):
+        assert not set(self.OWN) & set(vars(_RowKernel))
+        assert set(self.SHARED) <= set(vars(_RowKernel))
+        assert "__init__" not in vars(_RowKernel) and vars(_RowKernel)["__slots__"] == ()
+
 
 def _sign_or_bound(query):
     # A sign, or the escalation bound of an undecided query.
