@@ -219,15 +219,13 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Canonical gcd: primitive integer coefficients, positive leading one."""
-        return _poly(_int_poly_gcd(self.numerators, _as_poly(other).numerators))
+        return _poly(_int_poly_gcd(self.numerators, _as_poly(other).numerators)[0])
 
     def squarefree_part(self) -> "Poly":
         if self.degree <= 1:
             return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divide_exact(g)
+        _, quotient, _ = _int_poly_gcd(self.numerators, self.derivative().numerators)
+        return _poly(quotient, self.denominator)
 
     # -- comparisons ---------------------------------------------------
 
@@ -295,18 +293,36 @@ def _numeric_reduce(nums: list, den: int) -> tuple:
 def _symbolic_reduce(nums: list, den: list) -> tuple:
     """Polynomials in Z[x] over den with their common factor removed.
 
-    The polynomial gcd first, stopping once it reaches degree 0; then the
-    integer content, taken so that den has a positive leading term.
+    One polynomial gcd first, g = gcd(den, C), of den and the combination
+    C = sum of k * v_k over the nonzero entries v_k, k = 1, 2, ... the
+    column.  The row's gcd G divides den and C, so it divides g; when the
+    exact division of each entry by g succeeds, g divides G too, and
+    g = G.  For a lone entry C is the entry, and the gcd's quotients are
+    the reduced row.  Only when a division fails does the fold of gcds
+    over the entries, from g, find G.  Then the integer content, taken so
+    that den has a positive leading term.  A row with no nonzero entry
+    reduces to denominator 1.
     """
-    g = den
-    for v in nums:
-        if len(g) <= 1:
-            break
-        if v:
-            g = _int_poly_gcd(g, v)
-    if len(g) > 1:
-        nums = [_int_exact_div(v, g) if v else v for v in nums]
-        den = _int_exact_div(den, g)
+    live = [(k, v) for k, v in enumerate(nums, 1) if v]
+    if not live:
+        return nums, [1]
+    if len(den) > 1 and len(live) == 1:
+        _, den, entry = _int_poly_gcd(den, live[0][1])
+        nums = [entry if v else v for v in nums]
+    elif len(den) > 1:
+        comb = [0] * max(len(v) for _, v in live)
+        for k, v in live:
+            comb[: len(v)] = [c + k * x for c, x in zip(comb, v)]
+        g, den_g, _ = _int_poly_gcd(den, _int_strip(comb))
+        if len(g) > 1:
+            try:
+                nums, den = [_int_exact_div(v, g) if v else v for v in nums], den_g
+            except ValueError:
+                for _, v in live:
+                    if len(g) > 1:
+                        g = _int_poly_gcd(g, v)[0]
+                nums = [_int_exact_div(v, g) if v else v for v in nums]
+                den = _int_exact_div(den, g)
     content = _int_content(itertools.chain(den, *nums))
     if den[-1] < 0:
         content = -content
@@ -331,6 +347,19 @@ def _int_mul(a: list, b: list) -> list:
         if x:
             out[i : i + width] = [v + x * y for v, y in zip(out[i : i + width], b)]
     return out
+
+
+def _int_mul_sub(a: list, x: list, b: list, y: list) -> list:
+    """a*x - b*y, both products summed into one list; [] if it is zero."""
+    out = [0] * (max(len(a) + len(x), len(b) + len(y)) - 1)
+    for p, q, sign in ((a, x, 1), (b, y, -1)):
+        width = len(q)
+        if width:
+            for i, c in enumerate(p):
+                if c:
+                    c *= sign
+                    out[i : i + width] = [v + c * t for v, t in zip(out[i : i + width], q)]
+    return _int_strip(out)
 
 
 def _int_add(a: list, b: list) -> list:
@@ -456,46 +485,82 @@ def _int_prs_gcd(a: list, b: list) -> list:
     return a
 
 
-def _int_poly_gcd(a: list, b: list) -> list:
-    """The primitive gcd of a and b in Z[x], with a positive leading coefficient.
+def _int_poly_gcd(a: list, b: list) -> tuple:
+    """(g, a/g, b/g): the primitive gcd of a and b in Z[x] and their quotients.
+
+    g has a positive leading coefficient, and the quotients are those of
+    a and b as given, not of their primitive parts; a gcd of [1] returns
+    the operands as they are.
 
     Heuristic gcd, GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
     1989): the balanced base-xi digits of gamma = gcd(a(xi), b(xi)), made
     primitive, give a candidate h, kept only if it divides a and b.  That
-    check makes the answer exact.  Every xi tried is at least 2M + 2, for
-    M = min(|a|_inf, |b|_inf).  If h divides a and b, their gcd G is h
-    times some k, and since G(xi) divides gamma, |k(xi)| divides the
+    check makes the answer exact, and its two exact divisions are the
+    quotients.  Every xi tried is at least 2M + 2, for M = min(|a|_inf,
+    |b|_inf) over the primitive parts.  If h divides a and b, their gcd G
+    is h times some k, and since G(xi) divides gamma, |k(xi)| divides the
     content of gamma's digits, which is at most xi/2.  Every root of k is
-    a common root, so it lies below 1 + M <= xi/2 in absolute value, and
-    a nonconstant k would have |k(xi)| > xi/2.  So h = G, and a constant
-    h means G = 1.  After six misses the remainder sequence decides;
-    constant and zero operands go to it at once.
+    a common root, so it lies below 1 + M <= xi/2 in absolute value, and a
+    nonconstant k would have |k(xi)| > xi/2.  So h = G, and a constant h
+    means G = 1.  After six misses the modular degree test
+    (:func:`_coprime_mod_prime`) may prove G = 1; else the remainder
+    sequence decides, and exact division gives the quotients.  Constant
+    and zero operands go to it at once.
     """
-    a = _int_primitive(a)
-    b = _int_primitive(b)
-    if len(a) < 2 or len(b) < 2:
-        return _int_prs_gcd(a, b)
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(6):
-        # gamma's balanced base-xi digits, each in (-xi/2, xi/2]; as gamma
-        # is positive, so is the last one
-        gamma, h = math.gcd(_int_eval(a, xi), _int_eval(b, xi)), []
-        while gamma:
-            gamma, digit = divmod(gamma, xi)
-            if 2 * digit > xi:
-                digit -= xi
-                gamma += 1
-            h.append(digit)
-        h = _int_primitive(h)
-        if len(h) == 1:
-            return [1]
-        try:
-            _int_exact_div(a, h)
-            _int_exact_div(b, h)
-            return h
-        except ValueError:
-            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return _int_prs_gcd(a, b)
+    pa, pb = _int_primitive(a), _int_primitive(b)
+    if len(pa) > 1 and len(pb) > 1:
+        xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
+        for _ in range(6):
+            # gamma's balanced base-xi digits, each in (-xi/2, xi/2]; as
+            # gamma is positive, so is the last one
+            gamma, h = math.gcd(_int_eval(pa, xi), _int_eval(pb, xi)), []
+            while gamma:
+                gamma, digit = divmod(gamma, xi)
+                if 2 * digit > xi:
+                    digit -= xi
+                    gamma += 1
+                h.append(digit)
+            h = _int_primitive(h)
+            if len(h) == 1:
+                return [1], a, b
+            try:  # h is primitive, so it divides a iff it divides pa
+                return h, _int_exact_div(a, h), _int_exact_div(b, h)
+            except ValueError:
+                xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        if _coprime_mod_prime(pa, pb):
+            return [1], a, b
+    g = _int_prs_gcd(pa, pb)
+    if len(g) < 2:  # [1], or [] for two zero operands
+        return g, a, b
+    return g, _int_exact_div(a, g), _int_exact_div(b, g)
+
+
+# The prime of the modular degree test, a Mersenne prime.
+_GCD_PRIME = 2**61 - 1
+
+
+def _coprime_mod_prime(a: list, b: list) -> bool:
+    """Whether Euclid modulo p = ``_GCD_PRIME`` proves primitive a and b coprime.
+
+    Only when p divides neither leading coefficient: then reduction mod p
+    keeps both degrees, and the gcd over Z reduces to a divisor of the gcd
+    mod p, so a constant gcd mod p proves the primitive gcd is 1.  False
+    proves nothing.
+    """
+    p = _GCD_PRIME
+    if not (a[-1] % p and b[-1] % p):
+        return False
+    a, b = [v % p for v in a], [v % p for v in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a becomes a mod b
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            a[shift:] = [(v - c * w) % p for v, w in zip(a[shift:], b)]
+            _int_strip(a)
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 class RatFunc:
@@ -786,9 +851,19 @@ def scalar_sign(x, ray: int | None = None) -> int:
 # through it, and smaller ones at no extra cost.
 
 
-def _long_rational_text(x: Fraction) -> str:
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else num + "/" + str(Decimal(x.denominator))
+def _int_text(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
+def _ratio_text(p: int, q: int) -> str:
+    # The text of Fraction(p, q), for q > 0, without building it.
+    g = math.gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    return _int_text(p) if q == 1 else _int_text(p) + "/" + _int_text(q)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -803,18 +878,24 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, int):
-        x = Fraction(x)
+    """The text of an exact scalar, written from its integers.
+
+    A rational is ``p`` or ``p/q`` in lowest terms, a polynomial the
+    bracketed list of its coefficients (``[0]`` for zero), and a rational
+    function ``num/den``, or just ``num`` over the unit denominator.
+    """
     if isinstance(x, Fraction):
         try:
             return str(x)
-        except ValueError:
-            return _long_rational_text(x)
+        except ValueError:  # past the int/str digit limit
+            return _ratio_text(x.numerator, x.denominator)
+    if isinstance(x, int):
+        return _int_text(int(x))  # int() writes a bool as a digit
     if isinstance(x, Poly):
-        coeffs = x.coeffs or (Fraction(0),)
-        return "[" + ",".join(map(format_scalar, coeffs)) + "]"
+        den = x.denominator
+        return "[" + (",".join(_ratio_text(v, den) for v in x.numerators) or "0") + "]"
     if isinstance(x, RatFunc):
-        if x.den == Poly((1,)):
+        if x.den.numerators == (1,):
             return format_scalar(x.num)
         return format_scalar(x.num) + "/" + format_scalar(x.den)
     raise TypeError(f"not an exact scalar: {x!r}")

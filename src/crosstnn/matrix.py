@@ -24,6 +24,7 @@ from .exact import (
     _int_add,
     _int_exact_div,
     _int_mul,
+    _int_mul_sub,
     _int_poly_gcd,
     _int_sign_on_ray,
     _int_sub,
@@ -409,17 +410,14 @@ class _SymbolicKernel(_RowKernel):
         return [value.numerator] if value else [], [value.denominator]
 
     def cancel(self, P, B) -> tuple:
-        g = _int_poly_gcd(P, B)
-        if len(g) > 1:
-            P, B = _int_exact_div(P, g), _int_exact_div(B, g)
-        return P, B
+        return _int_poly_gcd(P, B)[1:]
 
     def common(self, dens) -> tuple:
         D = functools.reduce(_int_mul, {tuple(d): d for d in dens}.values())
         return D, [_int_exact_div(D, d) for d in dens]
 
     def update(self, P, T: list, dT, B, S: list) -> tuple:
-        products = [_int_sub(_int_mul(P, x), _int_mul(B, y)) for x, y in zip(T, S)]
+        products = [_int_mul_sub(P, x, B, y) for x, y in zip(T, S)]
         return _symbolic_reduce(products, _int_mul(dT, P))
 
     def sign(self, num, den, ray) -> int:

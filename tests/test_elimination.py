@@ -1,6 +1,7 @@
 """Symmetry-preserving elimination, atoms, certificates, and the Neville oracle."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from crosstnn import (
 )
 from crosstnn.cli import main
 from crosstnn.elimination import EliminationRun, verdict_to_doc
+from crosstnn import exact
 from crosstnn.exact import SignUndecidedOnRay, scalar_sign
 from crosstnn.matrix import _RowKernel
 from crosstnn.verdicts import (
@@ -238,6 +240,29 @@ SINGULAR = [
     pytest.param(Matrix([[B, B], [B, B]]), 1, id="symbolic-ray-1"),
     pytest.param(Matrix([[B, B], [B, B]]), 2, id="symbolic-ray-2"),
 ]
+
+
+class TestSymbolicSweepCost:
+    def test_one_gcd_per_reduction_at_n10(self):
+        # Each reduction makes one gcd call and each gcd returns the
+        # quotients its checks computed: 143 gcd calls and 250 exact
+        # divisions, against 199 and 504 with a gcd fold per row and a
+        # second division after each gcd.  Counted by code object, so
+        # every caller's imported name is seen.
+        counts = {exact._int_poly_gcd.__code__: 0, exact._int_exact_div.__code__: 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in counts:
+                counts[frame.f_code] += 1
+
+        sys.setprofile(count)
+        try:
+            run = eliminate_detailed(amazing_matrix_symbolic(10), ray=10)
+        finally:
+            sys.setprofile(None)
+        assert isinstance(run.verdict, TotallyNonnegative)
+        assert counts[exact._int_poly_gcd.__code__] <= 145
+        assert counts[exact._int_exact_div.__code__] <= 270
 
 
 class TestSingularity:

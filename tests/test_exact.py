@@ -4,10 +4,11 @@ import itertools
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosstnn import (
@@ -26,16 +27,22 @@ from crosstnn import (
 )
 from crosstnn import exact
 from crosstnn.exact import (
+    _coprime_mod_prime,
+    _int_content,
     _int_exact_div,
     _int_mul,
+    _int_mul_sub,
     _int_poly_gcd,
+    _int_primitive,
     _int_prs_gcd,
     _int_pseudo_rem,
     _int_root_bound,
     _int_strip,
+    _int_sub,
     _int_taylor_shift,
     _poly,
     _sturm_chain,
+    _symbolic_reduce,
     split_scalar_tokens,
 )
 
@@ -466,6 +473,32 @@ _FALLBACK_B = [
     0, 0, 0, 0, 0, 0, 0, 2, 39, 243, 486,
 ]
 
+_GCD_PRIME = 2**61 - 1
+# Linear factors j*b + k with small roots, as in the carries rows.
+_LINEAR = st.tuples(st.integers(1, 4), st.integers(-12, 12))
+
+
+def _linear_product(factors) -> list:
+    out = [1]
+    for j, k in factors:
+        out = _int_mul(out, [k, j])
+    return out
+
+
+def reference_symbolic_reduce(nums, den):
+    """The row reduced by the fold of gcds over every entry, then the content."""
+    g = den
+    for v in nums:
+        if len(g) > 1 and v:
+            g = _int_prs_gcd(g, v)
+    if len(g) > 1:
+        nums = [_int_exact_div(v, g) if v else v for v in nums]
+        den = _int_exact_div(den, g)
+    content = _int_content(itertools.chain(den, *nums))
+    if den[-1] < 0:
+        content = -content
+    return [[x // content for x in v] for v in nums], [x // content for x in den]
+
 
 class TestIntegerKernels:
     """The integer-coefficient Poly and RatFunc kernels against the Fraction references."""
@@ -503,21 +536,66 @@ class TestIntegerKernels:
     @example([-2, 1], [], [3, 0, 1], -6)
     @example([-(2**201), 1], [-5, 0, 7], [2**200, -1], 3)
     @example([1], [-1, 1], [29, 1], 1)  # the first candidate, b - 1, divides a only
+    @example([], [3, 1], [], 5)
+    @example([2], [0, 1], [7], -3)
     def test_heuristic_gcd_equals_remainder_sequence(self, g, p, q, content):
+        # The gcd, and the quotients of the operands as given.
         a, b = [content * v for v in _int_mul(g, p)], _int_mul(g, q)
-        assert _int_poly_gcd(a, b) == _int_prs_gcd(a, b)
-        assert _int_poly_gcd(b, a) == _int_prs_gcd(a, b)
+        h, qa, qb = _int_poly_gcd(a, b)
+        assert h == _int_prs_gcd(a, b)
+        assert (_int_mul(h, qa), _int_mul(h, qb)) == (a, b)
+        if h == [1]:
+            assert (qa, qb) == (a, b)
+        assert _int_poly_gcd(b, a)[0] == h
 
     def test_heuristic_gcd_falls_back_to_remainder_sequence(self, monkeypatch):
+        # GCDHEU misses six times on both pairs.  The modular degree test
+        # proves the first coprime; the second shares b + 2, modulo the
+        # prime too, so the remainder sequence decides.
         calls = []
+        real_mod, real_prs = exact._coprime_mod_prime, exact._int_prs_gcd
+        monkeypatch.setattr(
+            exact, "_coprime_mod_prime", lambda a, b: calls.append("mod") or real_mod(a, b)
+        )
+        monkeypatch.setattr(
+            exact, "_int_prs_gcd", lambda a, b: calls.append("prs") or real_prs(a, b)
+        )
+        assert _int_poly_gcd(_FALLBACK_A, _FALLBACK_B) == ([1], _FALLBACK_A, _FALLBACK_B)
+        assert calls == ["mod"]
+        calls.clear()
+        a, b = _int_mul(_FALLBACK_A, [2, 1]), _int_mul(_FALLBACK_B, [2, 1])
+        assert _int_poly_gcd(a, b) == ([2, 1], _FALLBACK_A, _FALLBACK_B)
+        assert calls == ["mod", "prs"]
 
-        def counted(a, b):
-            calls.append((a, b))
-            return _int_prs_gcd(a, b)
-
-        monkeypatch.setattr(exact, "_int_prs_gcd", counted)
-        assert _int_poly_gcd(_FALLBACK_A, _FALLBACK_B) == [1]
-        assert len(calls) == 1
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_LINEAR, max_size=3),
+        st.lists(_LINEAR, min_size=1, max_size=6),
+        st.lists(_LINEAR, min_size=1, max_size=6),
+        st.sampled_from([None, "a", "b"]),
+    )
+    @example([], [(1, 0)], [(1, 1)], None)
+    @example([(1, 2)], [(1, 0)], [(1, 1)], "a")
+    def test_modular_degree_test_agrees_with_remainder_sequence(self, common, ps, qs, lead):
+        # Products of small linear factors j*b + k, coprime or not, with
+        # the prime dividing a leading coefficient when lead names one.
+        a, b = _linear_product(common + ps), _linear_product(common + qs)
+        if lead == "a":
+            a = _int_mul(a, [1, _GCD_PRIME])
+        elif lead == "b":
+            b = _int_mul(b, [1, _GCD_PRIME])
+        expected = _int_prs_gcd(a, b)
+        assert _int_poly_gcd(a, b)[0] == expected
+        pa, pb = _int_primitive(a), _int_primitive(b)
+        if len(pa) < 2 or len(pb) < 2:
+            return
+        proved = _coprime_mod_prime(pa, pb)
+        if lead:
+            assert not proved
+        else:
+            # Distinct roots -k/j of these factors stay distinct modulo the
+            # prime, so the test proves every coprime pair.
+            assert proved == (expected == [1])
 
     def test_exact_division_in_integer_polynomials(self):
         assert _int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]
@@ -535,6 +613,64 @@ class TestIntegerKernels:
     def test_exact_division_rejects_non_divisor(self, a, b):
         with pytest.raises(ValueError):
             _int_exact_div(a, b)
+
+
+_ROW_POLYS = st.lists(st.integers(-30, 30), max_size=4).map(_int_strip)
+
+
+class TestOneGcdReduction:
+    """_symbolic_reduce's one gcd against the fold over every entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _ROW_POLYS.filter(bool),
+        st.lists(_ROW_POLYS, max_size=6),
+        _ROW_POLYS.filter(bool),
+        st.integers(-6, 6).filter(bool),
+    )
+    @example([1, 1], [[], [2, 2], [0, 1, 1]], [2], 1)
+    def test_matches_the_fold(self, g, ps, d, content):
+        nums = [[content * x for x in _int_mul(g, p)] for p in ps]
+        den = _int_mul(g, d)
+        assert _symbolic_reduce(nums, den) == reference_symbolic_reduce(nums, den)
+
+    def _gcd_calls(self, monkeypatch, nums, den) -> int:
+        calls = []
+        real = exact._int_poly_gcd
+        monkeypatch.setattr(exact, "_int_poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+        assert _symbolic_reduce(nums, den) == reference_symbolic_reduce(nums, den)
+        return len(calls)
+
+    def test_zero_row_reduces_to_denominator_one(self, monkeypatch):
+        assert _symbolic_reduce([[], []], [-3, 0, 6]) == ([[], []], [1])
+        assert _symbolic_reduce([[]], [-4]) == ([[]], [1])
+        assert self._gcd_calls(monkeypatch, [[], []], [1, 1]) == 0
+
+    def test_single_entry_takes_the_gcd_quotients(self, monkeypatch):
+        calls = []
+        for name in ("_int_poly_gcd", "_int_exact_div"):
+            real = getattr(exact, name)
+            monkeypatch.setattr(
+                exact, name, lambda a, b, name=name, real=real: calls.append(name) or real(a, b)
+            )
+        # (b^2 - 1) / (2b + 2) = (b - 1) / 2 in the middle of a row: one gcd,
+        # whose two check divisions give the reduced entry and denominator
+        assert _symbolic_reduce([[], [-1, 0, 1], []], [2, 2]) == ([[], [-1, 1], []], [2])
+        assert calls == ["_int_poly_gcd", "_int_exact_div", "_int_exact_div"]
+
+    def test_one_gcd_when_the_combination_finds_the_row_gcd(self, monkeypatch):
+        # (b + 1)(b, b + 2, 3) over (b + 1)(b - 1)
+        nums = [[0, 1, 1], [2, 3, 1], [3, 3]]
+        assert self._gcd_calls(monkeypatch, nums, [-1, 0, 1]) == 1
+
+    def test_forced_fallback_row(self, monkeypatch):
+        # 2 + 2b shares b + 1 with the denominator, and the entry 2 does not
+        assert _symbolic_reduce([[2], [0, 1]], [1, 1]) == ([[2], [0, 1]], [1, 1])
+        assert self._gcd_calls(monkeypatch, [[2], [0, 1]], [1, 1]) == 2
+
+    @given(_ROW_POLYS, _ROW_POLYS, _ROW_POLYS, _ROW_POLYS)
+    def test_fused_update_matches_two_products(self, a, x, b, y):
+        assert _int_mul_sub(a, x, b, y) == _int_sub(_int_mul(a, x), _int_mul(b, y))
 
 
 class TestRatFunc:
@@ -945,3 +1081,70 @@ class TestTextSyntax:
                 parse_scalar(text)
         else:
             assert parse_scalar(text) == expected
+
+
+def reference_format_scalar(x) -> str:
+    """format_scalar as it was: one Fraction per coefficient, Decimal past the digit limit."""
+    if isinstance(x, int):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        try:
+            return str(x)
+        except ValueError:
+            num = str(Decimal(x.numerator))
+            return num if x.denominator == 1 else num + "/" + str(Decimal(x.denominator))
+    if isinstance(x, Poly):
+        return "[" + ",".join(map(reference_format_scalar, x.coeffs or (Fraction(0),))) + "]"
+    if x.den == Poly((1,)):
+        return reference_format_scalar(x.num)
+    return reference_format_scalar(x.num) + "/" + reference_format_scalar(x.den)
+
+
+# Integers of either sign, small, large, and past the int/str digit limit.
+_FORMAT_INTS = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**200), 2**200),
+    st.builds(lambda k, sign: sign * (10**4400 + k), st.integers(0, 10**6), st.sampled_from([1, -1])),
+)
+_FORMAT_FRACTIONS = st.builds(
+    Fraction, _FORMAT_INTS, st.one_of(st.integers(1, 60), _FORMAT_INTS.filter(lambda v: v > 0))
+)
+_FORMAT_POLYS = st.lists(st.one_of(_FORMAT_INTS, _FORMAT_FRACTIONS), max_size=4).map(Poly)
+
+
+class TestFormatScalarParity:
+    """format_scalar writes the bytes of the Fraction-per-coefficient formatter."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            _FORMAT_INTS,
+            _FORMAT_FRACTIONS,
+            _FORMAT_POLYS,
+            st.builds(RatFunc, _FORMAT_POLYS, _FORMAT_POLYS.filter(bool)),
+        )
+    )
+    def test_matches_the_fraction_formatter(self, x):
+        assert format_scalar(x) == reference_format_scalar(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            True,
+            False,
+            0,
+            -7,
+            Fraction(-3, 4),
+            Fraction(10**4400 + 1, 10**4400),
+            Fraction(-(10**4400) - 3, 7),
+            Poly(),
+            Poly((0, -3, Fraction(-1, 2))),
+            Poly((Fraction(10**4400 + 1, 3), Fraction(-1, 10**4400))),
+            RatFunc(Poly((2, Fraction(-1, 3)))),
+            RatFunc(Poly((Fraction(-1, 6), 1)), Poly((3, 0, 1))),
+            RatFunc(Poly()),
+        ],
+        ids=range(13),
+    )
+    def test_edge_values(self, x):
+        assert format_scalar(x) == reference_format_scalar(x)
