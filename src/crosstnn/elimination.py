@@ -240,6 +240,14 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     and a step builds one ``Fraction``, its c.  Witness values are built
     only when the sweep refutes.
 
+    Each sign is read once.  After a bridge step at s + 1, the next B in
+    the column is that step's pivot, unchanged and already read positive,
+    so its sign is carried; a B is read at the start of each column, after
+    a skipped zero entry and after a center step, which rewrites row s.
+    The final rows are mirrors, so diagonal entry n + 1 - i equals entry
+    i: only the first ceil(n/2) entries are built and read, and the first
+    nonpositive one is the same.
+
     Singularity is decided only when the sweep does not certify: a bridge
     step has determinant 1 and a center step 1 - c^2 with 0 < c < 1, so a
     certified sweep proves det A = prod(diagonal) / prod(1 - c^2) != 0.
@@ -278,13 +286,16 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
 
     try:
         for t in range(1, n):
+            # Whether B is known positive: it is the last step's pivot,
+            # unchanged, so never zero; a skipped zero is followed by a read.
+            carried = False
             for i in range(n, t, -1):
                 s = i - 1
                 B = rows[s][t - 1]
                 if not B:
                     continue
                 dB, dP = dens[s], dens[s - 1]
-                if sign(B, dB, ray) < 0:
+                if not carried and sign(B, dB, ray) < 0:
                     return refute(REASON_NEGATIVE_MULTIPLIER, s=s, t=t, value=scalar(B, dB))
                 P = rows[s - 1][t - 1]
                 if not P:
@@ -305,16 +316,20 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
                 kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
+                # Only a center step rewrites row s, the next step's B.
+                carried = not is_center
 
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
         for i, row in enumerate(rows):
             if any(row[:i]) or any(row[i + 1 :]):
                 raise AssertionError(f"off-diagonal residue in row {i + 1} after elimination")
-        diag = tuple(scalar(rows[i][i], dens[i]) for i in range(n))
-        for i, d in enumerate(diag):
-            if sign(rows[i][i], dens[i], ray) <= 0:
-                return refute(REASON_NONPOSITIVE_DIAGONAL, index=i + 1, value=d)
+        # Row n-1-i is row i reversed, so diagonal entry n-1-i is entry i.
+        half = [(rows[i][i], dens[i]) for i in range((n + 1) // 2)]
+        for i, (d, dd) in enumerate(half):
+            if sign(d, dd, ray) <= 0:
+                return refute(REASON_NONPOSITIVE_DIAGONAL, index=i + 1, value=scalar(d, dd))
+        diag = [scalar(d, dd) for d, dd in half]
     except SignUndecidedOnRay as exc:
         return finish(
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
@@ -324,7 +339,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
         Atom(kind="center" if step.is_center else "bridge", n=n, s=step.s, c=step.c)
         for step in steps
     )
-    fact = Factorization(n=n, atoms=atoms, diagonal=diag)
+    fact = Factorization(n=n, atoms=atoms, diagonal=(*diag, *reversed(diag[: n // 2])))
     return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
 
 

@@ -579,14 +579,11 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         # num / den = (p * dq) / (q * dp) for num = p / dp and den = q / dq.
-        (p,), q = _symbolic_reduce(
-            [[v * den.denominator for v in num.numerators]],
+        f = _ratfunc(
+            [v * den.denominator for v in num.numerators],
             [v * num.denominator for v in den.numerators],
         )
-        # No common content is left, so q's content c becomes num's denominator.
-        c = _int_content(q)
-        self.num = _poly(p, c)
-        self.den = _poly([v // c for v in q])
+        self.num, self.den = f.num, f.den
 
     @property
     def is_zero(self) -> bool:
@@ -672,6 +669,16 @@ class RatFunc:
         if self.den == Poly((1,)):
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def _ratfunc(num: list, den: list) -> RatFunc:
+    """The reduced RatFunc num/den of stripped integer coefficient lists, den nonzero."""
+    (p,), q = _symbolic_reduce([num], den)
+    # No common content is left, so q's content c becomes num's denominator.
+    c = _int_content(q)
+    f = RatFunc.__new__(RatFunc)
+    f.num, f.den = _poly(p, c), _poly([v // c for v in q])
+    return f
 
 
 def as_rational(x) -> Fraction:

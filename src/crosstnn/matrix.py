@@ -31,6 +31,7 @@ from .exact import (
     _numeric_reduce,
     _over_common_denominator,
     _poly,
+    _ratfunc,
     _rational_row,
     _symbolic_reduce,
     as_ratfunc,
@@ -394,11 +395,7 @@ class _SymbolicKernel(_RowKernel):
 
     __slots__ = ()
     mul, add, sub = staticmethod(_int_mul), staticmethod(_int_add), staticmethod(_int_sub)
-    reduce = staticmethod(_symbolic_reduce)
-
-    @staticmethod
-    def scalar(num, den):
-        return RatFunc(_poly(num), _poly(den))
+    reduce, scalar = staticmethod(_symbolic_reduce), staticmethod(_ratfunc)
 
     def split(self, value) -> tuple:
         # The canonical forms of Poly and RatFunc make each pair reduced.

@@ -38,7 +38,7 @@ from crosstnn.cli import main
 from crosstnn.elimination import EliminationRun, verdict_to_doc
 from crosstnn import exact
 from crosstnn.exact import SignUndecidedOnRay, scalar_sign
-from crosstnn.matrix import _RowKernel
+from crosstnn.matrix import _NumericKernel, _RowKernel, _SymbolicKernel
 from crosstnn.verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
     INAPPLICABLE_SINGULAR,
@@ -263,6 +263,103 @@ class TestSymbolicSweepCost:
         assert isinstance(run.verdict, TotallyNonnegative)
         assert counts[exact._int_poly_gcd.__code__] <= 145
         assert counts[exact._int_exact_div.__code__] <= 270
+
+    def test_carried_signs_and_half_diagonal_at_n10(self):
+        # The 45 steps read 9 column-start Bs, 4 Bs after a center step,
+        # 45 pivots and 5 center tests, then 5 diagonal entries: 68 sign
+        # reads and 53 Taylor shifts, against 105 and 85 with every B and
+        # all 10 diagonal entries read.
+        counts = {_SymbolicKernel.sign.__code__: 0, exact._int_taylor_shift.__code__: 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in counts:
+                counts[frame.f_code] += 1
+
+        sys.setprofile(count)
+        try:
+            run = eliminate_detailed(amazing_matrix_symbolic(10), ray=10)
+        finally:
+            sys.setprofile(None)
+        assert isinstance(run.verdict, TotallyNonnegative)
+        assert counts[_SymbolicKernel.sign.__code__] <= 70
+        assert counts[exact._int_taylor_shift.__code__] <= 55
+
+
+# Hand-built cross-symmetric matrices at the edges of the carried sign and
+# the half diagonal, each with the witness (reason, s, t, index, value)
+# and steps the sweep gave when it read every sign and every diagonal entry.
+CARRIED_SIGN_RECORD = {
+    # A center step at s = 2 is followed by the step at s = 1 in the same
+    # column.  The entry above a center step becomes P * (1 - c^2) > 0 with
+    # 0 < c < 1, so no center step can turn it negative; here the pivot
+    # below it, rewritten by the mirror of the first step, is negative.
+    "center-then-pivot": (
+        [[3, 2, 1, 2], [3, 2, 1, 1], [1, 1, 2, 3], [2, 1, 2, 3]],
+        (REASON_NONPOSITIVE_PIVOT, 1, 1, None, Fraction(-3)),
+        [(3, 1, Fraction(2), False), (2, 1, Fraction(1, 3), True)],
+    ),
+    # Two zero Bs at the bottom of column 1, then a negative one.
+    "zero-then-negative-column-1": (
+        [[2, 1, 0, 0, 0], [1, 2, 1, 0, 0], [-1, 1, 3, 1, -1], [0, 0, 1, 2, 1], [0, 0, 0, 1, 2]],
+        (REASON_NEGATIVE_MULTIPLIER, 2, 1, None, Fraction(-1)),
+        [],
+    ),
+    # Column 1 takes three steps; column 2 then starts at a zero B.
+    "zero-then-negative-column-2": (
+        [[1, 0, 2, 0, 0], [3, 1, 2, -1, 2], [1, 1, 3, 1, 1], [2, -1, 2, 1, 3], [0, 0, 2, 0, 1]],
+        (REASON_NEGATIVE_MULTIPLIER, 3, 2, None, Fraction(-3)),
+        [(3, 1, Fraction(2), False), (2, 1, Fraction(1), False), (1, 1, Fraction(1), False)],
+    ),
+    # The only nonpositive diagonal entry is the middle one, index 3 > n/2.
+    "middle-diagonal": (
+        [[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]],
+        (REASON_NONPOSITIVE_DIAGONAL, None, None, 3, Fraction(-1)),
+        [(1, 1, Fraction(1, 2), False), (4, 4, Fraction(2, 3), False)],
+    ),
+    # Diagonal entries 2 and 3 are nonpositive; the first, 2, is the witness.
+    "mirrored-diagonal": (
+        [[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, 1]],
+        (REASON_NONPOSITIVE_DIAGONAL, None, None, 2, Fraction(-1)),
+        [(1, 1, Fraction(1), False)],
+    ),
+}
+
+
+class TestCarriedSign:
+    """The sweep reads a B only when it is not the last step's pivot, and half the diagonal."""
+
+    @pytest.mark.parametrize("name", sorted(CARRIED_SIGN_RECORD))
+    def test_recorded_witness(self, name):
+        rows, witness, steps = CARRIED_SIGN_RECORD[name]
+        A = Matrix(rows)
+        run = eliminate_detailed(A)
+        w = run.verdict.witness
+        assert (w.reason, w.s, w.t, w.index, w.value) == witness
+        assert [(st.s, st.t, st.c, st.is_center) for st in run.steps] == steps
+        assert isinstance(neville_tnn_test(A), NotTnn)
+        assert isinstance(brute_force_tnn(A), NotTnn)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_reads_every_b_but_the_last_pivot(self, monkeypatch, n):
+        # A B is read unless the step just before was a bridge step at
+        # s + 1 in the same column, whose pivot it is; so every B after a
+        # center step is read again.  Each pivot and center test is read,
+        # and (n + 1) // 2 diagonal entries.
+        reads = []
+        real = _NumericKernel.sign
+        monkeypatch.setattr(_NumericKernel, "sign", lambda *args: reads.append(args) or real(*args))
+        for A in (amazing_matrix(n, 3, scaled=True), random_certified_tnn(n, n, atom_count=9)[0]):
+            reads.clear()
+            run = eliminate_detailed(A)
+            assert isinstance(run.verdict, TotallyNonnegative)
+            steps = run.steps
+            carried = sum(
+                (prev.t, prev.s, prev.is_center) == (step.t, step.s + 1, False)
+                for prev, step in zip(steps, steps[1:])
+            )
+            centers = sum(step.is_center for step in steps)
+            assert len(reads) == 2 * len(steps) - carried + centers + (n + 1) // 2
+            assert factorization_product(run.verdict.factorization) == A
 
 
 class TestSingularity:

@@ -41,6 +41,7 @@ from crosstnn.exact import (
     _int_sub,
     _int_taylor_shift,
     _poly,
+    _ratfunc,
     _sturm_chain,
     _symbolic_reduce,
     split_scalar_tokens,
@@ -714,6 +715,68 @@ class TestRatFunc:
         assert f.eval(3) == Fraction(1, 2)
         with pytest.raises(ZeroDivisionError):
             f.eval(-1)
+
+
+def reference_kernel_scalar(num, den):
+    """RatFunc(_poly(num), _poly(den)) as it was built: a one-entry row reduction, then the content."""
+    num, den = _poly(num), _poly(den)
+    (p,), q = _symbolic_reduce(
+        [[v * den.denominator for v in num.numerators]],
+        [v * num.denominator for v in den.numerators],
+    )
+    c = _int_content(q)
+    f = RatFunc.__new__(RatFunc)
+    f.num, f.den = _poly(p, c), _poly([v // c for v in q])
+    return f
+
+
+_SMALL_INT_POLYS = st.lists(st.integers(-9, 9), max_size=4).map(_int_strip)
+
+
+class TestRatfuncNormalisation:
+    """_ratfunc, the one normalisation of a ratio, against the two-pass route it replaced."""
+
+    @staticmethod
+    def assert_same(num, den):
+        f, ref = _ratfunc(num, den), reference_kernel_scalar(num, den)
+        assert (f.num.numerators, f.num.denominator) == (ref.num.numerators, ref.num.denominator)
+        assert (f.den.numerators, f.den.denominator) == (ref.den.numerators, ref.den.denominator)
+        assert f == ref and hash(f) == hash(ref)
+        assert format_scalar(f) == format_scalar(ref)
+        assert RatFunc(_poly(num), _poly(den)) == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        int_polys,
+        int_polys.filter(bool),
+        _SMALL_INT_POLYS.filter(lambda f: len(f) > 1),
+        st.integers(-(2**70), 2**70).filter(bool),
+        st.booleans(),
+    )
+    def test_matches_the_two_pass_route(self, num, den, factor, content, shared):
+        # Random ratios, then the same ratio times a shared factor and content.
+        self.assert_same(num, den)
+        if shared:
+            num, den = _int_mul(num, factor), _int_mul(den, factor)
+        self.assert_same([content * v for v in num], [content * v for v in den])
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ([1, 2], [-3, 0, -1]),  # negative leading denominator
+            ([], [-4, 2]),  # zero numerator
+            ([], [5]),
+            ([6, -4, 2], [4]),  # constant denominator
+            ([6, -4, 2], [-4]),
+            ([-1, 0, 1], [1, 1]),  # shared factor b + 1
+            ([-2, 0, 2], [-6, -6]),  # shared factor and content, negative leading
+            ([12, 18], [8, 0, 4]),  # shared content only
+            ([3], [0, 0, -9]),  # constant numerator
+            ([10**4400, 0, 10**4400], [0, 2 * 10**4400]),
+        ],
+    )
+    def test_edge_ratios(self, num, den):
+        self.assert_same(num, den)
 
 
 class TestSignOnRay:
