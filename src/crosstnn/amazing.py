@@ -190,32 +190,23 @@ def verify_amazing(n: int, escalation_cap: int = 3) -> VerificationReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base_checks = []
-    for b in range(2, n):
-        verdict = cross_symmetric_eliminate(amazing_matrix(n, b, scaled=True))
-        base_checks.append(BaseCheck(b, verdict))
 
+    def numeric_check(b: int) -> BaseCheck:
+        return BaseCheck(b, cross_symmetric_eliminate(amazing_matrix(n, b, scaled=True)))
+
+    base_checks = [numeric_check(b) for b in range(2, n)]
     symbolic = amazing_matrix_symbolic(n)
     beta = max(n, 2)
-    ray_rounds = []
-    residual_checks = []
-    raises_left = escalation_cap
-    while True:
+    ray_rounds, residual_checks = [], []
+    for round_index in range(max(escalation_cap, 0) + 1):
         verdict = cross_symmetric_eliminate(symbolic, ray=beta)
         ray_rounds.append(RayRound(beta, verdict))
-        if (
-            isinstance(verdict, Inapplicable)
-            and verdict.reason == INAPPLICABLE_SYMBOLIC_INDEFINITE
-            and raises_left > 0
+        if round_index >= escalation_cap or not (
+            isinstance(verdict, Inapplicable) and verdict.reason == INAPPLICABLE_SYMBOLIC_INDEFINITE
         ):
-            for b in range(beta, verdict.bound + 1):
-                residual_checks.append(
-                    BaseCheck(b, cross_symmetric_eliminate(amazing_matrix(n, b, scaled=True)))
-                )
-            beta = verdict.bound + 1
-            raises_left -= 1
-            continue
-        break
+            break
+        residual_checks.extend(numeric_check(b) for b in range(beta, verdict.bound + 1))
+        beta = verdict.bound + 1
 
     numeric = base_checks + residual_checks
     final = ray_rounds[-1].verdict

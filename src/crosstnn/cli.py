@@ -31,7 +31,7 @@ from .elimination import (
     neville_tnn_test,
     random_certified_tnn,
 )
-from .exact import format_scalar, parse_json
+from .exact import _int_text, format_scalar, parse_json
 from .matrix import brute_force_tnn, matrix_from_doc, matrix_from_payload, matrix_to_text
 from .network import export_dot, network_from_factorization, network_to_doc
 from .verdicts import Inapplicable, NotTnn, TotallyNonnegative, verdict_label
@@ -254,7 +254,7 @@ def _cmd_check(args) -> int:
     else:
         print(f"reason: {verdict.reason}")
         if verdict.bound is not None:
-            print(f"bound: {verdict.bound}")
+            print(f"bound: {_int_text(verdict.bound)}")
     if args.trace and not isinstance(verdict, Inapplicable):
         for k, step in enumerate(run.steps, start=1):
             kind = "center" if step.is_center else "bridge"

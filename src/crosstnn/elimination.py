@@ -240,10 +240,12 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     and a step builds one ``Fraction``, its c.  Witness values are built
     only when the sweep refutes.
 
-    Each sign is read once.  After a bridge step at s + 1, the next B in
-    the column is that step's pivot, unchanged and already read positive,
-    so its sign is carried; a B is read at the start of each column, after
-    a skipped zero entry and after a center step, which rewrites row s.
+    Each sign is read once.  After any step at s + 1 the next B in the
+    column is positive, so its sign is carried: after a bridge step it is
+    that step's pivot, unchanged and already read positive, and after a
+    center step, which rewrites row s, it is P(1 - c^2) with P > 0 and
+    0 < c < 1.  A B is read only at the start of each column and after a
+    skipped zero entry.
     The final rows are mirrors, so diagonal entry n + 1 - i equals entry
     i: only the first ceil(n/2) entries are built and read, and the first
     nonpositive one is the same.
@@ -286,8 +288,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
 
     try:
         for t in range(1, n):
-            # Whether B is known positive: it is the last step's pivot,
-            # unchanged, so never zero; a skipped zero is followed by a read.
+            # Whether B is known positive: after a step it is (see below),
+            # so it is never zero, and a skipped zero is followed by a read.
             carried = False
             for i in range(n, t, -1):
                 s = i - 1
@@ -316,8 +318,10 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
                 kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
-                # Only a center step rewrites row s, the next step's B.
-                carried = not is_center
+                # The next B is positive: after a bridge step it is this
+                # step's pivot P, unchanged, and after a center step it is
+                # P - c*B = P(1 - c^2), with P > 0 read and 0 < c < 1 tested.
+                carried = True
 
         # Cross-symmetry of the final matrix forces the upper triangle to
         # be zero once the lower one is; assert rather than assume.
@@ -366,12 +370,13 @@ def neville_tnn_test(A: Matrix, ray: int | None = None) -> Verdict:
 
     The steps are unpaired, but the rows are updated on the sweep's row
     kernel: a copy of the matrix's started rows, then the transpose's
-    rows, formed from them over a common denominator.  A numeric
-    multiplier's sign is the product of the signs of its two numerators,
-    and a numeric diagonal entry's sign its numerator's; a symbolic sign
-    is read from the shifts of its factors at the ray, or else queried on
-    the reduced multiplier or diagonal entry.  A witness value is built
-    only for a refutation.
+    rows, formed from them over a common denominator.  The multiplier
+    (B/dB) / (P/dP) is read as the pair B*dP over P*dB, and each diagonal
+    entry as its row numerator over its denominator, through the kernel's
+    one sign query: a numeric sign from the signs of the two integers, a
+    symbolic one from the shifts of both polynomials at the ray, or else
+    from the reduced scalar.  A witness value is built only for a
+    refutation.
 
     Singularity is decided only when the test does not certify, and from
     the test's own rows.  The first pass applies unit lower-triangular row
@@ -409,8 +414,10 @@ def _neville_pass(kernel, rows: list, dens: list, ray: int | None) -> Verdict | 
                     return NotTnn(
                         Witness(REASON_ZERO_PIVOT_NONZERO_BELOW, s=i, t=t + 1, value=scalar(B, dB))
                     )
-                if kernel.ratio_sign(B, dB, P, dP, ray) < 0:
-                    value = kernel.ratio(B, dB, P, dP)
+                # The multiplier (B/dB) / (P/dP), as one unreduced pair.
+                num, den = kernel.mul(B, dP), kernel.mul(P, dB)
+                if kernel.sign(num, den, ray) < 0:
+                    value = scalar(num, den)
                     return NotTnn(Witness(REASON_NEGATIVE_MULTIPLIER, s=i, t=t + 1, value=value))
                 rows[i][t:], dens[i] = kernel.combine(P, rows[i][t:], dB, B, rows[i - 1][t:])
         for d in range(n):

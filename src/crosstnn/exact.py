@@ -337,20 +337,8 @@ def _int_strip(coeffs: list) -> list:
     return coeffs
 
 
-def _int_mul(a: list, b: list) -> list:
-    """Product of two coefficient lists, ascending by degree; [] if either is empty."""
-    if not a or not b:
-        return []
-    width = len(b)
-    out = [0] * (len(a) + width - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + width] = [v + x * y for v, y in zip(out[i : i + width], b)]
-    return out
-
-
-def _int_mul_sub(a: list, x: list, b: list, y: list) -> list:
-    """a*x - b*y, both products summed into one list; [] if it is zero."""
+def _int_mul(a, x, b=(), y=()) -> list:
+    """a*x - b*y, ascending by degree, both products summed into one list; [] if it is zero."""
     out = [0] * (max(len(a) + len(x), len(b) + len(y)) - 1)
     for p, q, sign in ((a, x, 1), (b, y, -1)):
         width = len(q)
@@ -730,7 +718,7 @@ class SignUndecidedOnRay(Exception):
     """
 
     def __init__(self, witness_bound: int):
-        super().__init__(f"sign undecided on ray; definite beyond {witness_bound}")
+        super().__init__("sign undecided on ray; definite beyond " + _int_text(witness_bound))
         self.witness_bound = witness_bound
 
 

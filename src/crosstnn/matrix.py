@@ -22,9 +22,9 @@ from .exact import (
     SignUndecidedOnRay,
     _as_poly,
     _int_add,
+    _int_eval,
     _int_exact_div,
     _int_mul,
-    _int_mul_sub,
     _int_poly_gcd,
     _int_sign_on_ray,
     _int_sub,
@@ -235,8 +235,8 @@ def is_cross_symmetric(A: Matrix) -> bool:
 # share: the start, the gcd-cancelled update, the transpose, the mirrored
 # row layout of the sweep and the peel, and the pivot search.  Its two
 # siblings, _NumericKernel and _SymbolicKernel, each give their ring as
-# class attributes, and their own split, common-factor removal, signs and
-# residues.  :func:`_row_kind` picks the kind.
+# class attributes, and their own split, common-factor removal, sign
+# query and residues.  :func:`_row_kind` picks the kind.
 
 
 class _RowKernel:
@@ -247,8 +247,9 @@ class _RowKernel:
     ``common``, a common denominator of a row; ``reduce``, which removes
     the common factor of numerators and denominator; ``scalar``, the
     reduced ``Fraction`` or ``RatFunc`` of one numerator over a
-    denominator; ``cancel`` and ``update`` for :meth:`combine`; and the
-    ``sign``, ``ratio_sign`` and ``residues`` queries.
+    denominator; ``cancel`` and ``update`` for :meth:`combine`;
+    ``residues`` for :meth:`singular`; and one query, ``sign(num, den,
+    ray)``, the sign of num/den on the ray, which every elimination reads.
     """
 
     __slots__ = ()
@@ -376,10 +377,8 @@ class _NumericKernel(_RowKernel):
         return _numeric_reduce([P * x - B * y for x, y in zip(T, S)], dT * P)
 
     def sign(self, num, den, ray) -> int:
-        return (num > 0) - (num < 0)
-
-    def ratio_sign(self, B, dB, P, dP, ray) -> int:
-        return ((B > 0) - (B < 0)) * ((P > 0) - (P < 0))
+        # Row denominators are positive; Neville's multiplier pair may not be.
+        return (num > 0) - (num < 0) if den > 0 else (num < 0) - (num > 0)
 
     def residues(self, rows: list) -> list:
         p = _RESIDUE_PRIME
@@ -414,20 +413,27 @@ class _SymbolicKernel(_RowKernel):
         return D, [_int_exact_div(D, d) for d in dens]
 
     def update(self, P, T: list, dT, B, S: list) -> tuple:
-        products = [_int_mul_sub(P, x, B, y) for x, y in zip(T, S)]
+        products = [_int_mul(P, x, B, y) for x, y in zip(T, S)]
         return _symbolic_reduce(products, _int_mul(dT, P))
 
     def sign(self, num, den, ray) -> int:
-        """Sign of num/den on [ray, inf)."""
-        return _shift_sign((num, den), ray) or scalar_sign(self.scalar(num, den), ray)
+        """Sign of num/den on [ray, inf).
 
-    def ratio_sign(self, B, dB, P, dP, ray) -> int:
-        """Sign of :meth:`ratio`."""
-        return _shift_sign((B, dB, P, dP), ray) or scalar_sign(self.ratio(B, dB, P, dP), ray)
+        When the shift test certifies num and den, neither has a root on
+        the ray, so neither has the reduced quotient, and its sign is
+        theirs.  Otherwise, and for a ray that is not an integer >= 1, on
+        which the query raises, the reduced scalar's sign query decides.
+        """
+        if isinstance(ray, int) and ray >= 1:
+            signs = _int_sign_on_ray(num, ray) * _int_sign_on_ray(den, ray)
+            if signs:
+                return signs
+        return scalar_sign(self.scalar(num, den), ray)
 
     def residues(self, rows: list) -> list:
         """Each numerator's value at ``_RESIDUE_POINT`` modulo ``_RESIDUE_PRIME``."""
-        return [[_poly_residue(coeffs) for coeffs in row] for row in rows]
+        p, point = _RESIDUE_PRIME, _RESIDUE_POINT
+        return [[_int_eval(coeffs, point) % p for coeffs in row] for row in rows]
 
 
 # The residue test's prime and point (see _RowKernel.singular): the largest
@@ -453,24 +459,6 @@ def _residues_independent(rows: list) -> bool:
         P, *S = rows.pop(k)
         rows = [[(P * x - B * y) % p for x, y in zip(T, S)] if B else T for B, *T in rows]
     return True
-
-
-def _poly_residue(coeffs) -> int:
-    # Horner's rule at the point, modulo the prime.
-    p, point, v = _RESIDUE_PRIME, _RESIDUE_POINT, 0
-    for a in reversed(coeffs):
-        v = (v * point + a) % p
-    return v
-
-
-def _shift_sign(polys, ray) -> int:
-    # The product of the polynomials' signs on [ray, inf) if the shift test
-    # certifies each one, else 0.  Certified factors have no root on the
-    # ray, so the reduced quotient has none and this sign.  A ray that is
-    # not an integer >= 1 gives 0, so the reduced query raises.
-    if not isinstance(ray, int) or ray < 1:
-        return 0
-    return math.prod(_int_sign_on_ray(p, ray) for p in polys)
 
 
 _NUMERIC = _NumericKernel()

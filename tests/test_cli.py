@@ -12,12 +12,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosstnn import (
+    Inapplicable,
     Matrix,
     Poly,
     RatFunc,
     TotallyNonnegative,
     amazing_matrix,
     amazing_matrix_symbolic,
+    brute_force_tnn,
+    eliminate_detailed,
     factorization_from_doc,
     factorization_product,
     matrix_from_doc,
@@ -25,6 +28,7 @@ from crosstnn import (
     matrix_to_doc,
     matrix_to_text,
     network_from_doc,
+    neville_tnn_test,
     path_matrix,
 )
 from crosstnn import cli
@@ -403,6 +407,22 @@ class TestIntegersPastTheDigitLimit:
         read = self._READERS[reader]
         value = 10**5000 + 7  # 5,001 digits, past the limit of str()
         assert read(value) == read(format_scalar(value))
+
+    def test_escalation_bound_past_the_limit(self, tmp_path, capsys):
+        # b - 10^5000 changes sign at b = 10^5000: a bound of 5,001 digits.
+        root = 10**5000
+        A = Matrix([[Poly((-root, 1))]])
+        for verdict in (
+            eliminate_detailed(A, 1).verdict, neville_tnn_test(A, 1), brute_force_tnn(A, 1)
+        ):
+            assert isinstance(verdict, Inapplicable) and verdict.bound == root
+        path = _write(tmp_path / "root.txt", matrix_to_text(A))
+        outputs = {}
+        for method in ("cross", "neville", "minors"):
+            assert main(["check", path, "--ray", "1", "--method", method]) == 2
+            outputs[method] = capsys.readouterr().out.splitlines()
+            assert "reason: symbolic-indefinite" in outputs[method]
+        assert outputs["cross"][-1] == "bound: 1" + "0" * 5000
 
     @pytest.mark.parametrize("reader", sorted(_READERS))
     def test_decoded_booleans_are_not_scalars(self, reader):

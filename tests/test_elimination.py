@@ -265,10 +265,10 @@ class TestSymbolicSweepCost:
         assert counts[exact._int_exact_div.__code__] <= 270
 
     def test_carried_signs_and_half_diagonal_at_n10(self):
-        # The 45 steps read 9 column-start Bs, 4 Bs after a center step,
-        # 45 pivots and 5 center tests, then 5 diagonal entries: 68 sign
-        # reads and 53 Taylor shifts, against 105 and 85 with every B and
-        # all 10 diagonal entries read.
+        # The 45 steps read 9 column-start Bs, 45 pivots and 5 center
+        # tests, then 5 diagonal entries: 64 sign reads and 49 Taylor
+        # shifts, against 68 and 53 with the B after each center step read,
+        # and 105 and 85 with every B and all 10 diagonal entries read.
         counts = {_SymbolicKernel.sign.__code__: 0, exact._int_taylor_shift.__code__: 0}
 
         def count(frame, event, arg):
@@ -281,8 +281,8 @@ class TestSymbolicSweepCost:
         finally:
             sys.setprofile(None)
         assert isinstance(run.verdict, TotallyNonnegative)
-        assert counts[_SymbolicKernel.sign.__code__] <= 70
-        assert counts[exact._int_taylor_shift.__code__] <= 55
+        assert counts[_SymbolicKernel.sign.__code__] <= 64
+        assert counts[exact._int_taylor_shift.__code__] <= 49
 
 
 # Hand-built cross-symmetric matrices at the edges of the carried sign and
@@ -297,6 +297,13 @@ CARRIED_SIGN_RECORD = {
         [[3, 2, 1, 2], [3, 2, 1, 1], [1, 1, 2, 3], [2, 1, 2, 3]],
         (REASON_NONPOSITIVE_PIVOT, 1, 1, None, Fraction(-3)),
         [(3, 1, Fraction(2), False), (2, 1, Fraction(1, 3), True)],
+    ),
+    # The center step at s = 2 leaves B = 2 * (1 - 1/4) = 3/2 above it,
+    # carried into the step at s = 1; column 2 then meets a negative B.
+    "center-then-step": (
+        [[2, 0, 0, 0], [2, 1, 0, 1], [1, 0, 1, 2], [0, 0, 0, 2]],
+        (REASON_NEGATIVE_MULTIPLIER, 2, 2, None, Fraction(-1, 2)),
+        [(2, 1, Fraction(1, 2), True), (1, 1, Fraction(3, 4), False)],
     ),
     # Two zero Bs at the bottom of column 1, then a negative one.
     "zero-then-negative-column-1": (
@@ -326,7 +333,7 @@ CARRIED_SIGN_RECORD = {
 
 
 class TestCarriedSign:
-    """The sweep reads a B only when it is not the last step's pivot, and half the diagonal."""
+    """The sweep reads a B only when no step came before it in its column, and half the diagonal."""
 
     @pytest.mark.parametrize("name", sorted(CARRIED_SIGN_RECORD))
     def test_recorded_witness(self, name):
@@ -341,9 +348,9 @@ class TestCarriedSign:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reads_every_b_but_the_last_pivot(self, monkeypatch, n):
-        # A B is read unless the step just before was a bridge step at
-        # s + 1 in the same column, whose pivot it is; so every B after a
-        # center step is read again.  Each pivot and center test is read,
+        # A B is read unless the step just before was at s + 1 in the same
+        # column: after a bridge step it is that step's pivot, and after a
+        # center step P(1 - c^2) > 0.  Each pivot and center test is read,
         # and (n + 1) // 2 diagonal entries.
         reads = []
         real = _NumericKernel.sign
@@ -354,7 +361,7 @@ class TestCarriedSign:
             assert isinstance(run.verdict, TotallyNonnegative)
             steps = run.steps
             carried = sum(
-                (prev.t, prev.s, prev.is_center) == (step.t, step.s + 1, False)
+                (prev.t, prev.s) == (step.t, step.s + 1)
                 for prev, step in zip(steps, steps[1:])
             )
             centers = sum(step.is_center for step in steps)
@@ -486,6 +493,16 @@ class TestNeville:
         verdict = neville_tnn_test(Matrix([[1, 1], [1, 1]]))
         assert isinstance(verdict, Inapplicable)
         assert verdict.reason == "singular"
+
+    def test_negative_pivot_gives_the_multiplier_its_sign(self):
+        # The multiplier B/P is read as B*dP over P*dB, whose denominator
+        # is negative here: 1/(-1) refutes, and (-1)/(-1) does not.
+        verdict = neville_tnn_test(Matrix([[-1, 0], [1, 1]]))
+        w = verdict.witness
+        assert (w.reason, w.s, w.t, w.value) == (REASON_NEGATIVE_MULTIPLIER, 1, 1, -1)
+        verdict = neville_tnn_test(Matrix([[-1, 0], [-1, 1]]))
+        w = verdict.witness
+        assert (w.reason, w.index, w.value) == (REASON_NONPOSITIVE_DIAGONAL, 1, -1)
 
     def test_no_factorization_attached(self):
         assert neville_tnn_test(Matrix.identity(2)).factorization is None

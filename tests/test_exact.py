@@ -31,14 +31,12 @@ from crosstnn.exact import (
     _int_content,
     _int_exact_div,
     _int_mul,
-    _int_mul_sub,
     _int_poly_gcd,
     _int_primitive,
     _int_prs_gcd,
     _int_pseudo_rem,
     _int_root_bound,
     _int_strip,
-    _int_sub,
     _int_taylor_shift,
     _poly,
     _ratfunc,
@@ -670,8 +668,16 @@ class TestOneGcdReduction:
         assert self._gcd_calls(monkeypatch, [[2], [0, 1]], [1, 1]) == 2
 
     @given(_ROW_POLYS, _ROW_POLYS, _ROW_POLYS, _ROW_POLYS)
+    @example([], [], [], [])
+    @example([], [1, 2], [3], [])
+    @example([1, 1], [1, -1], [1], [1, 0, -1])
     def test_fused_update_matches_two_products(self, a, x, b, y):
-        assert _int_mul_sub(a, x, b, y) == _int_sub(_int_mul(a, x), _int_mul(b, y))
+        # a*x - b*y against two schoolbook products, and the one-sided a*x,
+        # on lists and on tuples.
+        ax = reference_mul(Poly(a), Poly(x))
+        assert _int_mul(a, x, b, y) == list((ax - reference_mul(Poly(b), Poly(y))).coeffs)
+        assert _int_mul(tuple(a), tuple(x), tuple(b), tuple(y)) == _int_mul(a, x, b, y)
+        assert _int_mul(a, x) == _int_mul(tuple(a), tuple(x)) == list(ax.coeffs)
 
 
 class TestRatFunc:

@@ -386,7 +386,7 @@ class TestKernelStart:
 class TestKernelShape:
     """The shared routines live on _RowKernel, each kind's ring and queries on its own class."""
 
-    OWN = "mul add sub reduce scalar split cancel update common sign ratio_sign residues".split()
+    OWN = "mul add sub reduce scalar split cancel update common sign residues".split()
     SHARED = "start combine transposed paired_update ratio singular pivots".split()
 
     @pytest.mark.parametrize("kernel", [_NUMERIC, _SYMBOLIC], ids=["numeric", "symbolic"])
@@ -442,8 +442,10 @@ class TestKernelSign:
         st.integers(1, 8),
     )
     def test_ratio_sign(self, B, dB, P, dP, ray):
+        # Neville's multiplier (B/dB) / (P/dP), read as the pair B*dP over P*dB.
         expected = _sign_or_bound(lambda: scalar_sign(_SYMBOLIC.ratio(B, dB, P, dP), ray))
-        assert _sign_or_bound(lambda: _SYMBOLIC.ratio_sign(B, dB, P, dP, ray)) == expected
+        num, den = _int_mul(B, dP), _int_mul(P, dB)
+        assert _sign_or_bound(lambda: _SYMBOLIC.sign(num, den, ray)) == expected
 
     @pytest.mark.parametrize(
         "num, den, ray, expected",
@@ -462,14 +464,16 @@ class TestKernelSign:
     )
     def test_fallback_cases(self, num, den, ray, expected):
         assert _sign_or_bound(lambda: _SYMBOLIC.sign(num, den, ray)) == expected
-        assert _sign_or_bound(lambda: _SYMBOLIC.ratio_sign(num, [1], den, [1], ray)) == expected
 
     @pytest.mark.parametrize("ray", [None, 0])
     def test_sign_needs_a_ray(self, ray):
         with pytest.raises(ValueError):
             _SYMBOLIC.sign([1, 1], [1], ray)
-        with pytest.raises(ValueError):
-            _SYMBOLIC.ratio_sign([1, 1], [1], [2, 1], [1], ray)
+
+    @pytest.mark.parametrize("num", [-3, 0, 5])
+    @pytest.mark.parametrize("den", [-2, 1, 7])
+    def test_numeric_sign_reads_the_denominator(self, num, den):
+        assert _NUMERIC.sign(num, den, None) == scalar_sign(Fraction(num, den))
 
 
 def _drawn_rows(draw, entry) -> list:
