@@ -56,8 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    # Built once per process: parse_args leaves the parser unchanged.
+def _build_parser() -> tuple:
+    """The top-level parser and its map of command name to command parser.
+
+    Built once per process: parse_args leaves the parsers unchanged.
+    """
     parser = _Parser(prog="crosstnn", description="Exact total-nonnegativity toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -99,7 +102,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--escalation-cap", type=int, default=3)
     verify.add_argument("-o", "--output", metavar="REPORT")
 
-    return parser
+    return parser, sub.choices
 
 
 def _read(path: str) -> str:
@@ -309,9 +312,18 @@ def _cmd_verify_amazing(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line, ``sys.argv[1:]`` by default, and return its exit code.
+
+    A known command's arguments are parsed by that command's parser alone;
+    the top level would only hand them on.  No argument, ``-h`` or an
+    unknown command goes to the top-level parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         if getattr(args, "ray", None) is not None and args.ray < 1:
             raise _UsageError("--ray must be >= 1")
         if getattr(args, "escalation_cap", 0) < 0:

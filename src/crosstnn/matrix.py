@@ -530,14 +530,31 @@ def minor(A: Matrix, row_indices, col_indices):
     return _det_rows(A.kernel, block)
 
 
-def _laplace_terms(combos, rank: dict) -> list:
+def _laplace_terms(combos, rank: dict) -> tuple:
     # For each column k-set, one (0-based column, rank of the (k-1)-set
     # without that column, cofactor sign is negative) triple per column.
     k = len(combos[0])
-    return [
-        [(c[j] - 1, rank[c[:j] + c[j + 1 :]], (k - 1 - j) % 2) for j in range(k)]
+    return tuple(
+        tuple((c[j] - 1, rank[c[:j] + c[j + 1 :]], (k - 1 - j) % 2) for j in range(k))
         for c in combos
-    ]
+    )
+
+
+@functools.cache
+def _minor_tables(n: int, size: int) -> tuple:
+    """The index tables of :func:`brute_force_tnn`'s size-k minors of an n x n matrix.
+
+    (subsets, heads, width, terms): the k-subsets of 1..n in
+    lexicographic order, the rank of each without its last index among
+    the (k-1)-subsets, the number of (k-1)-subsets, and the subsets'
+    :func:`_laplace_terms`.  They depend on n and k only, so they are
+    built once per process and shared, as tuples.
+    """
+    prev = _minor_tables(n, size - 1)[0] if size > 1 else ((),)
+    combos = tuple(itertools.combinations(range(1, n + 1), size))
+    rank = {c: r for r, c in enumerate(prev)}
+    heads = tuple(rank[c[:-1]] for c in combos)
+    return combos, heads, len(prev), _laplace_terms(combos, rank)
 
 
 def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
@@ -551,6 +568,9 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     its last row over the (k-1) x (k-1) minors of the size before, kept
     in a flat list indexed by the ranks of the row set and the column
     set, so a minor costs at most k products and zero terms are skipped.
+    The subsets, ranks and expansion terms depend on n and k only; they
+    are built once per process (see :func:`_minor_tables`), n * 2 ** (n - 1)
+    expansion triples over all sizes.
     The minors are summed from the matrix's started rows (see
     :class:`_RowKernel`): row i is integer numerators over a denominator
     D_i (integer polynomials in b for symbolic matrices), so a minor is a
@@ -563,18 +583,14 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     kernel, rows, dens = A.kernel, A.nums, A.dens
     mul, add, sub, sign = kernel.mul, kernel.add, kernel.sub, kernel.sign
     one, zero = kernel.split(1)[0], kernel.split(0)[0]
-    indices = range(1, n + 1)
-    prev_combos, prev, prev_dens = [()], [one], [one]  # the empty minor, 1 over 1
-    for size in indices:
-        combos = list(itertools.combinations(indices, size))
-        rank = {c: r for r, c in enumerate(prev_combos)}
-        width = len(prev_combos)
-        terms = _laplace_terms(combos, rank)
-        minor_dens = [mul(prev_dens[rank[c[:-1]]], dens[c[-1] - 1]) for c in combos]
+    prev, prev_dens = [one], [one]  # the empty minor, 1 over 1
+    for size in range(1, n + 1):
+        combos, heads, width, terms = _minor_tables(n, size)
+        minor_dens = [mul(prev_dens[h], dens[c[-1] - 1]) for c, h in zip(combos, heads)]
         minors = []
-        for rows_idx, den in zip(combos, minor_dens):
+        for rows_idx, head, den in zip(combos, heads, minor_dens):
             last = rows[rows_idx[-1] - 1]
-            base = rank[rows_idx[:-1]] * width
+            base = head * width
             for cols_idx, expansion in zip(combos, terms):
                 m = zero
                 for col, rest, negative in expansion:
@@ -598,7 +614,7 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
                         Witness(REASON_NEGATIVE_MINOR, rows=rows_idx, cols=cols_idx, value=value)
                     )
                 minors.append(m)
-        prev_combos, prev, prev_dens = combos, minors, minor_dens
+        prev, prev_dens = minors, minor_dens
     return TotallyNonnegative()
 
 

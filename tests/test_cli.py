@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -561,6 +562,98 @@ class TestJsonText:
     def test_other_types_are_rejected(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
+
+
+# argv for main, with {a33} the worked 3x3 matrix file and {out} an output path.
+DISPATCH_CASES = {
+    "gen-amazing": ["gen", "--amazing", "3", "3", "--scaled"],
+    "gen-random": ["gen", "--random", "s0", "3", "2", "-o", "{out}"],
+    "check-minors": ["check", "{a33}", "--method", "minors"],
+    "check-trace-ray": ["check", "{a33}", "--trace", "--ray", "2"],
+    "factor-verify": ["factor", "{a33}", "--verify"],
+    "network-doc": ["network", "{a33}", "--format", "doc"],
+    "verify-amazing": ["verify-amazing", "--n", "3", "--escalation-cap", "1"],
+    "no-argument": [],
+    "unknown-command": ["bogus-command"],
+    "check-no-path": ["check"],
+    "bad-choice": ["check", "{a33}", "--method", "bogus"],
+    "unknown-flag": ["check", "{a33}", "--bogus"],
+    "extra-positional": ["check", "{a33}", "extra"],
+    "ray-zero": ["check", "{a33}", "--ray", "0"],
+    "n-not-an-integer": ["verify-amazing", "--n", "x"],
+    "double-dash": ["check", "--", "{a33}"],
+}
+
+
+def _top_level_only(monkeypatch):
+    """Make main parse every argv with the top-level parser, which hands commands on."""
+    parser = cli._build_parser()[0]
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+
+
+class TestDispatch:
+    """A known command is parsed by its own parser, with the top level's results."""
+
+    @staticmethod
+    def _run(argv, capsys, out_dir):
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {}
+        for path in sorted(out_dir.iterdir()):
+            files[path.name] = path.read_text()
+            path.unlink()
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("case", DISPATCH_CASES)
+    def test_same_result_as_the_top_level(self, case, a33_path, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        fill = {"{a33}": a33_path, "{out}": str(out_dir / "r.txt")}
+        argv = [fill.get(a, a) for a in DISPATCH_CASES[case]]
+        with monkeypatch.context() as top:
+            _top_level_only(top)
+            expected = self._run(argv, capsys, out_dir)
+        assert self._run(argv, capsys, out_dir) == expected
+        code, _, err, _ = expected
+        assert (code == 64) == err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["check", "--help"]])
+    def test_help(self, argv, capsys, monkeypatch):
+        with monkeypatch.context() as top:
+            _top_level_only(top)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == expected
+        assert expected.out.startswith("usage: crosstnn")
+
+    def test_argv_defaults_to_sys_argv(self, a33_path, capsys, monkeypatch):
+        assert main(["check", a33_path, "--method", "neville"]) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["crosstnn", "check", a33_path, "--method", "neville"])
+        assert main() == 0
+        assert capsys.readouterr() == expected
+
+    def test_a_command_skips_the_top_level(self, a33_path, tmp_path, capsys, monkeypatch):
+        top = cli._build_parser()[0]
+        calls = []
+        original = top.parse_known_args
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(top, "parse_known_args", spy)
+        fill = {"{a33}": a33_path, "{out}": str(tmp_path / "r.txt")}
+        for case in ("gen-amazing", "gen-random", "check-minors", "factor-verify", "network-doc"):
+            assert main([fill.get(a, a) for a in DISPATCH_CASES[case]]) == 0
+        assert calls == []
+        assert main(["bogus-command"]) == 64
+        assert len(calls) == 1
 
 
 class TestConsecutiveCalls:

@@ -185,3 +185,128 @@ class TestWiderOracleCoverage:
     def test_symbolic_carries_matrix_on_its_ray(self, n):
         verdict = brute_force_tnn(amazing_matrix_symbolic(n), ray=n)
         assert isinstance(verdict, TotallyNonnegative)
+
+
+def _per_call_laplace_terms(combos, rank):
+    k = len(combos[0])
+    return [
+        [(c[j] - 1, rank[c[:j] + c[j + 1 :]], (k - 1 - j) % 2) for j in range(k)]
+        for c in combos
+    ]
+
+
+def per_call_brute_force(A, ray=None):
+    """The expansion sweep with its index tables rebuilt on every call."""
+    n = A.n
+    kernel, rows, dens = A.kernel, A.nums, A.dens
+    mul, add, sub, sign = kernel.mul, kernel.add, kernel.sub, kernel.sign
+    one, zero = kernel.split(1)[0], kernel.split(0)[0]
+    indices = range(1, n + 1)
+    prev_combos, prev, prev_dens = [()], [one], [one]
+    for size in indices:
+        combos = list(itertools.combinations(indices, size))
+        rank = {c: r for r, c in enumerate(prev_combos)}
+        width = len(prev_combos)
+        terms = _per_call_laplace_terms(combos, rank)
+        minor_dens = [mul(prev_dens[rank[c[:-1]]], dens[c[-1] - 1]) for c in combos]
+        minors = []
+        for rows_idx, den in zip(combos, minor_dens):
+            last = rows[rows_idx[-1] - 1]
+            base = rank[rows_idx[:-1]] * width
+            for cols_idx, expansion in zip(combos, terms):
+                m = zero
+                for col, rest, negative in expansion:
+                    a = last[col]
+                    if a:
+                        b = prev[base + rest]
+                        if b:
+                            m = sub(m, mul(a, b)) if negative else add(m, mul(a, b))
+                try:
+                    refuted = m and sign(m, den, ray) < 0
+                except SignUndecidedOnRay as exc:
+                    return Inapplicable(
+                        INAPPLICABLE_SYMBOLIC_INDEFINITE,
+                        bound=exc.witness_bound,
+                        rows=rows_idx,
+                        cols=cols_idx,
+                    )
+                if refuted:
+                    value = kernel.scalar(m, den)
+                    return NotTnn(
+                        Witness(REASON_NEGATIVE_MINOR, rows=rows_idx, cols=cols_idx, value=value)
+                    )
+                minors.append(m)
+        prev_combos, prev, prev_dens = combos, minors, minor_dens
+    return TotallyNonnegative()
+
+
+def _verdict_fields(verdict):
+    if isinstance(verdict, NotTnn):
+        w = verdict.witness
+        return "NotTnn", w.reason, w.rows, w.cols, type(w.value), w.value
+    if isinstance(verdict, Inapplicable):
+        return "Inapplicable", verdict.reason, verdict.rows, verdict.cols, verdict.bound
+    return (type(verdict).__name__,)
+
+
+class TestIndexTablesOncePerSize:
+    """The index tables depend on n alone; building them once changes no verdict."""
+
+    def test_random_numeric_matches_per_call_tables(self):
+        rng = random.Random("tables-numeric")
+        labels = set()
+        for trial in range(105):
+            n = trial % 7 + 1
+            if trial % 3 == 0:
+                rows = [list(r) for r in random_certified_tnn(n, f"tables-{trial}", n + 1)[0].rows]
+            else:
+                rows = _random_rows(rng, n)
+            if trial % 5 == 1 and n > 1:
+                rows[-1] = list(rows[0])  # singular
+            if trial % 4 == 2:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = -rows[i][j]  # a sign flip
+            A = Matrix(rows)
+            ours = _verdict_fields(brute_force_tnn(A))
+            assert ours == _verdict_fields(per_call_brute_force(A))
+            labels.add(ours[0])
+        assert labels == {"NotTnn", "TotallyNonnegative"}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_symbolic_matches_per_call_tables(self, n):
+        A = amazing_matrix_symbolic(n)
+        for ray in (n, 2):
+            assert _verdict_fields(brute_force_tnn(A, ray)) == _verdict_fields(
+                per_call_brute_force(A, ray)
+            )
+
+    def test_second_call_builds_no_table(self, monkeypatch):
+        calls = []
+        original = crosstnn.matrix._laplace_terms
+
+        def counting(*args):
+            calls.append(len(args[0][0]))
+            return original(*args)
+
+        monkeypatch.setattr(crosstnn.matrix, "_laplace_terms", counting)
+        A = amazing_matrix(6, 3, scaled=True)
+        brute_force_tnn(A)
+        assert calls in ([], [1, 2, 3, 4, 5, 6])
+        calls.clear()
+        assert isinstance(brute_force_tnn(A), TotallyNonnegative)
+        assert isinstance(brute_force_tnn(amazing_matrix(6, 5, scaled=True)), TotallyNonnegative)
+        assert calls == []
+
+    def test_cached_tables_are_tuples(self):
+        n = 5
+        brute_force_tnn(amazing_matrix(n, 2, scaled=True))
+        triples = 0
+        for size in range(1, n + 1):
+            combos, heads, width, terms = crosstnn.matrix._minor_tables(n, size)
+            assert type(combos) is type(heads) is type(terms) is tuple
+            assert all(type(c) is tuple for c in combos)
+            assert all(type(t) is tuple for expansion in terms for t in expansion)
+            assert all(type(expansion) is tuple for expansion in terms)
+            assert width == (len(crosstnn.matrix._minor_tables(n, size - 1)[0]) if size > 1 else 1)
+            triples += sum(map(len, terms))
+        assert triples == n * 2 ** (n - 1)
