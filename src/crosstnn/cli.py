@@ -318,8 +318,7 @@ def main(argv=None) -> int:
     the top level would only hand them on.  No argument, ``-h`` or an
     unknown command goes to the top-level parser.
     """
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     try:

@@ -903,16 +903,7 @@ def _parse_poly(text: str) -> Poly:
     inner = body[1:-1].strip()
     if not inner:
         return Poly()
-    parts = [part.strip() for part in inner.split(",")]
-    # Plain coefficients are read in one pass by the row rule; any other
-    # literal, an empty coefficient included, coefficient by coefficient.
-    row = _rational_row(parts) if all(parts) else None
-    if row is None:
-        return Poly(tuple(map(_parse_rational, parts)))
-    nums, den = row
-    if not den:
-        raise ZeroDivisionError
-    return _poly(nums, den)
+    return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
 
 
 def _rational_row(tokens: list):

@@ -530,31 +530,27 @@ def minor(A: Matrix, row_indices, col_indices):
     return _det_rows(A.kernel, block)
 
 
-def _laplace_terms(combos, rank: dict) -> tuple:
-    # For each column k-set, one (0-based column, rank of the (k-1)-set
-    # without that column, cofactor sign is negative) triple per column.
-    k = len(combos[0])
-    return tuple(
-        tuple((c[j] - 1, rank[c[:j] + c[j + 1 :]], (k - 1 - j) % 2) for j in range(k))
-        for c in combos
-    )
-
-
 @functools.cache
 def _minor_tables(n: int, size: int) -> tuple:
     """The index tables of :func:`brute_force_tnn`'s size-k minors of an n x n matrix.
 
     (subsets, heads, width, terms): the k-subsets of 1..n in
     lexicographic order, the rank of each without its last index among
-    the (k-1)-subsets, the number of (k-1)-subsets, and the subsets'
-    :func:`_laplace_terms`.  They depend on n and k only, so they are
-    built once per process and shared, as tuples.
+    the (k-1)-subsets, the number of (k-1)-subsets, and for each subset
+    one (0-based column, rank of the (k-1)-subset without that column,
+    cofactor sign is negative) triple per column.  They depend on n and
+    k only, so they are built once per process and shared, as tuples,
+    and kept for the life of the process.
     """
     prev = _minor_tables(n, size - 1)[0] if size > 1 else ((),)
     combos = tuple(itertools.combinations(range(1, n + 1), size))
     rank = {c: r for r, c in enumerate(prev)}
     heads = tuple(rank[c[:-1]] for c in combos)
-    return combos, heads, len(prev), _laplace_terms(combos, rank)
+    terms = tuple(
+        tuple((c[j] - 1, rank[c[:j] + c[j + 1 :]], (size - 1 - j) % 2) for j in range(size))
+        for c in combos
+    )
+    return combos, heads, len(prev), terms
 
 
 def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
@@ -570,7 +566,8 @@ def brute_force_tnn(A: Matrix, ray: int | None = None) -> Verdict:
     set, so a minor costs at most k products and zero terms are skipped.
     The subsets, ranks and expansion terms depend on n and k only; they
     are built once per process (see :func:`_minor_tables`), n * 2 ** (n - 1)
-    expansion triples over all sizes.
+    expansion triples over all sizes, and kept for the life of the
+    process: one that checks matrices of many orders n holds each one's.
     The minors are summed from the matrix's started rows (see
     :class:`_RowKernel`): row i is integer numerators over a denominator
     D_i (integer polynomials in b for symbolic matrices), so a minor is a

@@ -638,6 +638,16 @@ class TestDispatch:
         assert main() == 0
         assert capsys.readouterr() == expected
 
+    @pytest.mark.parametrize("wrap", [tuple, iter], ids=["tuple", "generator"])
+    def test_argv_any_iterable(self, wrap, a33_path, capsys):
+        argv = ["check", a33_path, "--method", "neville"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        assert main(wrap(argv)) == 0
+        assert capsys.readouterr() == expected
+        assert main(wrap(["bogus-command"])) == 64
+        assert "usage error: " in capsys.readouterr().err
+
     def test_a_command_skips_the_top_level(self, a33_path, tmp_path, capsys, monkeypatch):
         top = cli._build_parser()[0]
         calls = []

@@ -1217,92 +1217,3 @@ class TestFormatScalarParity:
     )
     def test_edge_values(self, x):
         assert format_scalar(x) == reference_format_scalar(x)
-
-
-def reference_parse_poly(text: str) -> Poly:
-    """The polynomial-literal reader as it was: one Fraction per coefficient."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"malformed polynomial literal: {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return Poly()
-    return Poly(tuple(exact._parse_rational(part.strip()) for part in inner.split(",")))
-
-
-def reference_parse_literal(text: str):
-    """parse_scalar's bracket path with the reader as it was."""
-    t = text.strip()
-    if "e" in t or "E" in t:
-        raise ValueError(f"exponent notation in scalar {t!r}")
-    try:
-        head, slash, tail = t.partition("]/")
-        if not slash:
-            return reference_parse_poly(t)
-        return RatFunc(reference_parse_poly(head + "]"), reference_parse_poly(tail))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {t!r}") from None
-
-
-def literal_outcome(read, text):
-    """The integers of what read(text) returns, or its exception's type and message."""
-    try:
-        value = read(text)
-    except Exception as exc:  # the exception is the outcome
-        return type(exc), str(exc)
-    if isinstance(value, RatFunc):
-        return [(p.numerators, p.denominator) for p in (value.num, value.den)]
-    return value.numerators, value.denominator
-
-
-# Coefficient texts: plain, signed and zero rationals, padded ones, ones
-# Fraction reads but the row rule does not, empty and malformed ones, zero
-# denominators, and integers past the int/str digit limit.
-_COEFFICIENT_TEXTS = st.one_of(
-    st.integers(-(10**30), 10**30).map(str),
-    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(0, 60)),
-    st.sampled_from(
-        ["0", "-0", "+0", "0/5", "+7", "-3/4", " 2 ", "1.5", ".5", "1_000", "١", "",
-         " ", "1 2", "x", "+", "-", "1/", "/2", "-2/-3", "1/0", "0/0", _L, f"-{_L}/3", f"1/{_L}"]
-    ),
-)
-_POLY_LITERALS = st.builds(
-    lambda parts, pad: "[" + pad + ",".join(parts) + pad + "]",
-    st.lists(_COEFFICIENT_TEXTS, max_size=5),
-    st.sampled_from(["", " "]),
-)
-
-
-class TestPolyLiteralParity:
-    """A polynomial literal is read as the Fraction-per-coefficient reader read it."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_POLY_LITERALS)
-    @example("[ 1 , 2 ]")
-    @example("[1.5]")
-    @example("[1,,2]")
-    @example("[1/0]")
-    @example("[1.5,1/0]")
-    @example("[1/0,x]")
-    @example("[2/4,0/6]")
-    @example("[0/6]")
-    @example(f"[{_L},-{_L}/3]")
-    def test_poly_literal(self, text):
-        assert literal_outcome(exact._parse_poly, text) == literal_outcome(
-            reference_parse_poly, text
-        )
-        assert literal_outcome(parse_scalar, text) == literal_outcome(
-            reference_parse_literal, text
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(_POLY_LITERALS, _POLY_LITERALS)
-    @example("[1,2]", "[3]")
-    @example("[ 1 , 2 ]", "[0]")
-    @example("[1/2]", "[1/0]")
-    @example("[1.5]", "[2/4, 6]")
-    def test_ratfunc_literal(self, num, den):
-        text = num + "/" + den
-        assert literal_outcome(parse_scalar, text) == literal_outcome(
-            reference_parse_literal, text
-        )

@@ -280,22 +280,17 @@ class TestIndexTablesOncePerSize:
                 per_call_brute_force(A, ray)
             )
 
-    def test_second_call_builds_no_table(self, monkeypatch):
-        calls = []
-        original = crosstnn.matrix._laplace_terms
-
-        def counting(*args):
-            calls.append(len(args[0][0]))
-            return original(*args)
-
-        monkeypatch.setattr(crosstnn.matrix, "_laplace_terms", counting)
+    def test_second_call_builds_no_table(self):
+        tables = crosstnn.matrix._minor_tables
         A = amazing_matrix(6, 3, scaled=True)
         brute_force_tnn(A)
-        assert calls in ([], [1, 2, 3, 4, 5, 6])
-        calls.clear()
+        built = tables.cache_info().misses
         assert isinstance(brute_force_tnn(A), TotallyNonnegative)
         assert isinstance(brute_force_tnn(amazing_matrix(6, 5, scaled=True)), TotallyNonnegative)
-        assert calls == []
+        assert tables.cache_info().misses == built
+        tables.cache_clear()
+        brute_force_tnn(A)
+        assert tables.cache_info().misses == 6
 
     def test_cached_tables_are_tuples(self):
         n = 5
