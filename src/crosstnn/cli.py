@@ -213,11 +213,11 @@ def _cmd_gen(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _needs_ray(matrix, ray):
-    """The matrix read from a file, which must come with a sign ray if symbolic."""
-    if matrix.is_symbolic and ray is None:
-        raise _UsageError("symbolic matrix: pass --ray to fix the sign ray")
-    return matrix
+def _needs_ray(value, ray, what: str):
+    """The matrix or certificate read from a file, which must come with a sign ray if symbolic."""
+    if value.is_symbolic and ray is None:
+        raise _UsageError(f"symbolic {what}: pass --ray to fix the sign ray")
+    return value
 
 
 def _certify(matrix, ray):
@@ -225,7 +225,7 @@ def _certify(matrix, ray):
 
     A verdict that is not certified is reported on stderr.
     """
-    verdict = eliminate_detailed(_needs_ray(matrix, ray), ray=ray).verdict
+    verdict = eliminate_detailed(_needs_ray(matrix, ray, "matrix"), ray=ray).verdict
     if isinstance(verdict, NotTnn):
         print(f"not totally nonnegative: {verdict.witness.reason}", file=sys.stderr)
     elif isinstance(verdict, Inapplicable):
@@ -234,7 +234,7 @@ def _certify(matrix, ray):
 
 
 def _cmd_check(args) -> int:
-    matrix = _needs_ray(matrix_from_payload(_read(args.path)), args.ray)
+    matrix = _needs_ray(matrix_from_payload(_read(args.path)), args.ray, "matrix")
     print(f"method: {args.method}")
     if args.method != "cross":
         oracle = brute_force_tnn if args.method == "minors" else neville_tnn_test
@@ -282,9 +282,7 @@ def _cmd_network(args) -> int:
     stripped = text.lstrip()
     doc = parse_json(stripped) if stripped.startswith("{") else None
     if doc is not None and "atoms" in doc:
-        fact = factorization_from_doc(doc)
-        if fact.is_symbolic and args.ray is None:
-            raise _UsageError("symbolic certificate: pass --ray to fix the sign ray")
+        fact = _needs_ray(factorization_from_doc(doc), args.ray, "certificate")
         check_factorization_signs(fact, args.ray)
     else:
         matrix = matrix_from_payload(text) if doc is None else matrix_from_doc(doc)

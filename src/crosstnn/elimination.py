@@ -307,7 +307,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # c and the row update share one cancelled pair; the center
                 # test keeps P and B, whose gcd may change sign on the ray.
                 Pc, Bc = kernel.cancel(P, B)
-                c = kernel.ratio(Bc, dB, Pc, dP)
+                c = scalar(kernel.mul(Bc, dP), kernel.mul(Pc, dB))
                 is_center = n == 2 * s
                 # c < 1 iff pivot - below = (P*dB - B*dP) / (dP*dB) > 0
                 if is_center and sign(

@@ -180,22 +180,6 @@ class Poly:
             return NotImplemented
         return RatFunc(o, self)
 
-    def divide_exact(self, other) -> "Poly":
-        """Quotient when the division is exact; raises otherwise.
-
-        With self = ca * p / da and other = cc * q / dc for primitive p and
-        q, the quotient is (ca * dc) / (da * cc) times p / q, and p / q is
-        in Z[x] when q divides p (Gauss's lemma).
-        """
-        o = _as_poly(other)
-        if o.is_zero:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        if self.is_zero:
-            return self
-        ca, cc = _int_content(self.numerators), _int_content(o.numerators)
-        quo = _int_exact_div([v // ca for v in self.numerators], [v // cc for v in o.numerators])
-        return _poly([v * ca * o.denominator for v in quo], self.denominator * cc)
-
     # -- evaluation and structure --------------------------------------
 
     def eval(self, point) -> Fraction:

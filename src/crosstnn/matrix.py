@@ -20,7 +20,6 @@ from .exact import (
     Poly,
     RatFunc,
     SignUndecidedOnRay,
-    _as_poly,
     _int_add,
     _int_eval,
     _int_exact_div,
@@ -34,8 +33,6 @@ from .exact import (
     _ratfunc,
     _rational_row,
     _symbolic_reduce,
-    as_ratfunc,
-    as_rational,
     format_scalar,
     parse_doc_scalar,
     parse_int,
@@ -80,10 +77,10 @@ class Matrix:
     reduced row denominator ``dens[i]``, with ``kernel`` the kernel those
     rows run on and ``kind`` the scalar kind of the entries: ``Fraction``,
     ``Poly`` or ``RatFunc``.  Every elimination, determinant and minor
-    oracle reads these rows, so none converts a scalar first.  Plain
-    integers start as they are; the presence of any polynomial (or
-    rational-function) entry lifts the whole matrix to that kind.  Any
-    other entry, a float included, raises ``TypeError``.
+    oracle reads these rows, so none converts a scalar first.  Each entry
+    starts as it is; any polynomial (or rational-function) entry makes
+    that the kind.  An entry that is not an int, ``Fraction``, ``Poly`` or
+    ``RatFunc``, a float included, raises ``TypeError``.
 
     :attr:`rows` is the tuple of entries of that kind.  It is kept as
     given when every entry already has the kind, else built from the
@@ -98,10 +95,10 @@ class Matrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with n >= 1")
         kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        bad = [t.__name__ for t in kinds - {Poly, RatFunc} if not issubclass(t, (int, Fraction))]
+        if bad:
+            raise TypeError(f"matrix entry of type {min(bad)} is not an exact scalar")
         kernel, kind = _row_kind(kinds)
-        if kinds - {int, kind}:
-            # Integers start as they are; a bool or a lower kind is lifted, a float raises.
-            rows = [tuple(map(_LIFTS[kind], r)) for r in rows]
         self._set(kernel, kind, map(kernel.start, rows), rows if kinds == {kind} else None)
 
     @classmethod
@@ -303,10 +300,6 @@ class _RowKernel:
         row[lo:hi], dens[s] = self.update(P, row[lo:hi], dens[s], B, source)
         rows[n - 1 - s], dens[n - 1 - s] = row[::-1], dens[s]
 
-    def ratio(self, B, dB, P, dP):
-        """The reduced scalar (B/dB) / (P/dP)."""
-        return self.scalar(self.mul(B, dP), self.mul(P, dB))
-
     def singular(self, rows: list, dens: list) -> bool:
         """Whether the started rows are linearly dependent.
 
@@ -470,7 +463,7 @@ def _row_kind(kinds) -> tuple:
 
     Any ``RatFunc`` makes the kind ``RatFunc``, else any ``Poly`` makes it
     ``Poly``, both on the symbolic kernel; else all are rationals
-    (``Fraction``) on the numeric one.  ``_LIFTS[kind]`` lifts a scalar.
+    (``Fraction``) on the numeric one.
     """
     if RatFunc in kinds:
         return _SYMBOLIC, RatFunc
@@ -478,8 +471,6 @@ def _row_kind(kinds) -> tuple:
         return _SYMBOLIC, Poly
     return _NUMERIC, Fraction
 
-
-_LIFTS = {Fraction: as_rational, Poly: _as_poly, RatFunc: as_ratfunc}
 
 
 def _det_rows(kernel, block):

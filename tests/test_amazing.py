@@ -118,6 +118,8 @@ class TestAmazingEntry:
             amazing_entry(2, 3, 2, 0)
         with pytest.raises(ValueError):
             amazing_entry(2, 1, 0, 0)
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            amazing_entry(0, 3, 0, 0)
 
 
 class TestAmazingMatrix:
@@ -314,6 +316,10 @@ class TestVerify:
         assert report.overall == "certified"
         assert [c.b for c in report.base_checks] == [2]
         assert all(isinstance(c.verdict, TotallyNonnegative) for c in report.base_checks)
+
+    def test_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            verify_amazing(0)
 
     def test_ray_starts_at_symbolic_regime(self):
         assert verify_amazing(4).ray_rounds[0].beta == 4

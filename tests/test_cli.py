@@ -432,6 +432,9 @@ class TestIntegersPastTheDigitLimit:
         assert "exponent" not in str(exc.value)
 
 
+_SYMBOLIC_2X2 = "2\n[1,1] [-1,1]\n[-1,1] [1,1]\n"
+
+
 class TestErrorPaths:
     def test_usage_error(self, capsys):
         assert main(["check"]) == 64
@@ -439,6 +442,28 @@ class TestErrorPaths:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/matrix.txt"]) == 66
+
+    @pytest.mark.parametrize(
+        "command, text, what",
+        [
+            pytest.param("check", _SYMBOLIC_2X2, "matrix", id="check-matrix"),
+            pytest.param("factor", _SYMBOLIC_2X2, "matrix", id="factor-matrix"),
+            pytest.param("network", _SYMBOLIC_2X2, "matrix", id="network-matrix"),
+            pytest.param(
+                "network",
+                '{"n": 2, "atoms": [{"kind": "center", "s": 1, "c": "[0,1]/[1,2]"}],'
+                ' "diagonal": ["[1]", "[1]"]}',
+                "certificate",
+                id="network-certificate",
+            ),
+        ],
+    )
+    def test_symbolic_input_needs_a_ray(self, tmp_path, capsys, command, text, what):
+        path = _write(tmp_path / "symbolic.txt", text)
+        assert main([command, path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: symbolic {what}: pass --ray to fix the sign ray\n"
 
     def test_malformed_content(self, tmp_path, capsys):
         path = _write(tmp_path / "bad.txt", "2\n1 2\n")

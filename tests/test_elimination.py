@@ -50,6 +50,7 @@ from crosstnn.verdicts import (
     REASON_ZERO_PIVOT_NONZERO_BELOW,
     Verdict,
     Witness,
+    verdict_label,
 )
 
 B = Poly.variable()
@@ -81,6 +82,12 @@ class TestMaterializeElementary:
         step = ElementaryStep(s=2, t=1, c=Fraction(1, 3), is_center=False)
         with pytest.raises(ValueError):
             materialize_elementary(step, 4)
+
+    def test_step_validation(self):
+        with pytest.raises(ValueError, match=r"^step needs 1 <= t <= s, got s=1, t=2$"):
+            ElementaryStep(1, 2, 1)
+        with pytest.raises(ValueError, match=r"^step row 3 outside 1\.\.2$"):
+            materialize_elementary(ElementaryStep(3, 1, 1), 3)
 
 
 class TestMaterializeAtom:
@@ -125,6 +132,8 @@ class TestMaterializeAtom:
             Atom("center", 2, 1, Fraction(3, 2))
         with pytest.raises(ValueError):
             Atom("pivot", 3, 1, Fraction(1))
+        with pytest.raises(ValueError, match=r"^atom row 3 outside 1\.\.2$"):
+            Atom("bridge", 3, 3, 1)
 
 
 class TestEliminate:
@@ -568,6 +577,10 @@ class TestRandomCertified:
         with pytest.raises(ValueError):
             random_certified_tnn(3, "seed", atom_count=-1)
 
+    def test_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            random_certified_tnn(0, 1)
+
     def test_deterministic_per_seed(self):
         a1, f1 = random_certified_tnn(4, "s0", 3)
         a2, f2 = random_certified_tnn(4, "s0", 3)
@@ -829,6 +842,29 @@ def _random_numeric_inputs():
             if rng.random() < 0.5:
                 inputs.append(_negate_mirrored(A, rng.randrange(n), rng.randrange(n)))
     return inputs
+
+
+class TestVerdictDoc:
+    """The document form of the minors oracle's verdicts, which carry index sets."""
+
+    def test_negative_minor_witness(self):
+        assert verdict_to_doc(brute_force_tnn(Matrix([[1, 2], [3, 1]]))) == {
+            "verdict": "not-totally-nonnegative",
+            "witness": {"reason": "negative-minor", "rows": [1, 2], "cols": [1, 2], "value": "-5"},
+        }
+
+    def test_symbolic_indefinite_minor(self):
+        assert verdict_to_doc(brute_force_tnn(amazing_matrix_symbolic(4), ray=2)) == {
+            "verdict": "inapplicable",
+            "reason": INAPPLICABLE_SYMBOLIC_INDEFINITE,
+            "bound": 3,
+            "rows": [1],
+            "cols": [4],
+        }
+
+    def test_label_needs_a_verdict(self):
+        with pytest.raises(TypeError, match="^not a verdict: None$"):
+            verdict_label(None)
 
 
 def _symbolic_rational_matrix():

@@ -334,13 +334,6 @@ class TestPoly:
         assert Poly((Fraction(3, 2),)) == Fraction(3, 2)
         assert hash(Poly((Fraction(3, 2),))) == hash(Fraction(3, 2))
 
-    def test_divide_exact(self):
-        assert (B * B - 1).divide_exact(B - 1) == B + 1
-
-    def test_divide_exact_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            (B * B + 1).divide_exact(B - 1)
-
     @pytest.mark.parametrize("r", [2, Fraction(1, 2)])
     def test_no_division_by_a_rational(self, r):
         # Only a Poly divides a Poly; a rational divides by a Poly.
@@ -352,15 +345,23 @@ class TestPoly:
         for name in ("__divmod__", "__floordiv__", "__mod__"):
             assert not hasattr(Poly, name)
 
+    def test_repr(self):
+        assert repr(Poly((Fraction(-1, 2), 0, 3))) == "Poly('-1/2 + 3*b^2')"
+
+    # (b - 1)^2 is not square-free: its chain stops at a zero remainder.
+    @example(Poly((-1, 1)), Poly((-1, 1)), Poly())
     @given(polys, nonzero_polys, polys)
-    def test_divide_exact_and_sturm_remainders_equal_reference(self, p, d, extra):
-        quo, rem = reference_divmod(p, d)
+    def test_exact_division_and_sturm_remainders_equal_reference(self, p, d, extra):
+        rem = reference_divmod(p, d)[1]
+        # Over the primitive numerators the division is exact in Z[x]
+        # exactly when it is over the rationals (Gauss's lemma).
+        pa, pd = _int_primitive(p.numerators), _int_primitive(d.numerators)
         if rem.is_zero:
-            assert p.divide_exact(d) == quo
+            assert _int_mul(_int_exact_div(pa, pd), pd) == pa
         else:
             with pytest.raises(ValueError):
-                p.divide_exact(d)
-        assert reference_mul(p, d).divide_exact(d) == p
+                _int_exact_div(pa, pd)
+        assert _int_exact_div(_int_primitive(reference_mul(p, d).numerators), pd) == pa
         # p's numerators are p times its denominator; the divisor's scale
         # does not change the remainder.
         scaled_rem = reference_mul(rem, Poly((p.denominator,)))
@@ -703,6 +704,14 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(B, Poly())
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), Poly()])
+    def test_division_by_zero_rejected(self, zero):
+        with pytest.raises(ZeroDivisionError, match="^rational function division by zero$"):
+            RatFunc(B) / zero
+
+    def test_repr(self):
+        assert repr(RatFunc(B, B + 1)) == "RatFunc(Poly('b'), Poly('1 + b'))"
+
     @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
     def test_eval_rejects_inexact_points(self, bad):
         with pytest.raises(TypeError):
@@ -1025,6 +1034,11 @@ class TestScalarSign:
             scalar_sign(B * B - 3 * B, 2)
         assert exc.value.witness_bound == 3
 
+    @pytest.mark.parametrize("query", [scalar_sign, format_scalar])
+    def test_rejects_a_non_scalar(self, query):
+        with pytest.raises(TypeError, match="^not an exact scalar: 'x'$"):
+            query("x")
+
 
 def fraction_without_digit_limit(text: str) -> Fraction:
     """Fraction(text), reading integers past the int/str digit limit too."""
@@ -1077,6 +1091,16 @@ class TestTextSyntax:
 
     def test_poly_parse_tolerates_spaces(self):
         assert parse_scalar("[1, 2/3, 4]") == Poly((1, Fraction(2, 3), 4))
+
+    # An unclosed literal, and a rational-function denominator that is not a literal.
+    @pytest.mark.parametrize(
+        "text, part",
+        [pytest.param("[1", "[1", id="unclosed"), pytest.param("[1]/2", "2", id="denominator")],
+    )
+    def test_malformed_polynomial_literal(self, text, part):
+        with pytest.raises(ValueError) as caught:
+            parse_scalar(text)
+        assert str(caught.value) == f"malformed polynomial literal: {part!r}"
 
     def test_ratfunc_round_trip(self):
         f = RatFunc(B - 1, B + 1)

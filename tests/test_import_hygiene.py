@@ -1,15 +1,19 @@
-"""Every module-level import in the package is used or re-exported, and
-every module-level private helper is read.
+"""Every module-level import in the package is used or re-exported,
+every module-level private helper is read, and every name a module lists
+in ``__all__`` is bound in it.
 
 No linter is assumed: each module under ``src/crosstnn`` is parsed with
 ``ast``, and an import must bind a name that the module reads somewhere
 or lists in ``__all__``.  A private function, class, constant or method
 must be read by some module of the package.  A refactor that leaves an
 import dead, or a helper or constructor that nothing calls any more,
-fails here.
+fails here, and so does an ``__all__`` entry left behind by a deletion,
+which would otherwise fail only at ``import *``.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,20 @@ def test_every_private_helper_is_read():
     defined = set().union(*map(private_definitions, sources))
     assert defined, "no private helpers found"
     assert sorted(defined - read) == []
+
+
+def unbound_exports(module) -> list:
+    """Names in the module's ``__all__`` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_the_check_finds_a_stale_export():
+    module = types.ModuleType("stale")
+    exec("__all__ = ['kept', 'deleted']\nkept = 1\n", module.__dict__)
+    assert unbound_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_exported_name_is_bound(path):
+    name = "crosstnn" if path.stem == "__init__" else f"crosstnn.{path.stem}"
+    assert unbound_exports(importlib.import_module(name)) == []

@@ -148,6 +148,10 @@ class TestExchangeMatrix:
             J = exchange_matrix(n)
             assert J * J == Matrix.identity(n)
 
+    def test_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            exchange_matrix(0)
+
 
 class TestMinor:
     def test_two_by_two(self):
@@ -319,7 +323,7 @@ class TestSymbolicCombine:
         Pc, Bc = _SYMBOLIC.cancel(P, B)
         assert _int_poly_gcd(Pc, Bc)[0] == [1]
         expected = _SYMBOLIC.scalar(_int_mul(B, dP), _int_mul(P, dB))
-        assert _SYMBOLIC.ratio(Bc, dB, Pc, dP) == expected
+        assert _SYMBOLIC.scalar(_int_mul(Bc, dP), _int_mul(Pc, dB)) == expected
 
 
 _RATIONAL = st.one_of(
@@ -387,7 +391,7 @@ class TestKernelShape:
     """The shared routines live on _RowKernel, each kind's ring and queries on its own class."""
 
     OWN = "mul add sub reduce scalar split cancel update common sign residues".split()
-    SHARED = "start combine transposed paired_update ratio singular pivots".split()
+    SHARED = "start combine transposed paired_update singular pivots".split()
 
     @pytest.mark.parametrize("kernel", [_NUMERIC, _SYMBOLIC], ids=["numeric", "symbolic"])
     def test_each_kind_defines_its_own(self, kernel):
@@ -443,8 +447,8 @@ class TestKernelSign:
     )
     def test_ratio_sign(self, B, dB, P, dP, ray):
         # Neville's multiplier (B/dB) / (P/dP), read as the pair B*dP over P*dB.
-        expected = _sign_or_bound(lambda: scalar_sign(_SYMBOLIC.ratio(B, dB, P, dP), ray))
         num, den = _int_mul(B, dP), _int_mul(P, dB)
+        expected = _sign_or_bound(lambda: scalar_sign(_SYMBOLIC.scalar(num, den), ray))
         assert _sign_or_bound(lambda: _SYMBOLIC.sign(num, den, ray)) == expected
 
     @pytest.mark.parametrize(
@@ -839,6 +843,38 @@ class TestMatrixClass:
         for rows in ([[bad]], [[1, bad], [2, 3]], [[B, bad], [2, 3]], [[RatFunc(B), bad], [2, 3]]):
             with pytest.raises(TypeError):
                 Matrix(rows)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    def test_rejection_names_the_type(self, bad):
+        name = type(bad).__name__
+        with pytest.raises(TypeError) as caught:
+            Matrix([[B, 7], [bad, 11]])
+        assert str(caught.value) == f"matrix entry of type {name} is not an exact scalar"
+
+    def test_rejection_names_one_type_whatever_the_order(self):
+        for rows in ([[0.5, "1"], [None, 1]], [[None, "1"], [0.5, 1]]):
+            with pytest.raises(TypeError, match="^matrix entry of type NoneType is not"):
+                Matrix(rows)
+
+    def test_only_the_exact_scalar_kinds_are_taken(self):
+        class Half(Fraction):
+            pass
+
+        class Shifted(Poly):
+            pass
+
+        assert Matrix([[Half(1, 2), True], [3, 4]]).rows == ((Fraction(1, 2), 1), (3, 4))
+        with pytest.raises(TypeError, match="^matrix entry of type Shifted is not"):
+            Matrix([[Shifted((1, 1))]])
+
+    def test_product_needs_one_size(self):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            Matrix([[1]]) * Matrix([[1, 2], [3, 4]])
+
+    def test_repr(self):
+        assert repr(Matrix([[1, Fraction(-1, 2)], [3, 0]])) == "Matrix(2x2: 1 -1/2; 3 0)"
+        # A symbolic matrix prints its entries as polynomial literals.
+        assert repr(Matrix([[1, Fraction(-1, 2)], [B, 0]])) == "Matrix(2x2: [1] [-1/2]; [0,1] [0])"
 
     def test_product_and_transpose(self):
         A = Matrix([[1, 2], [3, 4]])

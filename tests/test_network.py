@@ -188,6 +188,8 @@ class TestConstruction:
             PlanarNetwork(
                 3, (Chip((Fraction(1),) * 3, (Slant(1, 3, Fraction(1)),)),)
             )
+        with pytest.raises(ValueError, match=r"^slant wire outside 1\.\.n$"):
+            PlanarNetwork(2, (Chip((Fraction(1),) * 2, (Slant(2, 3, Fraction(1)),)),))
         # an up-slant and a down-slant on the same wire pair cross
         with pytest.raises(ValueError):
             PlanarNetwork(
