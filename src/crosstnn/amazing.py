@@ -50,7 +50,7 @@ def _falling_product(alpha: int, beta: int, k: int) -> list:
     """Coefficients, ascending, of prod_{m=0}^{k-1} (alpha + beta*b - m)."""
     out = [1]
     for m in range(k):
-        out = _int_mul(out, [alpha - m, beta])
+        out = _int_mul([alpha - m, beta], out)
     return out
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -822,12 +823,12 @@ def scalar_sign(x, ray: int | None = None) -> int:
 # -- text syntax -------------------------------------------------------
 #
 # Integers: 12      Rationals: p/q      Polynomials: [c0,c1,...,cd]
-# Rational functions: [n0,...]/[d0,...]
-# On input, whitespace inside brackets is tolerated; exponent notation
-# (1e5) is rejected.  str() and int() refuse integers of more digits than
-# sys.get_int_max_str_digits() (4300 by default); Decimal converts them
-# exactly and without that limit, so such integers are read and written
-# through it, and smaller ones at no extra cost.
+# Rational functions: [n0,...]/[d0,...]      Brackets do not nest.
+# Whitespace inside brackets, and in parse_scalar around "/", is
+# tolerated; exponent notation (1e5) is rejected.  str() and int() refuse
+# integers of more digits than sys.get_int_max_str_digits() (4300 by
+# default); Decimal converts them exactly and without that limit, so such
+# integers are read and written through it, and smaller ones at no extra cost.
 
 
 def _int_text(v: int) -> str:
@@ -885,19 +886,24 @@ def _parse_poly(text: str) -> Poly:
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError(f"malformed polynomial literal: {text!r}")
     inner = body[1:-1].strip()
-    if not inner:
-        return Poly()
-    return Poly(tuple(_parse_rational(part.strip()) for part in inner.split(",")))
+    parts = [part.strip() for part in inner.split(",")] if inner else []
+    row = _rational_row(parts) if all(parts) else None
+    if row is None:
+        return Poly(tuple(map(_parse_rational, parts)))
+    if not row[1]:
+        raise ZeroDivisionError
+    return _poly(*row)
 
 
 def _rational_row(tokens: list):
     """(ints, d) with tokens[k] == ints[k] / d if every token is a plain rational, else None.
 
     A plain rational is an optional sign and ASCII digits, then optionally
-    "/" and ASCII digits.  Tokens are nonempty and hold no whitespace; d
-    is the lcm of the denominators, 0 if one of them is zero, and nothing
-    is reduced.  Most entries of a numeric file are plain, and reading them
-    skips Fraction's regex; a row of unsigned integers is checked at once.
+    "/" and ASCII digits.  Tokens are nonempty, and one holding whitespace
+    is not plain; d is the lcm of the denominators, 0 if one of them is
+    zero, and nothing is reduced.  Most entries of a numeric file are
+    plain, and reading them skips Fraction's regex; a row of unsigned
+    integers is checked at once.
     """
     text = "".join(tokens)
     if not text.isascii():
@@ -936,19 +942,12 @@ def parse_scalar(text: str) -> Scalar:
     try:
         if not t.startswith("["):
             return _parse_rational(t)
-        depth = 0
-        split_at = None
-        for pos, ch in enumerate(t):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                split_at = pos
-                break
-        if split_at is None:
+        # A rational function when "/" follows the first literal's "]".
+        num, _, rest = t.partition("]")
+        rest = rest.lstrip()
+        if not rest.startswith("/"):
             return _parse_poly(t)
-        return RatFunc(_parse_poly(t[:split_at]), _parse_poly(t[split_at + 1 :]))
+        return RatFunc(_parse_poly(num + "]"), _parse_poly(rest[1:]))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {t!r}") from None
 
@@ -1007,28 +1006,15 @@ def parse_json(text: str):
     return json.loads(text, parse_int=_json_int)
 
 
+_SCALAR_TOKEN = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\])+")
+
+
 def split_scalar_tokens(line: str) -> list:
-    """Split a line on whitespace, keeping bracketed groups intact."""
+    """Split a line on whitespace, keeping ``[...]`` groups intact; brackets do not nest."""
     if "[" not in line and "]" not in line:
         return line.split()
-    tokens = []
-    current = []
-    depth = 0
-    for ch in line:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {line!r}")
-        if ch.isspace() and depth == 0:
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if depth != 0:
+    tokens = _SCALAR_TOKEN.findall(line)
+    joined = "".join(tokens)
+    if joined.count("[") + joined.count("]") != line.count("[") + line.count("]"):
         raise ValueError(f"unbalanced brackets in {line!r}")
-    if current:
-        tokens.append("".join(current))
     return tokens

@@ -1077,7 +1077,27 @@ PARSE_RECORD = [
     ("[1/0]", ValueError, "zero denominator in scalar '[1/0]'"),
     ("[0.5, 1e5]", ValueError, "exponent notation in scalar '[0.5, 1e5]'"),
     ("[1,-2/-3]", ValueError, "Invalid literal for Fraction: '-2/-3'"),
+    # Whitespace around a rational function's "/", unreduced coefficients,
+    # Fraction's syntax inside a literal and a coefficient past the digit limit.
+    ("[1, 2] / [3]", RatFunc, "[1/3,2/3]"),
+    ("[1] /[2]", RatFunc, "[1/2]"),
+    ("[1]/ [2]", RatFunc, "[1/2]"),
+    ("[2/4]", Poly, "[1/2]"),
+    ("[0.5]", Poly, "[1/2]"),
+    (f"[-{_L}/3, 2/6]", Poly, f"[-{_L}/3,1/3]"),
+    ("[1,2/0]", ValueError, "zero denominator in scalar '[1,2/0]'"),
+    ("[1/0,0.5]", ValueError, "zero denominator in scalar '[1/0,0.5]'"),
+    ("[1]/ 2", ValueError, "malformed polynomial literal: ' 2'"),
 ]
+
+# Scalar literals as a matrix row writes them, with and without spaces in
+# the brackets, and whitespace that str.split() and the loop both split on.
+_LITERALS = st.sampled_from(
+    ["12", "-3/4", "0", "[1,2]", "[ 1 , -2/3 ]", "[]", "[1]/[1,1]", "[ 0, 1 ]/[2]", "[0.5]"]
+)
+_GAPS = st.lists(st.sampled_from([" ", "\t", "\x1c", "\u3000"]), min_size=1, max_size=3).map(
+    "".join
+)
 
 
 class TestTextSyntax:
@@ -1121,6 +1141,18 @@ class TestTextSyntax:
         with pytest.raises(ValueError, match="unbalanced brackets"):
             split_scalar_tokens("1 2] 3")
 
+    @given(st.lists(st.tuples(_GAPS, _LITERALS)), _GAPS)
+    def test_literal_lines_split_as_the_loop_does(self, pairs, tail):
+        line = "".join(gap + literal for gap, literal in pairs) + tail
+        assert split_scalar_tokens(line) == reference_split_tokens(line)
+
+    @pytest.mark.parametrize(
+        "line", ["[[1]]", "1 [2,[3]]", "[1]]", "][", "[1] [2", "[1, 2]/[3", "2 3]/[4]"]
+    )
+    def test_nested_or_unbalanced_brackets_rejected(self, line):
+        with pytest.raises(ValueError, match="unbalanced brackets"):
+            split_scalar_tokens(line)
+
     @given(st.text(alphabet=st.characters(blacklist_characters="[]")))
     def test_bracket_free_lines_split_as_the_loop_does(self, line):
         assert split_scalar_tokens(line) == reference_split_tokens(line)
@@ -1143,6 +1175,33 @@ class TestTextSyntax:
             value = parse_scalar(text)
             assert type(value) is kind
             assert format_scalar(value) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(10**30), 10**30),
+                st.integers(0, 12),
+                st.sampled_from(["{}", "{}/{}", " {}/{} ", "+{}/{}", "{}.0", "{}_0/{}0"]),
+            ),
+            max_size=5,
+        )
+    )
+    def test_polynomial_literal_matches_fraction_per_coefficient(self, coefficients):
+        # Plain coefficients are read by the row rule, the others by
+        # Fraction's syntax; either way the literal is each coefficient's Fraction.
+        parts = [form.format(p, q) for p, q, form in coefficients]
+        text = "[" + ",".join(parts) + "]"
+        try:
+            expected = Poly(tuple(Fraction(part.strip()) for part in parts))
+        except ValueError:  # "+-3": Fraction rejects it, and so must the literal
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_scalar(text)
+        else:
+            assert parse_scalar(text) == expected
+            assert format_scalar(parse_scalar(text)) == format_scalar(expected)
 
     @given(st.text(alphabet="+-0123456789\u0663\uff17\u00b2_/.eE "))
     @example(" -0012 ")

@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,8 @@ _BAD = st.one_of(
     st.sampled_from(
         [
             "-1", "1/0", "+4", "1.5", ".5", "nan", "inf", "x", "1e3", "١", "[]", "[1, -1]",
-            "[1]/[0]", "[", "]", "[[1]]", "[1,, 2]", "{}", "null", "true", "",
+            "[1]/[0]", "[", "]", "[[1]]", "[1,[2]]", "[1]]", "[[1]/[2]]", "[1,, 2]", "{}",
+            "null", "true", "",
         ]
     ),
     st.text(max_size=5),
@@ -165,3 +167,14 @@ def test_certificate_files(text, ray):
         except PARSE_ERRORS:
             pass
     _run_commands(text, ray)
+
+
+@pytest.mark.parametrize("row", ["[[1]] 0", "1 [2,[3]]", "[1]] 0", "[0, [1]]/[2] 0"])
+def test_nested_brackets_exit_65(tmp_path, capsys, row):
+    # Brackets do not nest: the row is rejected before any scalar is read.
+    path = tmp_path / "nested.txt"
+    path.write_text(f"2\n{row}\n0 1\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: unbalanced brackets in ")
+    assert "Traceback" not in err
