@@ -77,7 +77,7 @@ def _build_parser() -> tuple:
     check.add_argument(
         "--method", choices=("cross", "neville", "minors"), default="cross"
     )
-    check.add_argument("--trace", action="store_true", help="print elimination steps")
+    check.add_argument("--trace", action="store_true", help="print the cross sweep's steps")
     check.add_argument("--ray", type=int, help="ray start for symbolic matrices")
 
     factor = sub.add_parser("factor", help="emit the atom factorization certificate")
@@ -142,10 +142,7 @@ def _json_value(value, indent: str) -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        if all(type(x) is str for x in value):
-            items = map(_json_string, value)
-        else:
-            items = [_json_value(x, inner) for x in value]
+        items = [_json_value(x, inner) for x in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if type(value) is dict:
         if not value:
@@ -332,7 +329,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except (ValueError, json.JSONDecodeError, KeyError, RecursionError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_DATA
 

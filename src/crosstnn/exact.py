@@ -250,9 +250,7 @@ class Poly:
 
 def _poly(nums, den: int = 1) -> Poly:
     """The Poly with coefficients nums[k] / den, for integers nums and den != 0."""
-    nums = _int_strip(list(nums))
-    if den != 1:
-        nums, den = _numeric_reduce(nums, den)
+    nums, den = _numeric_reduce(_int_strip(list(nums)), den)
     p = Poly.__new__(Poly)
     p.numerators, p.denominator = tuple(nums), den
     return p
@@ -308,7 +306,7 @@ def _symbolic_reduce(nums: list, den: list) -> tuple:
                         g = _int_poly_gcd(g, v)[0]
                 nums = [_int_exact_div(v, g) if v else v for v in nums]
                 den = _int_exact_div(den, g)
-    content = _int_content(itertools.chain(den, *nums))
+    content = math.gcd(*itertools.chain(den, *nums))
     if den[-1] < 0:
         content = -content
     if content == 1:
@@ -343,15 +341,11 @@ def _int_sub(a: list, b: list) -> list:
     return _int_strip([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _int_content(coeffs) -> int:
-    return math.gcd(*coeffs)
-
-
 def _int_primitive(coeffs: list) -> list:
     coeffs = _int_strip(list(coeffs))
     if not coeffs:
         return []
-    g = _int_content(coeffs)
+    g = math.gcd(*coeffs)
     return [v // g for v in coeffs]
 
 
@@ -631,7 +625,7 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self.den == Poly((1,)):
+        if self.den.numerators == (1,):
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
@@ -639,7 +633,7 @@ class RatFunc:
         return not self.is_zero
 
     def __repr__(self):
-        if self.den == Poly((1,)):
+        if self.den.numerators == (1,):
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r}, {self.den!r})"
 
@@ -648,7 +642,7 @@ def _ratfunc(num: list, den: list) -> RatFunc:
     """The reduced RatFunc num/den of stripped integer coefficient lists, den nonzero."""
     (p,), q = _symbolic_reduce([num], den)
     # No common content is left, so q's content c becomes num's denominator.
-    c = _int_content(q)
+    c = math.gcd(*q)
     f = RatFunc.__new__(RatFunc)
     f.num, f.den = _poly(p, c), _poly([v // c for v in q])
     return f
@@ -775,17 +769,12 @@ def sign_on_ray(f, beta: int) -> RaySign:
     """
     if not isinstance(beta, int) or beta < 1:
         raise ValueError("beta must be an integer >= 1")
-    if isinstance(f, RatFunc):
-        if f.is_zero:
-            return RaySign(ZERO_IDENTICALLY)
-        # num * den times a positive constant: the same signs and roots
-        g = _poly(_int_mul(f.num.numerators, f.den.numerators))
-    elif isinstance(f, Poly):
-        if f.is_zero:
-            return RaySign(ZERO_IDENTICALLY)
-        g = f
-    else:
+    if not isinstance(f, (Poly, RatFunc)):
         raise TypeError(f"not a Poly or RatFunc: {f!r}")
+    if f.is_zero:
+        return RaySign(ZERO_IDENTICALLY)
+    # num * den times a positive constant: the same signs and roots
+    g = f if isinstance(f, Poly) else _poly(_int_mul(f.num.numerators, f.den.numerators))
     # g's numerators over its positive denominator carry its sign.
     fast = _int_sign_on_ray(g.numerators, beta)
     if fast:
@@ -824,7 +813,7 @@ def scalar_sign(x, ray: int | None = None) -> int:
 #
 # Integers: 12      Rationals: p/q      Polynomials: [c0,c1,...,cd]
 # Rational functions: [n0,...]/[d0,...]      Brackets do not nest.
-# Whitespace inside brackets, and in parse_scalar around "/", is
+# Whitespace inside brackets, and around the "/" between two brackets, is
 # tolerated; exponent notation (1e5) is rejected.  str() and int() refuse
 # integers of more digits than sys.get_int_max_str_digits() (4300 by
 # default); Decimal converts them exactly and without that limit, so such
@@ -864,13 +853,8 @@ def format_scalar(x) -> str:
     bracketed list of its coefficients (``[0]`` for zero), and a rational
     function ``num/den``, or just ``num`` over the unit denominator.
     """
-    if isinstance(x, Fraction):
-        try:
-            return str(x)
-        except ValueError:  # past the int/str digit limit
-            return _ratio_text(x.numerator, x.denominator)
-    if isinstance(x, int):
-        return _int_text(int(x))  # int() writes a bool as a digit
+    if isinstance(x, (int, Fraction)):
+        return _ratio_text(x.numerator, x.denominator)
     if isinstance(x, Poly):
         den = x.denominator
         return "[" + (",".join(_ratio_text(v, den) for v in x.numerators) or "0") + "]"
@@ -1006,11 +990,11 @@ def parse_json(text: str):
     return json.loads(text, parse_int=_json_int)
 
 
-_SCALAR_TOKEN = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\])+")
+_SCALAR_TOKEN = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\](?:\s*/\s*(?=\[))?)+")
 
 
 def split_scalar_tokens(line: str) -> list:
-    """Split a line on whitespace, keeping ``[...]`` groups intact; brackets do not nest."""
+    """Split on whitespace, keeping ``[...]`` and ``[...] / [...]`` intact; brackets do not nest."""
     if "[" not in line and "]" not in line:
         return line.split()
     tokens = _SCALAR_TOKEN.findall(line)

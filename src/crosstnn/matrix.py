@@ -662,10 +662,7 @@ def matrix_from_doc(doc: dict) -> Matrix:
         not isinstance(r, list) or len(r) != n for r in entries
     ):
         raise ValueError("entries do not form an n x n array")
-    # A decoded integer starts as it is; parse_doc_scalar rejects booleans.
-    return Matrix(
-        [[x if type(x) is int else parse_doc_scalar(x) for x in row] for row in entries]
-    )
+    return Matrix([[parse_doc_scalar(x) for x in row] for row in entries])
 
 
 def matrix_from_payload(text: str) -> Matrix:

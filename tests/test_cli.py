@@ -126,6 +126,29 @@ class TestCheck:
         assert main(["check", path]) == 64
         assert main(["check", path, "--ray", "2"]) == 0
 
+    def test_spaced_rational_function_reads_as_unspaced(self, tmp_path, capsys):
+        spaced = _write(tmp_path / "spaced.txt", "1\n[1] / [2]\n")
+        plain = _write(tmp_path / "plain.txt", "1\n[1]/[2]\n")
+        assert main(["check", spaced]) == 64
+        capsys.readouterr()
+        assert main(["check", spaced, "--ray", "1"]) == 0
+        out = capsys.readouterr().out
+        assert main(["check", plain, "--ray", "1"]) == 0
+        assert capsys.readouterr().out == out
+        assert "diagonal: [1/2]" in out
+
+    @pytest.mark.parametrize("row", ["[1] / 2", "[1] [2]"])
+    def test_slash_without_two_brackets_is_not_one_entry(self, tmp_path, capsys, row):
+        path = _write(tmp_path / "bad.txt", f"1\n{row}\n")
+        assert main(["check", path]) == 65
+        assert "expected 1 entries per row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head", ["0", "-3"])
+    def test_size_below_one_exits_65(self, tmp_path, capsys, head):
+        path = _write(tmp_path / "small.txt", f"{head}\n")
+        assert main(["check", path]) == 65
+        assert capsys.readouterr().err == "malformed input: matrix must be square with n >= 1\n"
+
 
 class TestFactor:
     def test_worked_3x3(self, a33_path, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import sys
 from decimal import Decimal
@@ -16,6 +17,7 @@ from crosstnn import (
     NEGATIVE_ON_RAY,
     POSITIVE_ON_RAY,
     ZERO_IDENTICALLY,
+    Matrix,
     Poly,
     RatFunc,
     RaySign,
@@ -28,7 +30,6 @@ from crosstnn import (
 from crosstnn import exact
 from crosstnn.exact import (
     _coprime_mod_prime,
-    _int_content,
     _int_exact_div,
     _int_mul,
     _int_poly_gcd,
@@ -494,7 +495,7 @@ def reference_symbolic_reduce(nums, den):
     if len(g) > 1:
         nums = [_int_exact_div(v, g) if v else v for v in nums]
         den = _int_exact_div(den, g)
-    content = _int_content(itertools.chain(den, *nums))
+    content = math.gcd(*itertools.chain(den, *nums))
     if den[-1] < 0:
         content = -content
     return [[x // content for x in v] for v in nums], [x // content for x in den]
@@ -712,6 +713,13 @@ class TestRatFunc:
     def test_repr(self):
         assert repr(RatFunc(B, B + 1)) == "RatFunc(Poly('b'), Poly('1 + b'))"
 
+    def test_repr_over_the_unit_denominator(self):
+        assert repr(RatFunc(B)) == "RatFunc(Poly('b'))"
+
+    def test_rejects_a_non_polynomial(self):
+        with pytest.raises(TypeError, match="^cannot interpret 'x' as a polynomial$"):
+            RatFunc("x")
+
     @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
     def test_eval_rejects_inexact_points(self, bad):
         with pytest.raises(TypeError):
@@ -732,6 +740,31 @@ class TestRatFunc:
             f.eval(-1)
 
 
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: "x" - B,
+        lambda: B**-1,
+        lambda: "x" / B,
+        *(lambda op=op: op(RatFunc(B), "x") for op in _ARITHMETIC),
+        *(lambda op=op: op("x", RatFunc(B)) for op in _ARITHMETIC),
+        lambda: Matrix([[1]]) * 2,
+    ],
+)
+def test_unsupported_operands_raise_type_error(operation):
+    # Each operator returns NotImplemented, and Python raises TypeError.
+    with pytest.raises(TypeError):
+        operation()
+
+
+@pytest.mark.parametrize("value, other", [(B, "x"), (RatFunc(B), "x"), (Matrix([[1]]), 1)])
+def test_comparison_with_another_type_is_false(value, other):
+    assert (value == other) is False
+
+
 def reference_kernel_scalar(num, den):
     """RatFunc(_poly(num), _poly(den)) as it was built: a one-entry row reduction, then the content."""
     num, den = _poly(num), _poly(den)
@@ -739,7 +772,7 @@ def reference_kernel_scalar(num, den):
         [[v * den.denominator for v in num.numerators]],
         [v * num.denominator for v in den.numerators],
     )
-    c = _int_content(q)
+    c = math.gcd(*q)
     f = RatFunc.__new__(RatFunc)
     f.num, f.den = _poly(p, c), _poly([v // c for v in q])
     return f
@@ -1132,6 +1165,20 @@ class TestTextSyntax:
 
     def test_token_splitting(self):
         assert split_scalar_tokens("3 [1, 2] 4/5") == ["3", "[1, 2]", "4/5"]
+
+    @pytest.mark.parametrize(
+        "line, tokens",
+        [
+            ("[1] / [2] 3", ["[1] / [2]", "3"]),
+            ("[1] /[2]", ["[1] /[2]"]),
+            ("[1]/ [2]", ["[1]/ [2]"]),
+            ("[1] / 2", ["[1]", "/", "2"]),
+        ],
+    )
+    def test_slash_between_brackets_joins_one_token(self, line, tokens):
+        # A "/" joins two bracket groups whatever whitespace surrounds it,
+        # as parse_scalar reads a rational function in a JSON string.
+        assert split_scalar_tokens(line) == tokens
 
     def test_unbalanced_brackets_rejected(self):
         with pytest.raises(ValueError):

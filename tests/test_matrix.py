@@ -653,6 +653,11 @@ class TestFormats:
         with pytest.raises(ValueError):
             matrix_from_text("2\n1 2 3\n4 5 6\n")
 
+    @pytest.mark.parametrize("text", ["0\n", "-3\n1\n"])
+    def test_size_below_one_rejected(self, text):
+        with pytest.raises(ValueError, match="^matrix must be square with n >= 1$"):
+            matrix_from_text(text)
+
     @pytest.mark.parametrize(
         "token",
         [
