@@ -257,8 +257,7 @@ def _cmd_check(args) -> int:
             print(f"bound: {_int_text(verdict.bound)}")
     if args.trace and not isinstance(verdict, Inapplicable):
         for k, step in enumerate(run.steps, start=1):
-            kind = "center" if step.is_center else "bridge"
-            print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({kind})")
+            print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({step.kind})")
     return _verdict_exit(verdict)
 
 

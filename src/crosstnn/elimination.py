@@ -18,7 +18,7 @@ Two independent oracles accompany it: the classical Neville test
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -50,7 +50,6 @@ from .verdicts import (
 )
 
 __all__ = [
-    "ElementaryStep",
     "Atom",
     "Factorization",
     "EliminationRun",
@@ -68,48 +67,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ElementaryStep:
-    """One paired row operation: clear entry (s+1, t) against pivot (s, t).
-
-    ``c`` is the shared multiplier a(s+1,t) / a(s,t); cross-symmetry makes
-    the mirrored operation use the same value.  ``is_center`` marks the
-    n = 2s case where the pair acts on the two middle rows at once.
-    """
-
-    s: int
-    t: int
-    c: object
-    is_center: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.t <= self.s:
-            raise ValueError(f"step needs 1 <= t <= s, got s={self.s}, t={self.t}")
-
-
-@dataclass(frozen=True)
 class Atom:
-    """Inverse of an elementary step; the building block of certificates.
+    """One sweep step and one certificate factor.
 
-    A bridge atom (n != 2s) is I + c E(s+1, s) + c E(w0(s+1), w0(s)) with
-    c > 0.  A center atom (n = 2s) is the identity except for the middle
-    2x2 block [[1/(1-c^2), c/(1-c^2)], [c/(1-c^2), 1/(1-c^2)]] with
-    0 < c < 1.  Both are cross-symmetric and totally nonnegative.
+    The sweep's step at (s+1, t) is F = I - c E(s+1, s) - c E(w0(s+1), w0(s))
+    with c = a(s+1,t) / a(s,t), and the atom is F^-1.  A bridge atom
+    (n != 2s) is I + c E(s+1, s) + c E(w0(s+1), w0(s)) with c > 0.  A
+    center atom (n = 2s) is the identity except for the middle 2x2 block
+    [[1/(1-c^2), c/(1-c^2)], [c/(1-c^2), 1/(1-c^2)]] with 0 < c < 1.  Both
+    are cross-symmetric and totally nonnegative.
     Symbolic coefficients skip the numeric range checks here; their signs
     are certified on a ray by the elimination that produced them, or by
     :func:`crosstnn.audit.check_factorization_signs` for a loaded
-    certificate.
+    certificate.  ``t``, the column the sweep cleared, is None off the
+    sweep and is never compared, hashed or serialized.
     """
 
     kind: str
     n: int
     s: int
     c: object
+    t: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("bridge", "center"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if not 1 <= self.s < self.n:
             raise ValueError(f"atom row {self.s} outside 1..{self.n - 1}")
+        if self.t is not None and not 1 <= self.t <= self.s:
+            raise ValueError(f"step needs 1 <= t <= s, got s={self.s}, t={self.t}")
         if self.kind == "bridge" and self.n == 2 * self.s:
             raise ValueError("bridge atom requires n != 2s")
         if self.kind == "center" and self.n != 2 * self.s:
@@ -121,6 +107,10 @@ class Atom:
                 raise ValueError("atom coefficient must be positive")
             if self.kind == "center" and c.numerator >= c.denominator:
                 raise ValueError("center atom coefficient must be < 1")
+
+    @property
+    def is_center(self) -> bool:
+        return self.kind == "center"
 
 
 @dataclass(frozen=True)
@@ -156,8 +146,10 @@ class Factorization:
 class EliminationRun:
     """One elimination: its verdict, the steps taken, and the input matrix.
 
-    Intermediate matrices are not stored; :attr:`intermediates` replays
-    ``steps`` on ``matrix`` with dense products when asked.
+    Each step is an :class:`Atom` with its ``t`` set, and a certified
+    run's steps are its certificate's atoms.  Intermediate matrices are not
+    stored; :attr:`intermediates` replays ``steps`` on ``matrix`` with dense
+    products when asked.
     """
 
     verdict: Verdict
@@ -169,26 +161,22 @@ class EliminationRun:
         """The input, then the matrix after each step (F_k * ... * F_1 * A)."""
         out = [self.matrix]
         for step in self.steps:
-            out.append(materialize_elementary(step, self.matrix.n) * out[-1])
+            out.append(materialize_elementary(step) * out[-1])
         return tuple(out)
 
 
-def materialize_elementary(step: ElementaryStep, n: int) -> Matrix:
-    """The paired row-operation matrix F = I - c E(s+1,s) - c E(w0(s+1),w0(s)).
+def materialize_elementary(atom: Atom) -> Matrix:
+    """The atom's step F = I - c E(s+1,s) - c E(w0(s+1),w0(s)), the inverse of the atom.
 
     For n = 2s the two subtracted cells are (s+1, s) and (s, s+1); for
     odd n with s+1 the middle row they land in the same row but distinct
-    columns.  Allows c = 0 (the identity) for testing purposes.
+    columns.
     """
-    s = step.s
-    if not 1 <= s < n:
-        raise ValueError(f"step row {s} outside 1..{n - 1}")
-    if step.is_center != (n == 2 * s):
-        raise ValueError("is_center flag inconsistent with n = 2s")
+    n, s, c = atom.n, atom.s, atom.c
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[s][s - 1] = rows[s][s - 1] - step.c
+    rows[s][s - 1] = rows[s][s - 1] - c
     r2, c2 = w0(s + 1, n), w0(s, n)
-    rows[r2 - 1][c2 - 1] = rows[r2 - 1][c2 - 1] - step.c
+    rows[r2 - 1][c2 - 1] = rows[r2 - 1][c2 - 1] - c
     return Matrix(rows)
 
 
@@ -314,7 +302,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                     kernel.sub(kernel.mul(P, dB), kernel.mul(B, dP)), kernel.mul(dP, dB), ray
                 ) <= 0:
                     return refute(REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=c)
-                steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
+                steps.append(Atom("center" if is_center else "bridge", n, s, c, t))
                 # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
                 kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
@@ -339,12 +327,8 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
         )
 
-    atoms = tuple(
-        Atom(kind="center" if step.is_center else "bridge", n=n, s=step.s, c=step.c)
-        for step in steps
-    )
-    fact = Factorization(n=n, atoms=atoms, diagonal=(*diag, *reversed(diag[: n // 2])))
-    return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
+    fact = Factorization(n=n, atoms=tuple(steps), diagonal=(*diag, *reversed(diag[: n // 2])))
+    return EliminationRun(TotallyNonnegative(factorization=fact), fact.atoms, A)
 
 
 def cross_symmetric_eliminate(A: Matrix, ray: int | None = None) -> Verdict:

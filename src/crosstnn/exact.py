@@ -867,9 +867,9 @@ def format_scalar(x) -> str:
 
 def _parse_poly(text: str) -> Poly:
     body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"malformed polynomial literal: {text!r}")
     inner = body[1:-1].strip()
+    if not (body.startswith("[") and body.endswith("]")) or "[" in inner or "]" in inner:
+        raise ValueError(f"malformed polynomial literal: {text!r}")
     parts = [part.strip() for part in inner.split(",")] if inner else []
     row = _rational_row(parts) if all(parts) else None
     if row is None:

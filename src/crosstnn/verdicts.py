@@ -48,7 +48,8 @@ class Witness:
     Which fields are set depends on ``reason``: pivot-style reasons carry
     ``s``/``t`` (1-based), a bad diagonal carries ``index``, a negative
     minor carries ``rows``/``cols``.  ``value`` is the offending scalar
-    and ``trace`` lists the elimination steps completed before failure.
+    and ``trace`` lists the elimination steps completed before failure,
+    each an atom with its column ``t`` set.
     """
 
     reason: str

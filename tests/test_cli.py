@@ -143,6 +143,19 @@ class TestCheck:
         assert main(["check", path]) == 65
         assert "expected 1 entries per row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("three.txt", "1\n[1] / [2] / [3]\n"),
+            ("three.json", '{"n": 1, "entries": [["[1] / [2] / [3]"]]}'),
+        ],
+    )
+    def test_two_slashes_name_the_literal(self, tmp_path, capsys, name, text):
+        path = _write(tmp_path / name, text)
+        assert main(["check", path, "--ray", "1"]) == 65
+        err = capsys.readouterr().err
+        assert err == "malformed input: malformed polynomial literal: ' [2] / [3]'\n"
+
     @pytest.mark.parametrize("head", ["0", "-3"])
     def test_size_below_one_exits_65(self, tmp_path, capsys, head):
         path = _write(tmp_path / "small.txt", f"{head}\n")

@@ -10,7 +10,6 @@ from conftest import matrices_on_rays, random_cross_symmetric, reference_determi
 
 from crosstnn import (
     Atom,
-    ElementaryStep,
     Factorization,
     Inapplicable,
     Matrix,
@@ -58,36 +57,25 @@ B = Poly.variable()
 
 class TestMaterializeElementary:
     def test_first_step_of_3x3_run(self):
-        step = ElementaryStep(s=2, t=1, c=Fraction(1, 4))
+        atom = Atom("bridge", 3, 2, Fraction(1, 4), t=1)
         expected = Matrix(
             [[1, Fraction(-1, 4), 0], [0, 1, 0], [0, Fraction(-1, 4), 1]]
         )
-        assert materialize_elementary(step, 3) == expected
+        assert materialize_elementary(atom) == expected
 
     def test_middle_pair_for_even_n(self):
-        step = ElementaryStep(s=1, t=1, c=Fraction(1, 2), is_center=True)
+        atom = Atom("center", 2, 1, Fraction(1, 2), t=1)
         expected = Matrix([[1, Fraction(-1, 2)], [Fraction(-1, 2), 1]])
-        assert materialize_elementary(step, 2) == expected
-
-    def test_zero_coefficient_gives_identity(self):
-        step = ElementaryStep(s=2, t=1, c=Fraction(0))
-        assert materialize_elementary(step, 5) == Matrix.identity(5)
+        assert materialize_elementary(atom) == expected
 
     def test_result_is_cross_symmetric(self):
         for n, s in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3)]:
-            step = ElementaryStep(s=s, t=1, c=Fraction(2, 3), is_center=(n == 2 * s))
-            assert is_cross_symmetric(materialize_elementary(step, n))
-
-    def test_center_flag_must_match(self):
-        step = ElementaryStep(s=2, t=1, c=Fraction(1, 3), is_center=False)
-        with pytest.raises(ValueError):
-            materialize_elementary(step, 4)
+            atom = Atom("center" if n == 2 * s else "bridge", n, s, Fraction(2, 3), t=1)
+            assert is_cross_symmetric(materialize_elementary(atom))
 
     def test_step_validation(self):
         with pytest.raises(ValueError, match=r"^step needs 1 <= t <= s, got s=1, t=2$"):
-            ElementaryStep(1, 2, 1)
-        with pytest.raises(ValueError, match=r"^step row 3 outside 1\.\.2$"):
-            materialize_elementary(ElementaryStep(3, 1, 1), 3)
+            Atom("bridge", 3, 1, 1, t=2)
 
 
 class TestMaterializeAtom:
@@ -117,8 +105,7 @@ class TestMaterializeAtom:
     )
     def test_atom_inverts_matching_step(self, kind, n, s, c):
         atom = Atom(kind, n, s, c)
-        step = ElementaryStep(s=s, t=1, c=c, is_center=(kind == "center"))
-        assert materialize_atom(atom) * materialize_elementary(step, n) == Matrix.identity(n)
+        assert materialize_atom(atom) * materialize_elementary(atom) == Matrix.identity(n)
         assert is_cross_symmetric(materialize_atom(atom))
 
     def test_atom_validation(self):
@@ -134,6 +121,30 @@ class TestMaterializeAtom:
             Atom("pivot", 3, 1, Fraction(1))
         with pytest.raises(ValueError, match=r"^atom row 3 outside 1\.\.2$"):
             Atom("bridge", 3, 3, 1)
+
+
+class TestOneRecord:
+    """A sweep step is an atom with its column set; a certified run's steps are its certificate."""
+
+    def test_column_plays_no_part_in_equality_or_hash(self):
+        c = Fraction(2, 3)
+        stepped, bare = Atom("bridge", 5, 3, c, t=2), Atom("bridge", 5, 3, c)
+        assert stepped == bare == Atom("bridge", 5, 3, c, t=3)
+        assert hash(stepped) == hash(bare)
+        assert stepped != Atom("bridge", 5, 3, Fraction(1, 3), t=2)
+
+    @pytest.mark.parametrize(
+        "A,ray",
+        [(amazing_matrix(n, 3, scaled=True), None) for n in range(2, 7)]
+        + [(random_certified_tnn(6, 1, atom_count=9)[0], None), (amazing_matrix_symbolic(4), 4)],
+    )
+    def test_certified_steps_are_the_certificate(self, A, ray):
+        run = eliminate_detailed(A, ray=ray)
+        fact = run.verdict.factorization
+        assert run.steps is fact.atoms
+        assert run.steps and all(1 <= atom.t <= atom.s for atom in run.steps)
+        assert all(atom.is_center == (atom.kind == "center") for atom in run.steps)
+        assert factorization_from_doc(factorization_to_doc(fact)) == fact
 
 
 class TestEliminate:
@@ -352,6 +363,8 @@ class TestCarriedSign:
         w = run.verdict.witness
         assert (w.reason, w.s, w.t, w.index, w.value) == witness
         assert [(st.s, st.t, st.c, st.is_center) for st in run.steps] == steps
+        # The witness's trace is the run's steps, each with its column.
+        assert w.trace == run.steps and all(a is b for a, b in zip(w.trace, run.steps))
         assert isinstance(neville_tnn_test(A), NotTnn)
         assert isinstance(brute_force_tnn(A), NotTnn)
 
@@ -713,7 +726,7 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
                             )
                         )
                     )
-                steps.append(ElementaryStep(s=s, t=t, c=c, is_center=is_center))
+                steps.append(Atom("center" if is_center else "bridge", n, s, c, t))
                 # Rows s+1 and w0(s+1) lose c times rows s and w0(s).  Both
                 # sources are read before either target is written: for
                 # n = 2s each row of the pair is the other's source, and for
@@ -748,17 +761,8 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
         )
 
-    atoms = tuple(
-        Atom(
-            kind="center" if step.is_center else "bridge",
-            n=n,
-            s=step.s,
-            c=step.c,
-        )
-        for step in steps
-    )
-    fact = Factorization(n=n, atoms=atoms, diagonal=diag)
-    return EliminationRun(TotallyNonnegative(factorization=fact), tuple(steps), A)
+    fact = Factorization(n=n, atoms=tuple(steps), diagonal=diag)
+    return EliminationRun(TotallyNonnegative(factorization=fact), fact.atoms, A)
 
 
 def reference_neville(A: Matrix, ray=None) -> Verdict:
@@ -882,7 +886,9 @@ class TestAgainstReference:
     def assert_same(A, ray=None):
         run, ref = eliminate_detailed(A, ray=ray), reference_eliminate(A, ray=ray)
         assert verdict_to_doc(run.verdict) == verdict_to_doc(ref.verdict)
-        assert run.steps == ref.steps
+        assert [(st.kind, st.s, st.t, st.c) for st in run.steps] == [
+            (st.kind, st.s, st.t, st.c) for st in ref.steps
+        ]
         return ref
 
     def test_random_numeric_matrices(self):

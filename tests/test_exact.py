@@ -1121,6 +1121,9 @@ PARSE_RECORD = [
     ("[1,2/0]", ValueError, "zero denominator in scalar '[1,2/0]'"),
     ("[1/0,0.5]", ValueError, "zero denominator in scalar '[1/0,0.5]'"),
     ("[1]/ 2", ValueError, "malformed polynomial literal: ' 2'"),
+    ("[1,[2]]", ValueError, "malformed polynomial literal: '[1,[2]]'"),
+    ("[[1]", ValueError, "malformed polynomial literal: '[[1]'"),
+    ("[1] / [2] / [3]", ValueError, "malformed polynomial literal: ' [2] / [3]'"),
 ]
 
 # Scalar literals as a matrix row writes them, with and without spaces in

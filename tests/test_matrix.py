@@ -723,7 +723,7 @@ def _consumer_results(A, ray) -> tuple:
     run = eliminate_detailed(A, ray)
     return (
         verdict_to_doc(run.verdict),
-        run.steps,
+        [(st.kind, st.s, st.t, st.c) for st in run.steps],
         peel_certificate(run.verdict.factorization, A),
         verdict_to_doc(neville_tnn_test(A, ray)),
         verdict_to_doc(brute_force_tnn(A, ray)),
