@@ -25,6 +25,8 @@ import sys
 from .amazing import amazing_matrix, report_to_doc, verify_amazing
 from .audit import check_factorization_signs, peel_certificate
 from .elimination import (
+    _step_kind,
+    _sweep,
     eliminate_detailed,
     factorization_from_doc,
     factorization_to_doc,
@@ -242,13 +244,12 @@ def _cmd_check(args) -> int:
         elif isinstance(verdict, Inapplicable):
             print(f"reason: {verdict.reason}")
         return _verdict_exit(verdict)
-    run = eliminate_detailed(matrix, ray=args.ray)
-    verdict = run.verdict
+    # The sweep alone: check prints the certificate's size, not its atoms.
+    verdict, records, diagonal = _sweep(matrix, args.ray)
     print(f"verdict: {verdict_label(verdict)}")
     if isinstance(verdict, TotallyNonnegative):
-        fact = verdict.factorization
-        print(f"atoms: {len(fact.atoms)}")
-        print(f"diagonal: {' '.join(format_scalar(d) for d in fact.diagonal)}")
+        print(f"atoms: {len(records)}")
+        print(f"diagonal: {' '.join(format_scalar(d) for d in diagonal)}")
     elif isinstance(verdict, NotTnn):
         _print_witness(verdict.witness)
     else:
@@ -256,8 +257,10 @@ def _cmd_check(args) -> int:
         if verdict.bound is not None:
             print(f"bound: {_int_text(verdict.bound)}")
     if args.trace and not isinstance(verdict, Inapplicable):
-        for k, step in enumerate(run.steps, start=1):
-            print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({step.kind})")
+        n, scalar = matrix.n, matrix.kernel.scalar
+        for k, (s, t, num, den) in enumerate(records, start=1):
+            c = format_scalar(scalar(num, den))
+            print(f"step {k}: s={s} t={t} c={c} ({_step_kind(n, s)})")
     return _verdict_exit(verdict)
 
 

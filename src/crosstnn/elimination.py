@@ -18,7 +18,7 @@ Two independent oracles accompany it: the classical Neville test
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import (
@@ -201,10 +201,8 @@ def materialize_atom(atom: Atom) -> Matrix:
 def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     """Run the symmetry-preserving elimination, recording every step.
 
-    One sweep over a mutable copy of the rows clears the columns left to
-    right, each bottom-up, skipping zero entries.  A step at (s+1, t)
-    rewrites only row s+1 and its mirror row w0(s+1); every position the
-    sweep has already cleared stays zero, so no position is visited twice.
+    The sweep clears the columns left to right, each bottom-up, with one
+    step at each nonzero below-diagonal entry; see :func:`_sweep`.
     Failure conditions, each of which certifies a negative minor in the
     original matrix:
 
@@ -217,6 +215,50 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
       a(s+1, t) < a(s, t) strictly),
     * a nonpositive entry on the final diagonal.
 
+    The sweep decides and records each step as its kernel pair; this
+    builds one :class:`Atom` per record, its c the pair's reduced ratio,
+    and attaches the atoms as the certificate's or as the witness's
+    ``trace``.  A certified run's steps are its certificate's atoms.
+    ``crosstnn check`` reads the sweep alone: it decides and counts the
+    steps without building them, while ``factor`` writes the certificate
+    built here.
+
+    A singular matrix is inapplicable, with no steps.  For symbolic
+    matrices, signs are decided on [ray, inf); an undecidable query
+    yields an inapplicable verdict carrying the bound beyond which that
+    query becomes definite, with the steps taken before it.  With
+    ``ray=None`` the first sign query raises ``ValueError``, singular
+    matrices included.
+    """
+    verdict, records, diagonal = _sweep(A, ray)
+    n, scalar = A.n, A.kernel.scalar
+    steps = tuple(Atom(_step_kind(n, s), n, s, scalar(num, den), t) for s, t, num, den in records)
+    if isinstance(verdict, TotallyNonnegative):
+        verdict = TotallyNonnegative(Factorization(n=n, atoms=steps, diagonal=diagonal))
+    elif isinstance(verdict, NotTnn):
+        verdict = NotTnn(replace(verdict.witness, trace=steps))
+    return EliminationRun(verdict, steps, A)
+
+
+def _step_kind(n: int, s: int) -> str:
+    """The kind of the atom a sweep step at (s+1, t) inverts."""
+    return "center" if n == 2 * s else "bridge"
+
+
+def _sweep(A: Matrix, ray: int | None) -> tuple:
+    """The elimination's decision: (verdict, records, diagonal).
+
+    ``verdict`` carries no certificate and no trace.  ``records`` holds
+    one ``(s, t, num, den)`` per step taken, with ``num``/``den`` the
+    kernel pair whose reduced ratio is the step's c (see
+    :func:`eliminate_detailed`, which builds the atoms from them), and
+    ``diagonal`` is the final diagonal when certified, else None.
+
+    One sweep over a mutable copy of the rows clears the columns left to
+    right, each bottom-up, skipping zero entries.  A step at (s+1, t)
+    rewrites only row s+1 and its mirror row w0(s+1); every position the
+    sweep has already cleared stays zero, so no position is visited twice.
+
     The sweep updates a copy of the matrix's started rows, integer
     numerators over one row denominator (see
     :class:`crosstnn.matrix._RowKernel`), on which cross-symmetry is also
@@ -224,9 +266,11 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     is row s+1 reversed and only row s+1 is computed, on the columns where
     it can be nonzero, by the kernel's paired update (the certificate peel
     runs the same one).  Numeric denominators are positive, so numeric
-    signs are read from numerators, the center test is B*d(s-1) < P*d(s),
-    and a step builds one ``Fraction``, its c.  Witness values are built
-    only when the sweep refutes.
+    signs are read from numerators, and the center test is B*d(s-1) <
+    P*d(s).  A step records its c as the unreduced pair (Bc*d(s-1),
+    Pc*d(s)) of the cancelled pivot and entry: no step builds a scalar.
+    Witness values are built only when the sweep refutes, and the c of a
+    center step only when it is the witness value.
 
     Each sign is read once.  After any step at s + 1 the next B in the
     column is positive, so its sign is carried: after a bridge step it is
@@ -248,30 +292,25 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     residues modulo a prime (symbolic entries evaluated at a fixed point
     first) proves almost every nonsingular input so, and the exact pivot
     search decides the rest, every singular input among them.  A singular
-    matrix is inapplicable, with no steps.
-
-    For symbolic matrices, signs are decided on [ray, inf); an
-    undecidable query yields an inapplicable verdict carrying the bound
-    beyond which that query becomes definite.  With ``ray=None`` the
-    first sign query raises ``ValueError``, singular matrices included.
+    matrix is inapplicable, with no records.
     """
     n = A.n
-    steps: list = []
+    records: list = []
 
-    def finish(verdict: Verdict) -> EliminationRun:
+    def finish(verdict: Verdict) -> tuple:
         # Not certified: only now is singularity worth deciding, on the
         # swept rows, which are singular exactly when A is.
         if kernel.singular(rows, dens):
-            return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
-        return EliminationRun(verdict, tuple(steps), A)
+            return Inapplicable(INAPPLICABLE_SINGULAR), [], None
+        return verdict, records, None
 
-    def refute(reason: str, **where) -> EliminationRun:
-        return finish(NotTnn(Witness(reason, trace=tuple(steps), **where)))
+    def refute(reason: str, **where) -> tuple:
+        return finish(NotTnn(Witness(reason, **where)))
 
     kernel = A.kernel
-    scalar, sign = kernel.scalar, kernel.sign
+    scalar, sign, mul = kernel.scalar, kernel.sign, kernel.mul
     if not is_cross_symmetric(A):
-        return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
+        return Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), [], None
     rows, dens = A.row_lists(kernel)
 
     try:
@@ -295,14 +334,13 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
                 # c and the row update share one cancelled pair; the center
                 # test keeps P and B, whose gcd may change sign on the ray.
                 Pc, Bc = kernel.cancel(P, B)
-                c = scalar(kernel.mul(Bc, dP), kernel.mul(Pc, dB))
-                is_center = n == 2 * s
+                num, den = mul(Bc, dP), mul(Pc, dB)
                 # c < 1 iff pivot - below = (P*dB - B*dP) / (dP*dB) > 0
-                if is_center and sign(
-                    kernel.sub(kernel.mul(P, dB), kernel.mul(B, dP)), kernel.mul(dP, dB), ray
-                ) <= 0:
-                    return refute(REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=c)
-                steps.append(Atom("center" if is_center else "bridge", n, s, c, t))
+                if n == 2 * s and sign(kernel.sub(mul(P, dB), mul(B, dP)), mul(dP, dB), ray) <= 0:
+                    return refute(
+                        REASON_CENTER_NOT_LESS_THAN_ONE, s=s, t=t, value=scalar(num, den)
+                    )
+                records.append((s, t, num, den))
                 # Rows s and s+1 are nonzero only in columns t .. n - min(t-1,
                 # n-s-1), the mirror of row w0(s+1)'s cleared start.
                 kernel.paired_update(rows, dens, s, Pc, Bc, t - 1, n - min(t - 1, n - s - 1))
@@ -327,8 +365,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
             Inapplicable(INAPPLICABLE_SYMBOLIC_INDEFINITE, bound=exc.witness_bound)
         )
 
-    fact = Factorization(n=n, atoms=tuple(steps), diagonal=(*diag, *reversed(diag[: n // 2])))
-    return EliminationRun(TotallyNonnegative(factorization=fact), fact.atoms, A)
+    return TotallyNonnegative(), records, (*diag, *reversed(diag[: n // 2]))
 
 
 def cross_symmetric_eliminate(A: Matrix, ray: int | None = None) -> Verdict:

@@ -939,9 +939,16 @@ def parse_scalar(text: str) -> Scalar:
 def parse_int(value) -> int:
     """An integer field of a decoded JSON document; ValueError on any other shape.
 
-    Integers, integral floats and decimal strings are accepted; booleans
-    and fractional numbers are rejected rather than truncated.
+    Integers, integral floats, integral JSON decimals (``2.0``) and
+    decimal strings are accepted; booleans and fractional numbers are
+    rejected rather than truncated.  A JSON number with an exponent is
+    rejected by its token, as :func:`parse_scalar` rejects it.
     """
+    if isinstance(value, _JsonDecimal):
+        exact = parse_scalar(value)
+        if exact.denominator != 1:
+            raise ValueError(f"not an integer: {value}")
+        return int(exact)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     try:
@@ -955,7 +962,8 @@ def parse_doc_scalar(value) -> Scalar:
 
     Integers are read as they are, without a round trip through text that
     the int/str digit limit would refuse; booleans are rejected; anything
-    else is read as the text ``str(value)``.
+    else is read as the text ``str(value)``, which for a decimal that
+    :func:`parse_json` decoded is the document's own token.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a scalar: {value!r}")
@@ -980,14 +988,24 @@ def _json_int(token: str):
         return token
 
 
-def parse_json(text: str):
-    """A JSON document, with integer tokens that int() refuses kept as text.
+class _JsonDecimal(str):
+    """The text of a JSON number with a fraction part or an exponent."""
 
-    Such tokens exceed the int/str digit limit; :func:`parse_scalar` reads
-    the text through Decimal, so a long integer written as a JSON number
-    reads as it does written as a JSON string.
+    __slots__ = ()
+
+
+def parse_json(text: str):
+    """A JSON document, with number tokens that would lose their value kept as text.
+
+    Integer tokens that int() refuses exceed the int/str digit limit;
+    :func:`parse_scalar` reads the text through Decimal, so a long integer
+    written as a JSON number reads as it does written as a JSON string.
+    A number with a fraction part or an exponent is kept as its token, a
+    ``_JsonDecimal``, not rounded to a float: :func:`parse_doc_scalar`
+    reads ``0.30000000000000001`` exactly, and rejects ``1e22`` by its own
+    text, as it does both written as JSON strings.
     """
-    return json.loads(text, parse_int=_json_int)
+    return json.loads(text, parse_int=_json_int, parse_float=_JsonDecimal)
 
 
 _SCALAR_TOKEN = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\](?:\s*/\s*(?=\[))?)+")

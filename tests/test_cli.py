@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import sys
 import time
 from dataclasses import replace
@@ -9,12 +10,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import random_cross_symmetric
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosstnn import (
     Inapplicable,
     Matrix,
+    NotTnn,
     Poly,
     RatFunc,
     TotallyNonnegative,
@@ -31,11 +34,14 @@ from crosstnn import (
     network_from_doc,
     neville_tnn_test,
     path_matrix,
+    random_certified_tnn,
 )
 from crosstnn import cli
+from crosstnn import elimination
 from crosstnn import matrix as matrix_module
 from crosstnn.cli import main
 from crosstnn.exact import format_scalar, parse_scalar
+from crosstnn.verdicts import verdict_label
 
 DEEPLY_NESTED = '{"n": ' + "[" * 100000 + "]" * 100000 + "}"
 
@@ -466,6 +472,181 @@ class TestIntegersPastTheDigitLimit:
         with pytest.raises(ValueError) as exc:
             self._READERS[reader](True)
         assert "exponent" not in str(exc.value)
+
+
+
+class TestJsonDecimals:
+    """A JSON number with a fraction part reads exactly, from its own token."""
+
+    @pytest.mark.parametrize(
+        "command, template",
+        [
+            ("check", '{{"n": 1, "entries": [[{}]]}}'),
+            ("network", '{{"n": 1, "atoms": [], "diagonal": [{}]}}'),
+        ],
+        ids=["check", "network"],
+    )
+    @pytest.mark.parametrize("token", ["0.30000000000000001", "2.50", "-0.5", "0.0"])
+    def test_json_decimals_read_as_json_strings(self, tmp_path, capsys, command, template, token):
+        results = []
+        for written in (token, f'"{token}"'):
+            path = _write(tmp_path / "doc.json", template.format(written))
+            code = main([command, path])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+
+    def test_decimal_is_not_rounded_to_a_float(self, tmp_path, capsys):
+        path = _write(tmp_path / "d.json", '{"n": 1, "entries": [[0.30000000000000001]]}')
+        assert main(["check", path]) == 0
+        assert "diagonal: 30000000000000001/100000000000000000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "doc, token",
+        [
+            ('{"n": 1, "entries": [[1e22]]}', "1e22"),
+            ('{"n": 1, "entries": [[-2.5E-3]]}', "-2.5E-3"),
+            ('{"n": 2e0, "entries": [[1, 0], [0, 1]]}', "2e0"),
+        ],
+    )
+    def test_exponent_names_the_documents_token(self, tmp_path, capsys, doc, token):
+        path = _write(tmp_path / "e.json", doc)
+        assert main(["check", path]) == 65
+        assert capsys.readouterr().err == f"malformed input: exponent notation in scalar {token!r}\n"
+
+    def test_fractional_n_is_rejected(self, tmp_path, capsys):
+        path = _write(tmp_path / "n.json", '{"n": 2.5, "entries": [[1, 0], [0, 1]]}')
+        assert main(["check", path]) == 65
+        assert capsys.readouterr().err == "malformed input: not an integer: 2.5\n"
+
+
+def _flipped(A: Matrix, col: int) -> Matrix:
+    """A with its first nonzero entry of column ``col`` and that entry's mirror negated."""
+    n, rows = A.n, [list(r) for r in A.rows]
+    i = next(i for i in range(n) if rows[i][col])
+    rows[i][col] = -rows[i][col]
+    rows[n - 1 - i][n - 1 - col] = -rows[n - 1 - i][n - 1 - col]
+    return Matrix(rows)
+
+
+def _check_text(run) -> str:
+    """What ``check --method cross --trace`` prints, written from eliminate_detailed's run."""
+    verdict = run.verdict
+    lines = ["method: cross", f"verdict: {verdict_label(verdict)}"]
+    steps = ()
+    if isinstance(verdict, TotallyNonnegative):
+        fact = verdict.factorization
+        steps = fact.atoms
+        lines.append(f"atoms: {len(fact.atoms)}")
+        lines.append("diagonal: " + " ".join(map(format_scalar, fact.diagonal)))
+    elif isinstance(verdict, NotTnn):
+        w = verdict.witness
+        steps = w.trace
+        lines.append(f"reason: {w.reason}")
+        if w.s is not None:
+            lines.append(f"position: s={w.s} t={w.t}")
+        if w.index is not None:
+            lines.append(f"diagonal index: {w.index}")
+        lines.append(f"value: {format_scalar(w.value)}")
+    else:
+        lines.append(f"reason: {verdict.reason}")
+        if verdict.bound is not None:
+            lines.append(f"bound: {verdict.bound}")
+    assert steps == run.steps
+    lines += [
+        f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({step.kind})"
+        for k, step in enumerate(steps, start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_B = Poly.variable()
+_CARRIES_12 = amazing_matrix(12, 10, scaled=True)
+# Inputs for every exit of the sweep: certified, each refutation reason
+# (a center step with c >= 1 among them), singular, not cross-symmetric
+# and symbolic on two rays, indefinite on the second.
+_SWEEP_EXITS = [
+    pytest.param(amazing_matrix(3, 3, scaled=True), None, id="carries-3"),
+    pytest.param(_CARRIES_12, None, id="carries-12"),
+    pytest.param(amazing_matrix(9, 3, scaled=True), None, id="carries-9-base-3"),
+    pytest.param(Matrix([[3, 1], [1, 3]]), None, id="center"),
+    pytest.param(Matrix.identity(4), None, id="identity"),
+    pytest.param(random_certified_tnn(6, 1, atom_count=9)[0], None, id="random-certified"),
+    pytest.param(_flipped(_CARRIES_12, 5), None, id="carries-12-flipped"),
+    pytest.param(Matrix([[10, -16, 1], [4, 19, 4], [1, -16, 10]]), None, id="negative-multiplier"),
+    pytest.param(Matrix([[0, 1], [1, 0]]), None, id="zero-pivot"),
+    pytest.param(Matrix([[2, 0, 1], [-1, 1, -1], [1, 0, 2]]), None, id="negative-pivot"),
+    pytest.param(
+        Matrix([[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 0], [0, 0, 0, 1]]), None, id="center-c-2"
+    ),
+    pytest.param(
+        Matrix([[1, 1, 1, 3], [1, 3, 2, 1], [1, 2, 3, 1], [3, 1, 1, 1]]), None, id="center-c-1"
+    ),
+    pytest.param(
+        Matrix([[5, 1, 0, 0], [3, 2, 3, 0], [0, 3, 2, 3], [0, 0, 1, 5]]), None, id="center-after-a-step"
+    ),
+    pytest.param(
+        Matrix([[3, 2, 1, 2], [3, 2, 1, 1], [1, 1, 2, 3], [2, 1, 2, 3]]), None, id="center-then-pivot"
+    ),
+    pytest.param(Matrix.diagonal([1, -1, 1]), None, id="nonpositive-diagonal"),
+    pytest.param(
+        Matrix([[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, 1]]),
+        None,
+        id="diagonal-after-a-step",
+    ),
+    pytest.param(Matrix([[1, 1], [1, 1]]), None, id="singular"),
+    pytest.param(
+        Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [8, 6, 4, 2], [4, 3, 2, 1]]), None, id="singular-rank-2"
+    ),
+    pytest.param(Matrix([[1, 2], [3, 4]]), None, id="not-cross-symmetric"),
+    pytest.param(amazing_matrix_symbolic(5), 5, id="symbolic-5-ray-5"),
+    pytest.param(amazing_matrix_symbolic(5), 2, id="symbolic-5-ray-2"),
+    pytest.param(Matrix([[_B + 1, _B - 3], [_B - 3, _B + 1]]), 2, id="symbolic-indefinite"),
+    pytest.param(Matrix([[_B, _B], [_B, _B]]), 2, id="symbolic-singular"),
+]
+
+
+class TestCheckReadsTheSweep:
+    """``check --method cross`` decides from the sweep's records, building no atom."""
+
+    @pytest.mark.parametrize("A, ray", _SWEEP_EXITS)
+    def test_trace_matches_the_detailed_run(self, tmp_path, capsys, A, ray):
+        flags = [] if ray is None else ["--ray", str(ray)]
+        path = _write(tmp_path / "m.txt", matrix_to_text(A))
+        run = eliminate_detailed(A, ray)
+        main(["check", path, "--trace", *flags])
+        assert capsys.readouterr().out == _check_text(run)
+
+    def test_random_matrices_match_the_detailed_run(self, tmp_path, capsys):
+        rng = random.Random(32)
+        for n in range(1, 7):
+            for _ in range(12):
+                A = random_cross_symmetric(rng, n, lo=-2, hi=5, max_den=2)
+                path = _write(tmp_path / "m.txt", matrix_to_text(A))
+                main(["check", path, "--trace"])
+                assert capsys.readouterr().out == _check_text(eliminate_detailed(A))
+
+    @pytest.mark.parametrize(
+        "A, flags, code",
+        [
+            pytest.param(_CARRIES_12, [], 0, id="carries-12"),
+            pytest.param(_flipped(_CARRIES_12, 5), [], 1, id="carries-12-flipped"),
+            pytest.param(amazing_matrix_symbolic(5), ["--ray", "5"], 0, id="symbolic-5"),
+        ],
+    )
+    def test_plain_check_builds_no_atom(self, tmp_path, capsys, monkeypatch, A, flags, code):
+        path = _write(tmp_path / "m.txt", matrix_to_text(A))
+        assert main(["check", path, *flags]) == code
+        expected = capsys.readouterr().out
+        built = []
+        real = elimination.Atom
+        monkeypatch.setattr(elimination, "Atom", lambda *args: built.append(args) or real(*args))
+        assert main(["check", path, *flags]) == code
+        assert capsys.readouterr().out == expected
+        assert built == []
+        # The count sees atoms wherever they are built: the run that
+        # factor and library callers read builds one per step.
+        run = eliminate_detailed(A, None if not flags else int(flags[1]))
+        assert len(built) == len(run.steps) > 0
 
 
 _SYMBOLIC_2X2 = "2\n[1,1] [-1,1]\n[-1,1] [1,1]\n"

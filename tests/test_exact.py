@@ -43,6 +43,9 @@ from crosstnn.exact import (
     _ratfunc,
     _sturm_chain,
     _symbolic_reduce,
+    parse_doc_scalar,
+    parse_int,
+    parse_json,
     split_scalar_tokens,
 )
 
@@ -1284,6 +1287,53 @@ class TestTextSyntax:
         else:
             assert parse_scalar(text) == expected
 
+
+
+# JSON number tokens with a fraction part: integer digits, then up to 30
+# fraction digits, more than a float holds.
+_JSON_DECIMALS = st.from_regex(r"-?(0|[1-9][0-9]{0,20})\.[0-9]{1,30}", fullmatch=True)
+
+
+class TestJsonNumbers:
+    """parse_json keeps a decimal's token, so documents read it exactly."""
+
+    @given(_JSON_DECIMALS)
+    @example("0.30000000000000001")
+    @example("-0.0")
+    def test_decimals_read_exactly(self, token):
+        assert parse_doc_scalar(parse_json(token)) == Fraction(token)
+        assert parse_json(f"[{token}]") == [token]
+
+    def test_a_decimal_reads_as_its_json_string(self):
+        doc = parse_json('{"a": 0.30000000000000001, "b": "0.30000000000000001"}')
+        assert parse_doc_scalar(doc["a"]) == parse_doc_scalar(doc["b"])
+        assert parse_doc_scalar(doc["a"]) == Fraction(30000000000000001, 10**17)
+        assert parse_doc_scalar(doc["a"]) != Fraction(0.30000000000000001)
+
+    @pytest.mark.parametrize("token", ["1e22", "1E+22", "-2.5e-3", "1e601110", "0.5E0"])
+    def test_exponents_are_rejected_by_their_token(self, token):
+        for read in (parse_doc_scalar, parse_int):
+            with pytest.raises(ValueError) as exc:
+                read(parse_json(token))
+            assert str(exc.value) == f"exponent notation in scalar {token!r}"
+
+    @pytest.mark.parametrize("token, value", [("2.0", 2), ("-3.000", -3), ("0.0", 0)])
+    def test_integral_decimals_are_integers(self, token, value):
+        assert parse_int(parse_json(token)) == value
+        assert type(parse_int(parse_json(token))) is int
+
+    @pytest.mark.parametrize("token", ["2.5", "2.0000000000000001"])
+    def test_fractional_decimals_are_not_integers(self, token):
+        with pytest.raises(ValueError) as exc:
+            parse_int(parse_json(token))
+        assert str(exc.value) == f"not an integer: {token}"
+
+    def test_json_strings_and_integers_are_unchanged(self):
+        # A decimal written as a JSON string is text, which parse_int refuses.
+        assert parse_json('[7, "2.0", 2.0]') == [7, "2.0", "2.0"]
+        assert type(parse_json('"2.0"')) is str
+        with pytest.raises(ValueError):
+            parse_int(parse_json('"2.0"'))
 
 def reference_format_scalar(x) -> str:
     """format_scalar as it was: one Fraction per coefficient, Decimal past the digit limit."""
