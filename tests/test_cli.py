@@ -626,14 +626,15 @@ class TestCheckReadsTheSweep:
                 assert capsys.readouterr().out == _check_text(eliminate_detailed(A))
 
     @pytest.mark.parametrize(
-        "A, flags, code",
+        "A, ray, code",
         [
-            pytest.param(_CARRIES_12, [], 0, id="carries-12"),
-            pytest.param(_flipped(_CARRIES_12, 5), [], 1, id="carries-12-flipped"),
-            pytest.param(amazing_matrix_symbolic(5), ["--ray", "5"], 0, id="symbolic-5"),
+            pytest.param(_CARRIES_12, None, 0, id="carries-12"),
+            pytest.param(_flipped(_CARRIES_12, 5), None, 1, id="carries-12-flipped"),
+            pytest.param(amazing_matrix_symbolic(5), 5, 0, id="symbolic-5"),
         ],
     )
-    def test_plain_check_builds_no_atom(self, tmp_path, capsys, monkeypatch, A, flags, code):
+    def test_plain_check_builds_no_atom(self, tmp_path, capsys, monkeypatch, A, ray, code):
+        flags = [] if ray is None else ["--ray", str(ray)]
         path = _write(tmp_path / "m.txt", matrix_to_text(A))
         assert main(["check", path, *flags]) == code
         expected = capsys.readouterr().out
@@ -645,8 +646,8 @@ class TestCheckReadsTheSweep:
         assert built == []
         # The count sees atoms wherever they are built: the run that
         # factor and library callers read builds one per step.
-        run = eliminate_detailed(A, None if not flags else int(flags[1]))
-        assert len(built) == len(run.steps) > 0
+        steps = eliminate_detailed(A, ray).steps
+        assert len(built) == len(steps) > 0
 
 
 _SYMBOLIC_2X2 = "2\n[1,1] [-1,1]\n[-1,1] [1,1]\n"
