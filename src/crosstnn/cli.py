@@ -25,7 +25,7 @@ import sys
 from .amazing import amazing_matrix, report_to_doc, verify_amazing
 from .audit import check_factorization_signs, peel_certificate
 from .elimination import (
-    _step_kind,
+    _atoms,
     _sweep,
     eliminate_detailed,
     factorization_from_doc,
@@ -244,7 +244,8 @@ def _cmd_check(args) -> int:
         elif isinstance(verdict, Inapplicable):
             print(f"reason: {verdict.reason}")
         return _verdict_exit(verdict)
-    # The sweep alone: check prints the certificate's size, not its atoms.
+    # The sweep alone: check prints the certificate's size; only --trace
+    # builds its atoms.
     verdict, records, diagonal = _sweep(matrix, args.ray)
     print(f"verdict: {verdict_label(verdict)}")
     if isinstance(verdict, TotallyNonnegative):
@@ -257,10 +258,8 @@ def _cmd_check(args) -> int:
         if verdict.bound is not None:
             print(f"bound: {_int_text(verdict.bound)}")
     if args.trace and not isinstance(verdict, Inapplicable):
-        n, scalar = matrix.n, matrix.kernel.scalar
-        for k, (s, t, num, den) in enumerate(records, start=1):
-            c = format_scalar(scalar(num, den))
-            print(f"step {k}: s={s} t={t} c={c} ({_step_kind(n, s)})")
+        for k, step in enumerate(_atoms(matrix, records), start=1):
+            print(f"step {k}: s={step.s} t={step.t} c={format_scalar(step.c)} ({step.kind})")
     return _verdict_exit(verdict)
 
 

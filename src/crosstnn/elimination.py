@@ -231,18 +231,25 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     matrices included.
     """
     verdict, records, diagonal = _sweep(A, ray)
-    n, scalar = A.n, A.kernel.scalar
-    steps = tuple(Atom(_step_kind(n, s), n, s, scalar(num, den), t) for s, t, num, den in records)
+    steps = _atoms(A, records)
     if isinstance(verdict, TotallyNonnegative):
-        verdict = TotallyNonnegative(Factorization(n=n, atoms=steps, diagonal=diagonal))
+        verdict = TotallyNonnegative(Factorization(n=A.n, atoms=steps, diagonal=diagonal))
     elif isinstance(verdict, NotTnn):
         verdict = NotTnn(replace(verdict.witness, trace=steps))
     return EliminationRun(verdict, steps, A)
 
 
-def _step_kind(n: int, s: int) -> str:
-    """The kind of the atom a sweep step at (s+1, t) inverts."""
-    return "center" if n == 2 * s else "bridge"
+def _atoms(A: Matrix, records) -> tuple:
+    """One validated :class:`Atom` per :func:`_sweep` record of ``A``.
+
+    A step at (s+1, t) inverts a center atom when s = n/2, else a
+    bridge; its c is the record's kernel pair, reduced.
+    """
+    n, scalar = A.n, A.kernel.scalar
+    return tuple(
+        Atom("center" if n == 2 * s else "bridge", n, s, scalar(num, den), t)
+        for s, t, num, den in records
+    )
 
 
 def _sweep(A: Matrix, ray: int | None) -> tuple:

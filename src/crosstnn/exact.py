@@ -945,7 +945,7 @@ def parse_int(value) -> int:
     rejected by its token, as :func:`parse_scalar` rejects it.
     """
     if isinstance(value, _JsonDecimal):
-        exact = parse_scalar(value)
+        exact = parse_scalar(str(value))
         if exact.denominator != 1:
             raise ValueError(f"not an integer: {value}")
         return int(exact)
@@ -989,9 +989,21 @@ def _json_int(token: str):
 
 
 class _JsonDecimal(str):
-    """The text of a JSON number with a fraction part or an exponent."""
+    """The text of a JSON number with a fraction part or an exponent.
+
+    :func:`parse_json` decodes every such number to this ``str``
+    subclass, so a field of a decoded document that is checked with
+    ``isinstance(x, str)`` takes a JSON number for a string: a field
+    check tells the two apart with ``type(x) is str``, or reads the
+    field through :func:`parse_int` or :func:`parse_doc_scalar`.  Its
+    repr is the token as written, so a message naming the field shows
+    the number unquoted, as it shows an integer.
+    """
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        return str(self)
 
 
 def parse_json(text: str):

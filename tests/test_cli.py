@@ -518,6 +518,14 @@ class TestJsonDecimals:
         assert main(["check", path]) == 65
         assert capsys.readouterr().err == "malformed input: not an integer: 2.5\n"
 
+    @pytest.mark.parametrize("token", ["1.5", "2.0", "1e22"])
+    def test_a_number_kind_is_named_as_written(self, tmp_path, capsys, token):
+        # A JSON number in a text field is named unquoted, as a float was.
+        doc = f'{{"n": 2, "atoms": [{{"kind": {token}, "s": 1, "c": "1/2"}}], "diagonal": [1, 1]}}'
+        path = _write(tmp_path / "k.json", doc)
+        assert main(["network", path]) == 65
+        assert capsys.readouterr().err == f"malformed input: unknown atom kind {token}\n"
+
 
 def _flipped(A: Matrix, col: int) -> Matrix:
     """A with its first nonzero entry of column ``col`` and that entry's mirror negated."""

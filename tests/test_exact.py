@@ -1328,6 +1328,20 @@ class TestJsonNumbers:
             parse_int(parse_json(token))
         assert str(exc.value) == f"not an integer: {token}"
 
+    def test_decoded_decimal_repr_is_its_token(self):
+        assert [repr(x) for x in parse_json("[1.50, 1e22, -0.0]")] == ["1.50", "1e22", "-0.0"]
+
+    def test_python_floats_are_still_read(self):
+        # Documents decoded by json.loads hold floats, which library callers
+        # pass to factorization_from_doc and matrix_from_doc.
+        assert parse_int(2.0) == 2 and type(parse_int(2.0)) is int
+        for bad in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                parse_int(bad)
+        assert parse_doc_scalar(0.5) == Fraction(1, 2)
+        assert parse_doc_scalar(-3.0) == -3
+        assert parse_doc_scalar(0.1) == Fraction(1, 10)
+
     def test_json_strings_and_integers_are_unchanged(self):
         # A decimal written as a JSON string is text, which parse_int refuses.
         assert parse_json('[7, "2.0", 2.0]') == [7, "2.0", "2.0"]

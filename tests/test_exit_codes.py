@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from crosstnn.cli import main
 from crosstnn.elimination import factorization_from_doc
 from crosstnn.exact import parse_json
-from crosstnn.matrix import matrix_from_payload
+from crosstnn.matrix import matrix_from_doc, matrix_from_payload
 
 EXIT_CODES = {0, 1, 2, 64, 65, 66}
 # What main reports as malformed input (exit 65); json.JSONDecodeError is a ValueError.
@@ -168,21 +168,33 @@ def test_matrix_files(text, ray):
         matrix_from_payload(text)
     except PARSE_ERRORS:
         pass
+    # A document decoded by json.loads holds floats, not decimal tokens.
+    try:
+        doc = json.loads(text)
+    except PARSE_ERRORS:
+        doc = None
+    if isinstance(doc, dict):
+        try:
+            matrix_from_doc(doc)
+        except PARSE_ERRORS:
+            pass
     _run_commands(text, ray)
 
 
 @_SETTINGS
 @given(certificate_docs(), st.sampled_from([None, "1", "3"]))
 def test_certificate_files(text, ray):
-    try:
-        doc = parse_json(text)
-    except PARSE_ERRORS:
-        doc = None
-    if isinstance(doc, dict):
+    # json.loads gives the library's float path, parse_json the CLI's decimals.
+    for decode in (json.loads, parse_json):
         try:
-            factorization_from_doc(doc)
+            doc = decode(text)
         except PARSE_ERRORS:
-            pass
+            doc = None
+        if isinstance(doc, dict):
+            try:
+                factorization_from_doc(doc)
+            except PARSE_ERRORS:
+                pass
     _run_commands(text, ray)
 
 
