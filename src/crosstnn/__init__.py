@@ -58,7 +58,6 @@ from .elimination import (
     factorization_product,
     factorization_to_doc,
     materialize_atom,
-    materialize_elementary,
     neville_tnn_test,
     random_certified_tnn,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "Atom",
     "Factorization",
     "EliminationRun",
-    "materialize_elementary",
     "materialize_atom",
     "cross_symmetric_eliminate",
     "eliminate_detailed",

@@ -53,7 +53,6 @@ __all__ = [
     "Atom",
     "Factorization",
     "EliminationRun",
-    "materialize_elementary",
     "materialize_atom",
     "cross_symmetric_eliminate",
     "eliminate_detailed",
@@ -144,40 +143,17 @@ class Factorization:
 
 @dataclass(frozen=True)
 class EliminationRun:
-    """One elimination: its verdict, the steps taken, and the input matrix.
+    """One elimination: its verdict and the steps taken.
 
-    Each step is an :class:`Atom` with its ``t`` set, and a certified
-    run's steps are its certificate's atoms.  Intermediate matrices are not
-    stored; :attr:`intermediates` replays ``steps`` on ``matrix`` with dense
-    products when asked.
+    Each step is an :class:`Atom` with its ``t`` set.  A certified run's
+    steps are its certificate's atoms, and a refutation's are its
+    witness's ``trace``.  No intermediate matrix is stored: after k steps
+    of a certified run the sweep holds the suffix product
+    ``atoms[k] * ... * atoms[-1] * diag(diagonal)``.
     """
 
     verdict: Verdict
     steps: tuple
-    matrix: Matrix
-
-    @property
-    def intermediates(self) -> tuple:
-        """The input, then the matrix after each step (F_k * ... * F_1 * A)."""
-        out = [self.matrix]
-        for step in self.steps:
-            out.append(materialize_elementary(step) * out[-1])
-        return tuple(out)
-
-
-def materialize_elementary(atom: Atom) -> Matrix:
-    """The atom's step F = I - c E(s+1,s) - c E(w0(s+1),w0(s)), the inverse of the atom.
-
-    For n = 2s the two subtracted cells are (s+1, s) and (s, s+1); for
-    odd n with s+1 the middle row they land in the same row but distinct
-    columns.
-    """
-    n, s, c = atom.n, atom.s, atom.c
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows[s][s - 1] = rows[s][s - 1] - c
-    r2, c2 = w0(s + 1, n), w0(s, n)
-    rows[r2 - 1][c2 - 1] = rows[r2 - 1][c2 - 1] - c
-    return Matrix(rows)
 
 
 def materialize_atom(atom: Atom) -> Matrix:
@@ -199,7 +175,7 @@ def materialize_atom(atom: Atom) -> Matrix:
 
 
 def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
-    """Run the symmetry-preserving elimination, recording every step.
+    """Run the symmetry-preserving elimination: its verdict and its steps.
 
     The sweep clears the columns left to right, each bottom-up, with one
     step at each nonzero below-diagonal entry; see :func:`_sweep`.
@@ -218,10 +194,10 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
     The sweep decides and records each step as its kernel pair; this
     builds one :class:`Atom` per record, its c the pair's reduced ratio,
     and attaches the atoms as the certificate's or as the witness's
-    ``trace``.  A certified run's steps are its certificate's atoms.
-    ``crosstnn check`` reads the sweep alone: it decides and counts the
-    steps without building them, while ``factor`` writes the certificate
-    built here.
+    ``trace``.  A certified run's steps are its certificate's atoms, whose
+    suffix products are its intermediate matrices.  ``crosstnn check``
+    reads the sweep alone: it decides and counts the steps without
+    building them, while ``factor`` writes the certificate built here.
 
     A singular matrix is inapplicable, with no steps.  For symbolic
     matrices, signs are decided on [ray, inf); an undecidable query
@@ -236,7 +212,7 @@ def eliminate_detailed(A: Matrix, ray: int | None = None) -> EliminationRun:
         verdict = TotallyNonnegative(Factorization(n=A.n, atoms=steps, diagonal=diagonal))
     elif isinstance(verdict, NotTnn):
         verdict = NotTnn(replace(verdict.witness, trace=steps))
-    return EliminationRun(verdict, steps, A)
+    return EliminationRun(verdict, steps)
 
 
 def _atoms(A: Matrix, records) -> tuple:

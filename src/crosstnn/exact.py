@@ -883,11 +883,13 @@ def _rational_row(tokens: list):
     """(ints, d) with tokens[k] == ints[k] / d if every token is a plain rational, else None.
 
     A plain rational is an optional sign and ASCII digits, then optionally
-    "/" and ASCII digits.  Tokens are nonempty, and one holding whitespace
+    "/" and ASCII digits, or an optional sign and a decimal: ASCII digits,
+    ".", ASCII digits, one run of which may be empty, read as its digits
+    over a power of ten.  Tokens are nonempty, and one holding whitespace
     is not plain; d is the lcm of the denominators, 0 if one of them is
     zero, and nothing is reduced.  Most entries of a numeric file are
-    plain, and reading them skips Fraction's regex; a row of unsigned
-    integers is checked at once.
+    plain, and reading them skips Fraction's regex and, past the int/str
+    digit limit, its int(); a row of unsigned integers is checked at once.
     """
     text = "".join(tokens)
     if not text.isascii():
@@ -898,10 +900,15 @@ def _rational_row(tokens: list):
     for t in tokens:
         digits = t[1:] if t[0] in "+-" else t
         num, slash, den = digits.partition("/")
-        if not num.isdigit() or (slash and not den.isdigit()):
+        if num.isdigit() and (not slash or den.isdigit()):
+            nums.append(t[: len(t) - len(den) - len(slash)])  # the signed numerator
+            dens.append(den or "1")
+            continue
+        whole, point, part = digits.partition(".")
+        if not point or not (whole + part).isdigit():
             return None
-        nums.append(t[: len(t) - len(den) - len(slash)])  # the signed numerator
-        dens.append(den or "1")
+        nums.append(t[: len(t) - len(digits)] + whole + part)  # the signed digits
+        dens.append("1" + "0" * len(part))
     nums, dens = _ints(nums), _ints(dens)
     d = math.lcm(*dens)
     return (nums if d <= 1 else [p * (d // q) for p, q in zip(nums, dens)]), d

@@ -1,13 +1,35 @@
 """Shared helpers for the test suites: random exact matrices and reference constructions."""
 
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from crosstnn import Matrix, Poly, RatFunc, amazing_entry, random_certified_tnn
+from crosstnn import Matrix, Poly, RatFunc, amazing_entry, materialize_atom, random_certified_tnn
 from crosstnn.amazing import _falling_product
 from crosstnn.exact import _poly, as_ratfunc
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_section(title: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_library_blocks() -> list:
+    """The Python blocks of README's library example, in order."""
+    return re.findall(r"```python\n(.*?)```", _readme_section("Library example"), re.DOTALL)
+
+
+def readme_commands() -> list:
+    """README's command block, one argv per line, each starting with ``crosstnn``."""
+    (block,) = re.findall(r"```\n(.*?)```", _readme_section("Command line"), re.DOTALL)
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=4) -> Fraction:
@@ -30,6 +52,18 @@ def random_cross_symmetric(rng, n, lo=-9, hi=9, max_den=4) -> Matrix:
                 rows[i][j] = value
                 rows[n - 1 - i][n - 1 - j] = value
     return Matrix(rows)
+
+
+def suffix_products(f) -> list:
+    """atoms[k] * ... * atoms[-1] * diag(diagonal) for k = 0 .. len(atoms), by dense products.
+
+    After k steps of a certified elimination the sweep holds the k-th of
+    these: the first is the input and the last the diagonal.
+    """
+    out = [Matrix.diagonal(f.diagonal)]
+    for atom in reversed(f.atoms):
+        out.append(materialize_atom(atom) * out[-1])
+    return out[::-1]
 
 
 def reference_determinant(rows):

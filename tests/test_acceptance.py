@@ -38,7 +38,7 @@ from crosstnn import (
     w0,
 )
 from crosstnn.cli import main as cli_main
-from conftest import random_cross_symmetric, random_matrix
+from conftest import random_cross_symmetric, random_matrix, suffix_products
 
 
 def _passed(name: str) -> None:
@@ -212,7 +212,11 @@ def test_criterion_8_step_preservation():
         run = eliminate_detailed(A)
         assert isinstance(run.verdict, TotallyNonnegative)
         certified += 1
-        for M in run.intermediates:
+        # The matrix after k steps is the certificate's k-th suffix product.
+        intermediates = suffix_products(run.verdict.factorization)
+        assert intermediates[0] == A
+        assert intermediates[-1] == Matrix.diagonal(run.verdict.factorization.diagonal)
+        for M in intermediates:
             assert is_cross_symmetric(M)
             assert isinstance(brute_force_tnn(M), TotallyNonnegative)
         for step in run.steps:

@@ -518,6 +518,24 @@ class TestJsonDecimals:
         assert main(["check", path]) == 65
         assert capsys.readouterr().err == "malformed input: not an integer: 2.5\n"
 
+    # 5,000 fraction digits: past the int/str digit limit of 4,300.
+    _LONG_DECIMAL = "0." + "1" * 5000
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("d.txt", f"1\n{_LONG_DECIMAL}\n"),
+            ("d.json", f'{{"n": 1, "entries": [[{_LONG_DECIMAL}]]}}'),
+            ("s.json", f'{{"n": 1, "entries": [["{_LONG_DECIMAL}"]]}}'),
+        ],
+        ids=["text", "json-number", "json-string"],
+    )
+    def test_decimal_past_the_digit_limit_reads_exactly(self, tmp_path, capsys, name, text):
+        assert main(["check", _write(tmp_path / name, text)]) == 0
+        out = capsys.readouterr().out
+        diagonal = "1" * 5000 + "/1" + "0" * 5000
+        assert out == f"method: cross\nverdict: totally-nonnegative\natoms: 0\ndiagonal: {diagonal}\n"
+
     @pytest.mark.parametrize("token", ["1.5", "2.0", "1e22"])
     def test_a_number_kind_is_named_as_written(self, tmp_path, capsys, token):
         # A JSON number in a text field is named unquoted, as a float was.

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from conftest import matrices_on_rays, random_cross_symmetric, reference_determinant
+from conftest import (
+    matrices_on_rays,
+    random_cross_symmetric,
+    reference_determinant,
+    suffix_products,
+)
 
 from crosstnn import (
     Atom,
@@ -27,9 +32,9 @@ from crosstnn import (
     factorization_to_doc,
     is_cross_symmetric,
     materialize_atom,
-    materialize_elementary,
     matrix_to_text,
     neville_tnn_test,
+    peel_certificate,
     random_certified_tnn,
     verify_amazing,
 )
@@ -55,29 +60,6 @@ from crosstnn.verdicts import (
 B = Poly.variable()
 
 
-class TestMaterializeElementary:
-    def test_first_step_of_3x3_run(self):
-        atom = Atom("bridge", 3, 2, Fraction(1, 4), t=1)
-        expected = Matrix(
-            [[1, Fraction(-1, 4), 0], [0, 1, 0], [0, Fraction(-1, 4), 1]]
-        )
-        assert materialize_elementary(atom) == expected
-
-    def test_middle_pair_for_even_n(self):
-        atom = Atom("center", 2, 1, Fraction(1, 2), t=1)
-        expected = Matrix([[1, Fraction(-1, 2)], [Fraction(-1, 2), 1]])
-        assert materialize_elementary(atom) == expected
-
-    def test_result_is_cross_symmetric(self):
-        for n, s in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3)]:
-            atom = Atom("center" if n == 2 * s else "bridge", n, s, Fraction(2, 3), t=1)
-            assert is_cross_symmetric(materialize_elementary(atom))
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError, match=r"^step needs 1 <= t <= s, got s=1, t=2$"):
-            Atom("bridge", 3, 1, 1, t=2)
-
-
 class TestMaterializeAtom:
     def test_bridge_example(self):
         atom = Atom("bridge", 3, 1, Fraction(4, 9))
@@ -101,12 +83,22 @@ class TestMaterializeAtom:
             ("bridge", 5, 4, Fraction(2, 3)),
             ("center", 4, 2, Fraction(1, 3)),
             ("center", 6, 3, Fraction(9, 10)),
+            ("bridge", 3, 1, Fraction(4, 9)),  # 2s + 1 = n: both cells in the middle row
+            ("bridge", 5, 2, Fraction(5, 2)),
+            ("center", 2, 1, Fraction(1, 2)),
+            ("bridge", 4, 1, RatFunc(B + 1, B)),
+            ("bridge", 5, 2, RatFunc(Poly((3,)), B)),
+            ("center", 4, 2, RatFunc(B, B + 1)),
         ],
     )
     def test_atom_inverts_matching_step(self, kind, n, s, c):
+        # The peel applies the sweep's step with the atom's c, the atom's inverse.
         atom = Atom(kind, n, s, c)
-        assert materialize_atom(atom) * materialize_elementary(atom) == Matrix.identity(n)
-        assert is_cross_symmetric(materialize_atom(atom))
+        A = materialize_atom(atom)
+        assert is_cross_symmetric(A)
+        assert peel_certificate(Factorization(n, (atom,), (1,) * n), A)
+        perturbed = Atom(kind, n, s, c / 2)
+        assert not peel_certificate(Factorization(n, (perturbed,), (1,) * n), A)
 
     def test_atom_validation(self):
         with pytest.raises(ValueError):
@@ -121,6 +113,10 @@ class TestMaterializeAtom:
             Atom("pivot", 3, 1, Fraction(1))
         with pytest.raises(ValueError, match=r"^atom row 3 outside 1\.\.2$"):
             Atom("bridge", 3, 3, 1)
+
+    def test_step_validation(self):
+        with pytest.raises(ValueError, match=r"^step needs 1 <= t <= s, got s=1, t=2$"):
+            Atom("bridge", 3, 1, 1, t=2)
 
 
 class TestOneRecord:
@@ -225,13 +221,15 @@ class TestEliminate:
         assert verdict.witness.index == 2
 
     def test_intermediates_recorded(self):
+        # The intermediates are the certificate's suffix products.
         A = amazing_matrix(3, 3, scaled=True)
         run = eliminate_detailed(A)
-        assert run.intermediates[0] == A
-        assert len(run.intermediates) == len(run.steps) + 1
-        for M in run.intermediates:
+        intermediates = suffix_products(run.verdict.factorization)
+        assert intermediates[0] == A
+        assert len(intermediates) == len(run.steps) + 1
+        for M in intermediates:
             assert is_cross_symmetric(M)
-        assert run.intermediates[-1] == Matrix.diagonal([9, 9, 9])
+        assert intermediates[-1] == Matrix.diagonal([9, 9, 9])
 
     def test_symbolic_certificate_specializes(self):
         A = Matrix([[B + 1, B - 1], [B - 1, B + 1]])
@@ -661,11 +659,11 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
     def finish(verdict: Verdict) -> EliminationRun:
         # Not certified: only now is singularity worth deciding.
         if reference_determinant(A.rows) == 0:
-            return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), (), A)
-        return EliminationRun(verdict, tuple(steps), A)
+            return EliminationRun(Inapplicable(INAPPLICABLE_SINGULAR), ())
+        return EliminationRun(verdict, tuple(steps))
 
     if not is_cross_symmetric(A):
-        return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), (), A)
+        return EliminationRun(Inapplicable(INAPPLICABLE_NOT_CROSS_SYMMETRIC), ())
 
     rows = [list(r) for r in A.rows]
     try:
@@ -762,7 +760,7 @@ def reference_eliminate(A: Matrix, ray=None) -> EliminationRun:
         )
 
     fact = Factorization(n=n, atoms=tuple(steps), diagonal=diag)
-    return EliminationRun(TotallyNonnegative(factorization=fact), fact.atoms, A)
+    return EliminationRun(TotallyNonnegative(factorization=fact), fact.atoms)
 
 
 def reference_neville(A: Matrix, ray=None) -> Verdict:

@@ -1273,10 +1273,12 @@ class TestTextSyntax:
     @example("1_0/3")
     @example("\u0663/4")
     @example("3" * 4400 + "/7")
+    @example("0." + "1" * 5000)
+    @example("-" + "9" * 4400 + ".25")
     def test_parse_scalar_matches_fraction(self, text):
-        # ASCII integers and p/q take a fast path; a token with an exponent
-        # is rejected, and every other token is Fraction's, whose integers
-        # may be longer than the int/str digit limit.
+        # ASCII integers, p/q and decimals take a fast path; a token with an
+        # exponent is rejected, and every other token is Fraction's, whose
+        # integers may be longer than the int/str digit limit.
         try:
             if "e" in text or "E" in text:
                 raise ValueError("exponent notation")
