@@ -1,5 +1,6 @@
 """Symmetry-preserving elimination, atoms, certificates, and the Neville oracle."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from conftest import (
     matrices_on_rays,
     random_cross_symmetric,
+    random_matrix,
     reference_determinant,
     suffix_products,
 )
@@ -26,6 +28,7 @@ from crosstnn import (
     amazing_matrix_symbolic,
     brute_force_tnn,
     cross_symmetric_eliminate,
+    determinant,
     eliminate_detailed,
     factorization_from_doc,
     factorization_product,
@@ -33,16 +36,18 @@ from crosstnn import (
     is_cross_symmetric,
     materialize_atom,
     matrix_to_text,
+    network_from_factorization,
     neville_tnn_test,
+    path_matrix,
     peel_certificate,
     random_certified_tnn,
     verify_amazing,
 )
 from crosstnn.cli import main
-from crosstnn.elimination import EliminationRun, verdict_to_doc
+from crosstnn.elimination import EliminationRun, _sweep, verdict_to_doc
 from crosstnn import exact
-from crosstnn.exact import SignUndecidedOnRay, scalar_sign
-from crosstnn.matrix import _NumericKernel, _RowKernel, _SymbolicKernel
+from crosstnn.exact import SignUndecidedOnRay, _numeric_reduce, scalar_sign
+from crosstnn.matrix import _REDUCE_BITS, _NumericKernel, _RowKernel, _SymbolicKernel
 from crosstnn.verdicts import (
     INAPPLICABLE_NOT_CROSS_SYMMETRIC,
     INAPPLICABLE_SINGULAR,
@@ -1052,3 +1057,95 @@ class TestNevilleAgainstReference:
         A = _symbolic_rational_matrix()
         self.assert_same(A, ray=ray)
         self.assert_same(_negate_mirrored(A, 2, 1), ray=ray)
+
+
+def _eager_update(self, P, T, dT, B, S):
+    # The reference numeric update: every row it returns is reduced.
+    return _numeric_reduce([P * x - B * y for x, y in zip(T, S)], dT * P)
+
+
+class TestLazyNumericReduction:
+    """Numeric rows reduced only past _REDUCE_BITS give what rows reduced at every update give.
+
+    Every consumer of a numeric row is exact on any positive scaling of it,
+    and every scalar and Matrix it hands out is reduced, so the verdicts,
+    certificates, witnesses and printed bytes must not move.
+    """
+
+    @staticmethod
+    def outcomes(A, tmp_path, capsys) -> dict:
+        verdict, records, diagonal = _sweep(A, None)
+        run = eliminate_detailed(A)
+        path = tmp_path / "matrix.txt"
+        path.write_text(matrix_to_text(A), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["check", str(path), "--method", "cross"])
+        out = {
+            "sweep": (verdict, len(records), diagonal),
+            "run": run,
+            "check": (code, capsys.readouterr().out),
+            "neville": neville_tnn_test(A),
+            "determinant": determinant(A),
+        }
+        if isinstance(run.verdict, TotallyNonnegative):
+            f = run.verdict.factorization
+            out["peel"] = peel_certificate(f, A)
+            out["path_matrix"] = path_matrix(network_from_factorization(f)) == A
+        return out
+
+    def assert_same(self, A, tmp_path, capsys):
+        lazy = self.outcomes(A, tmp_path, capsys)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_NumericKernel, "update", _eager_update)
+            eager = self.outcomes(A, tmp_path, capsys)
+        assert lazy == eager
+        assert lazy.get("peel", True) and lazy.get("path_matrix", True)
+        return lazy["run"].verdict
+
+    @pytest.mark.parametrize("n", [20, 40])
+    @pytest.mark.parametrize("b", [3, 10, 100])
+    def test_carries_matrices_and_flipped_copies(self, n, b, tmp_path, capsys):
+        A = amazing_matrix(n, b, scaled=True)
+        assert isinstance(self.assert_same(A, tmp_path, capsys), TotallyNonnegative)
+        for row in (n // 8, n // 2 + 3):
+            flipped = _negate_mirrored(A, row, n // 2 - 1)
+            assert isinstance(self.assert_same(flipped, tmp_path, capsys), NotTnn)
+
+    def test_random_matrices(self, tmp_path, capsys):
+        rng = random.Random(34)
+        for trial in range(60):
+            n = trial % 9 + 1
+            self.assert_same(random_cross_symmetric(rng, n), tmp_path, capsys)
+            self.assert_same(random_matrix(rng, n), tmp_path, capsys)
+            A, _ = random_certified_tnn(n, f"lazy-{trial}", atom_count=trial % 8)
+            self.assert_same(A, tmp_path, capsys)
+
+    @pytest.mark.slow
+    def test_every_numeric_base_at_n_64(self):
+        for b in range(2, 64):
+            A = amazing_matrix(64, b, scaled=True)
+            lazy = eliminate_detailed(A)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_NumericKernel, "update", _eager_update)
+                assert eliminate_detailed(A) == lazy, f"b={b}"
+
+    def test_every_update_is_reduced_or_short(self):
+        calls = []
+        lazy = _NumericKernel.update
+
+        def update(self, P, T, dT, B, S):
+            calls.append((dT * P, lazy(self, P, T, dT, B, S)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_NumericKernel, "update", update)
+            _sweep(amazing_matrix(40, 100, scaled=True), None)
+        kept = passed = 0
+        for unreduced, (nums, den) in calls:
+            assert den > 0
+            if math.gcd(den, *nums) != 1:
+                assert den.bit_length() <= _REDUCE_BITS
+                kept += 1
+            passed += unreduced.bit_length() > _REDUCE_BITS
+        # Both branches are taken: rows that keep a factor and rows reduced past the bound.
+        assert kept and passed

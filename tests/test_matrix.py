@@ -2,11 +2,12 @@
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosstnn import (
@@ -58,6 +59,7 @@ from crosstnn.elimination import verdict_to_doc
 from crosstnn.cli import main
 from crosstnn.matrix import (
     _NUMERIC,
+    _REDUCE_BITS,
     _RESIDUE_POINT,
     _RESIDUE_PRIME,
     _SYMBOLIC,
@@ -274,7 +276,13 @@ _INT = st.integers(-(10**6), 10**6)
 
 
 class TestNumericCombine:
-    """Dividing P and B by their gcd first leaves the reduced row unchanged."""
+    """combine's row is the reduced uncancelled update times a small positive integer.
+
+    Dividing P and B by their gcd first leaves the reduced row unchanged,
+    and ``update`` reduces only a denominator that is negative or longer
+    than ``_REDUCE_BITS``, so the row it returns is reduced or has such a
+    short denominator, and that is always positive.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -284,11 +292,18 @@ class TestNumericCombine:
         st.integers(1, 10**6),
         st.lists(st.tuples(st.one_of(st.just(0), _INT), st.one_of(st.just(0), _INT)), max_size=8),
     )
+    # dT past 2^K, with a factor 2 of T and dT that cancelling P and B leaves
+    @example(g=1, p=1, b=1, dT=2**_REDUCE_BITS, pairs=[(2, 4), (6, 0)])
+    # a negative P, as pivots and _neville_pass may pass
+    @example(g=3, p=-1, b=2, dT=5, pairs=[(1, 1), (0, 2)])
     def test_matches_the_update_reduced_once(self, g, p, b, dT, pairs):
         P, B = g * p, g * b
         T, S = [x for x, _ in pairs], [y for _, y in pairs]
         expected = _numeric_reduce([P * x - B * y for x, y in pairs], dT * P)
-        assert _NUMERIC.combine(P, T, dT, B, S) == expected
+        nums, den = _NUMERIC.combine(P, T, dT, B, S)
+        assert den > 0
+        assert math.gcd(den, *nums) == 1 or den.bit_length() <= _REDUCE_BITS
+        assert _numeric_reduce(nums, den) == expected
 
 
 # Integer polynomials, ascending by degree, [] for zero.
@@ -513,8 +528,32 @@ def _started_symbolic(draw):
     return _SYMBOLIC, *map(list, zip(*map(_SYMBOLIC.start, rows)))
 
 
+@st.composite
+def _residue_rows(draw):
+    entry = st.one_of(st.integers(-3, 3), st.integers(0, _RESIDUE_PRIME - 1))
+    return [[x % _RESIDUE_PRIME for x in row] for row in _drawn_rows(draw, entry)]
+
+
+def _residues_independent_by_copies(rows: list) -> bool:
+    # The reference residue test: every column rebuilds every remaining row.
+    p = _RESIDUE_PRIME
+    while rows:
+        k = next((k for k, T in enumerate(rows) if T[0]), None)
+        if k is None:
+            return False
+        P, *S = rows.pop(k)
+        rows = [[(P * x - B * y) % p for x, y in zip(T, S)] if B else T for B, *T in rows]
+    return True
+
+
 class TestSingular:
     """The residue test proves rows independent; the exact search decides the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_residue_rows())
+    def test_residue_test_matches_the_copying_loop(self, rows):
+        expected = _residues_independent_by_copies([list(r) for r in rows])
+        assert _residues_independent([list(r) for r in rows]) == expected
 
     @staticmethod
     def _singular_counting_exact_searches(kernel, rows, dens) -> tuple:
